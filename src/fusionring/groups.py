@@ -13,6 +13,8 @@ from itertools import product as iter_product
 
 import numpy as np
 
+from .ring import per_object_cache
+
 
 class GroupError(ValueError):
     """Malformed table or invalid group argument."""
@@ -216,7 +218,7 @@ def generated_subgroup(group: FiniteGroup, seed) -> frozenset[int]:
     return frozenset(members)
 
 
-@lru_cache(maxsize=None)
+@per_object_cache
 def subgroups(group: FiniteGroup) -> tuple[tuple[int, ...], ...]:
     """Every subgroup, as a sorted member tuple, smallest first."""
     found = {frozenset({0})}
@@ -339,23 +341,15 @@ def iter_isomorphisms(g1: FiniteGroup, g2: FiniteGroup):
 
 
 def are_isomorphic(g1: FiniteGroup, g2: FiniteGroup) -> bool:
+    if g1.is_abelian() != g2.is_abelian():
+        return False
+    if g1.is_abelian():
+        # abelian groups are determined by their element order statistics
+        return sorted(g1.element_orders) == sorted(g2.element_orders)
     return next(iter_isomorphisms(g1, g2), None) is not None
 
 
-def _class_fingerprint(g: FiniteGroup):
-    return (g.order, tuple(sorted(g.element_orders)), len(g.center), g.is_abelian())
-
-
-def same_isomorphism_class(g1: FiniteGroup, g2: FiniteGroup) -> bool:
-    if _class_fingerprint(g1) != _class_fingerprint(g2):
-        return False
-    # abelian groups are determined by their element order statistics
-    if g1.is_abelian():
-        return True
-    return are_isomorphic(g1, g2)
-
-
-@lru_cache(maxsize=None)
+@per_object_cache
 def identify_group(group: FiniteGroup) -> str:
     """A display name for the isomorphism class, best effort for order > 16."""
     m = group.order
@@ -363,7 +357,7 @@ def identify_group(group: FiniteGroup) -> str:
         return f"Z{m}"
     if group.is_abelian():
         for factors in _abelian_factorizations(m):
-            if len(factors) > 1 and same_isomorphism_class(group, product_of_cyclics(factors)):
+            if len(factors) > 1 and are_isomorphic(group, product_of_cyclics(factors)):
                 return "x".join(f"Z{n}" for n in factors)
     else:
         if m == 8 and are_isomorphic(group, quaternion8()):
@@ -490,6 +484,6 @@ def central_extensions_by_z2(group: FiniteGroup) -> list[FiniteGroup]:
                         c = 0 if (g == 0 or h == 0) else (vec >> vidx[(g, h)]) & 1
                         table[2 * g + s][2 * h + u] = 2 * t[g][h] + (s ^ u ^ c)
         cand = FiniteGroup(2 * m, tuple(tuple(row) for row in table))
-        if not any(same_isomorphism_class(cand, r) for r in reps):
+        if not any(are_isomorphic(cand, r) for r in reps):
             reps.append(cand)
     return reps

@@ -12,13 +12,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-if TYPE_CHECKING:
-    from .ring import FusionRing
+from .ring import FusionRing, per_object_cache
 
 #: Tolerance used for grouping and recognizing dimension values.
 DIM_TOL = 1e-9
@@ -75,8 +72,8 @@ def _perron(matrix: np.ndarray) -> float:
     raise ConvergenceError("power iteration did not converge")
 
 
-@lru_cache(maxsize=None)
-def fp_dimensions(ring: "FusionRing") -> FPData:
+@per_object_cache
+def fp_dimensions(ring: FusionRing) -> FPData:
     """Perron dimension of every basis element plus the squared total.
 
     Dual partners share a matrix spectrum, so they are computed once and
@@ -118,7 +115,7 @@ def recognize(value: float, tol: float = DIM_TOL) -> str | None:
     return None
 
 
-def dimension_classes(ring: "FusionRing") -> list[tuple[float, tuple[int, ...]]]:
+def dimension_classes(ring: FusionRing) -> list[tuple[float, tuple[int, ...]]]:
     """Basis indices grouped by dimension within DIM_TOL, ascending."""
     data = fp_dimensions(ring)
     order = sorted(range(ring.rank), key=lambda i: (data.dims[i], i))
@@ -136,7 +133,7 @@ def dimension_classes(ring: "FusionRing") -> list[tuple[float, tuple[int, ...]]]
     return classes
 
 
-def type_signature(ring: "FusionRing") -> TypeSignature:
+def type_signature(ring: FusionRing) -> TypeSignature:
     return TypeSignature(tuple((v, len(mem)) for v, mem in dimension_classes(ring)))
 
 

@@ -14,8 +14,8 @@ verify_axioms, which reports every violation instead of raising.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Sequence
+from functools import cached_property, wraps
+from typing import Any, Callable, Iterable, TypeVar
 
 import numpy as np
 
@@ -28,6 +28,28 @@ AXIOM_ASSOCIATIVITY = "associativity"
 
 class StructuralError(ValueError):
     """Malformed ring data: wrong shapes, bad dual permutation, negative entries."""
+
+
+_T = TypeVar("_T")
+
+
+def per_object_cache(fn: Callable[[Any], _T]) -> Callable[[Any], _T]:
+    """Cache fn(obj) in obj.__dict__, the storage cached_property uses.
+
+    The result lives exactly as long as the ring or group it describes;
+    nothing global holds on to the object. Every caller gets the same
+    result object, so callers must not mutate it.
+    """
+    key = f"{fn.__module__}.{fn.__qualname__}"
+
+    @wraps(fn)
+    def cached(obj):
+        store = obj.__dict__
+        if key not in store:
+            store[key] = fn(obj)
+        return store[key]
+
+    return cached
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,9 +124,6 @@ class RingElement:
             raise StructuralError("coefficients must be nonnegative")
         object.__setattr__(self, "coeffs", cleaned)
 
-    def vector(self) -> np.ndarray:
-        return np.asarray(self.coeffs, dtype=np.int64)
-
 
 @dataclass(frozen=True)
 class Subring:
@@ -149,15 +168,17 @@ def as_element(ring: FusionRing, x) -> RingElement:
 
 
 def multiply(ring: FusionRing, a, b) -> RingElement:
-    """Product of two nonnegative elements, with an overflow guard."""
-    va = as_element(ring, a).vector()
-    vb = as_element(ring, b).vector()
-    est = np.einsum("i,j,ijk->k", va.astype(float), vb.astype(float),
-                    ring.n.astype(float))
-    if est.size and est.max() >= 2.0 ** 62:
+    """Product of two nonnegative elements, computed exactly over Python ints.
+
+    Coefficients of 2**62 or more raise OverflowError, so every product
+    still fits the int64 tensors the rest of the package works with.
+    """
+    va = np.array(as_element(ring, a).coeffs, dtype=object)
+    vb = np.array(as_element(ring, b).coeffs, dtype=object)
+    out = tuple(int(c) for c in np.einsum("i,j,ijk->k", va, vb, ring.n.astype(object)))
+    if any(c >= 2 ** 62 for c in out):
         raise OverflowError("product coefficients exceed the machine integer range")
-    out = np.einsum("i,j,ijk->k", va, vb, ring.n)
-    return RingElement(tuple(int(c) for c in out))
+    return RingElement(out)
 
 
 def verify_axioms(ring: FusionRing) -> list[AxiomViolation]:
@@ -235,23 +256,16 @@ def closure(ring: FusionRing, seed: Iterable[int]) -> Subring:
 
 
 def is_closed_subset(ring: FusionRing, members: Iterable[int]) -> bool:
-    mem = set(int(i) for i in members)
-    if 0 not in mem:
-        return False
-    for i in mem:
-        if ring.dual[i] not in mem:
-            return False
-        for j in mem:
-            if any(int(k) not in mem for k in np.nonzero(ring.n[i, j])[0]):
-                return False
-    return True
+    mem = tuple(sorted(set(int(i) for i in members)))
+    return 0 in mem and closure(ring, mem).members == mem
 
 
 def make_subring(ring: FusionRing, members: Iterable[int]) -> Subring:
     mem = tuple(sorted(set(int(i) for i in members)))
-    if not is_closed_subset(ring, mem):
+    sub = closure(ring, mem)
+    if 0 not in mem or sub.members != mem:
         raise StructuralError(f"members {mem} do not form a closed subset")
-    return Subring(mem, all(ring.invertible[i] for i in mem))
+    return sub
 
 
 # -------------------------------------------------------------- isomorphism

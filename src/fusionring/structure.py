@@ -8,13 +8,13 @@ meaningless output.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from typing import Iterable
 
 import numpy as np
 
 from .groups import FiniteGroup
 from .numerics import dimension_classes
-from .ring import FusionRing, StructuralError, Subring, closure, make_subring
+from .ring import FusionRing, StructuralError, Subring, closure, make_subring, per_object_cache
 
 
 @dataclass(frozen=True)
@@ -43,7 +43,28 @@ class PairingReport:
     classes: tuple[DimensionClass, ...]
 
 
-@lru_cache(maxsize=None)
+def _components(items: Iterable[int],
+                edges: Iterable[tuple[int, int]]) -> tuple[tuple[int, ...], ...]:
+    """Connected components of the items under the edges, sorted by smallest member."""
+    parent = {x: x for x in items}
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for x, y in edges:
+        rx, ry = find(x), find(y)
+        if rx != ry:
+            parent[max(rx, ry)] = min(rx, ry)
+    buckets: dict[int, list[int]] = {}
+    for x in parent:
+        buckets.setdefault(find(x), []).append(x)
+    return tuple(sorted(tuple(sorted(b)) for b in buckets.values()))
+
+
+@per_object_cache
 def invertibles(ring: FusionRing) -> tuple[FiniteGroup, tuple[int, ...]]:
     """Group formed by the invertible basis elements, plus its embedding."""
     members = [i for i in range(ring.rank) if ring.invertible[i]]
@@ -61,7 +82,7 @@ def invertibles(ring: FusionRing) -> tuple[FiniteGroup, tuple[int, ...]]:
     return FiniteGroup(len(members), tuple(table)), tuple(members)
 
 
-@lru_cache(maxsize=None)
+@per_object_cache
 def adjoint_subring(ring: FusionRing) -> Subring:
     """Closure of all constituents of i * dual(i)."""
     seed: set[int] = set()
@@ -70,7 +91,7 @@ def adjoint_subring(ring: FusionRing) -> Subring:
     return closure(ring, seed)
 
 
-@lru_cache(maxsize=None)
+@per_object_cache
 def universal_grading(ring: FusionRing) -> Grading:
     """Finest group grading: components are orbits under the adjoint action.
 
@@ -81,28 +102,8 @@ def universal_grading(ring: FusionRing) -> Grading:
     """
     rank = ring.rank
     ad = adjoint_subring(ring).members
-    parent = list(range(rank))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x: int, y: int) -> None:
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[max(rx, ry)] = min(rx, ry)
-
-    for a in ad:
-        for i in range(rank):
-            for j in np.nonzero(ring.n[a, i])[0]:
-                union(i, int(j))
-    buckets: dict[int, list[int]] = {}
-    for i in range(rank):
-        buckets.setdefault(find(i), []).append(i)
-    components = tuple(tuple(sorted(b)) for b in
-                       sorted(buckets.values(), key=lambda b: min(b)))
+    components = _components(range(rank), ((i, int(j)) for a in ad for i in range(rank)
+                                           for j in np.nonzero(ring.n[a, i])[0]))
     comp_of = [0] * rank
     for cid, comp in enumerate(components):
         for i in comp:
@@ -189,24 +190,8 @@ def is_transitive_on_noninvertibles(ring: FusionRing) -> tuple[bool, list[tuple[
     """Whether left multiplication by invertibles has one orbit of non-invertibles."""
     _, emb = invertibles(ring)
     noninv = [i for i in range(ring.rank) if not ring.invertible[i]]
-    parent = {i: i for i in noninv}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for x in noninv:
-        for g in emb:
-            y = _action_image(ring, g, x)
-            rx, ry = find(x), find(y)
-            if rx != ry:
-                parent[max(rx, ry)] = min(rx, ry)
-    buckets: dict[int, list[int]] = {}
-    for x in noninv:
-        buckets.setdefault(find(x), []).append(x)
-    orbits = [tuple(sorted(b)) for b in sorted(buckets.values(), key=lambda b: min(b))]
+    orbits = list(_components(noninv, ((x, _action_image(ring, g, x))
+                                       for x in noninv for g in emb)))
     return len(orbits) <= 1, orbits
 
 

@@ -98,8 +98,8 @@ def test_criterion_03_golden_extension_structure():
                                   cat.yang_lee().n)
 
             invert_group, _ = st.invertibles(ring)
-            assert gr.same_isomorphism_class(grading.group, g)
-            assert gr.same_isomorphism_class(invert_group, g)
+            assert gr.are_isomorphic(grading.group, g)
+            assert gr.are_isomorphic(invert_group, g)
 
 
 def test_criterion_04_subring_subgroup_bijection():

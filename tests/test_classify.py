@@ -1,10 +1,19 @@
+import gc
+import importlib
+import weakref
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fusionring as fr
 from fusionring import catalog as cat
+from fusionring import groups as gr
 from fusionring.classify import find_ising_subring_unchecked
 from fusionring.ring import FusionRing
+
+classify_module = importlib.import_module("fusionring.classify")
 
 
 def ty_z3():
@@ -163,3 +172,69 @@ def test_unchecked_detection_has_no_precondition():
     det = find_ising_subring_unchecked(cat.yang_lee())
     assert det.subring is None
     assert det.self_dual_noninvertible  # Y is self-dual; no sqrt(2) meaning here
+
+
+# ------------------------------------------------------- per-object caching
+
+def test_invariant_caches_free_the_ring_and_group():
+    ring = cat.deligne_product(cat.ising(), cat.pointed("Z2"))
+    fr.fp_dimensions(ring)
+    fr.universal_grading(ring)
+    fr.classify(ring)
+    fr.verify_claims(ring)
+    fr.find_ising_subring(ring)
+    group = gr.named_group("D4")
+    gr.subgroups(group)
+    assert gr.identify_group(group) == "D4"
+    refs = [weakref.ref(ring), weakref.ref(group)]
+    del ring, group
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
+
+
+@pytest.mark.parametrize("build,searches", [
+    # the canonical-rules search in classify, then the product-splitting claim
+    (lambda: cat.yl_extension("S3"), 2),
+    # one Ising detection, whose first rank 3 closure is already Ising
+    (lambda: cat.deligne_product(cat.ising(), cat.pointed("Z2")), 1),
+], ids=["yl-extension-S3", "ising-times-Z2"])
+def test_classify_and_claims_search_once(monkeypatch, build, searches):
+    calls = []
+
+    def counting(r1, r2):
+        calls.append(r1.rank)
+        return fr.find_isomorphism(r1, r2)
+
+    monkeypatch.setattr(classify_module, "find_isomorphism", counting)
+    ring = build()
+    fr.classify(ring)
+    assert all(rep.status != "refuted" for rep in fr.verify_claims(ring))
+    assert len(calls) == searches
+
+
+RELABEL_RINGS = [cat.ising(), cat.yl_extension("S3"), cat.yl_extension("Z2xZ2"),
+                 cat.deligne_product(cat.ising(), cat.pointed("Z2")),
+                 cat.deligne_product(cat.ising(), cat.pointed("Z3"))]
+
+
+@settings(deadline=None, max_examples=25)
+@given(data=st.data())
+def test_relabelling_keeps_every_invariant(data):
+    ring = data.draw(st.sampled_from(RELABEL_RINGS))
+    p = [0] + data.draw(st.permutations(list(range(1, ring.rank))))
+    n2 = np.zeros_like(ring.n)
+    n2[np.ix_(p, p, p)] = ring.n
+    dual2 = [0] * ring.rank
+    for i in range(ring.rank):
+        dual2[p[i]] = p[ring.dual[i]]
+    conj = FusionRing(ring.rank, tuple(dual2), n2)
+
+    dims, dims2 = fr.fp_dimensions(ring), fr.fp_dimensions(conj)
+    for i in range(ring.rank):
+        assert dims2.dims[p[i]] == pytest.approx(dims.dims[i], abs=1e-12)
+        assert dims2.recognized[p[i]] == dims.recognized[i]
+    assert fr.type_signature(conj).text() == fr.type_signature(ring).text()
+    assert fr.universal_grading(conj).group.order == \
+        fr.universal_grading(ring).group.order
+    assert fr.classify(conj).flags() == fr.classify(ring).flags()
+    assert claim_status(conj) == claim_status(ring)

@@ -174,13 +174,13 @@ def test_isomorphisms_are_homomorphisms():
                 assert phi[g.table[a][b]] == g.table[phi[a]][phi[b]]
 
 
-def test_same_isomorphism_class():
-    assert gr.same_isomorphism_class(gr.product_of_cyclics([2, 4]),
-                                     gr.named_group("Z2xZ4"))
-    assert not gr.same_isomorphism_class(gr.named_group("Z8"),
-                                         gr.named_group("Z2xZ4"))
-    assert not gr.same_isomorphism_class(gr.named_group("D4"),
-                                         gr.named_group("Q8"))
+def test_are_isomorphic():
+    assert gr.are_isomorphic(gr.product_of_cyclics([2, 4]),
+                             gr.named_group("Z2xZ4"))
+    assert not gr.are_isomorphic(gr.named_group("Z8"),
+                                 gr.named_group("Z2xZ4"))
+    assert not gr.are_isomorphic(gr.named_group("D4"),
+                                 gr.named_group("Q8"))
 
 
 @pytest.mark.parametrize("name,expected", [
