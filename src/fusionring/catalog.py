@@ -12,7 +12,7 @@ import numpy as np
 
 from . import groups as gr
 from .groups import FiniteGroup, GroupError
-from .ring import FusionRing, find_isomorphism, verify_axioms
+from .ring import FusionRing, colour_classes, find_isomorphism, verify_axioms
 
 
 def _as_group(g) -> FiniteGroup:
@@ -163,23 +163,23 @@ def generalized_ty(spec: GTYSpec) -> FusionRing | None:
 
 
 def _ring_sort_key(ring: FusionRing):
-    from .numerics import fp_dimensions
-    dims = tuple(round(d, 9) for d in sorted(fp_dimensions(ring).dims))
-    return (ring.rank, dims, sum(ring.invertible), ring.n.tobytes())
-
-
-def _ring_fingerprint(ring: FusionRing):
-    from .numerics import fp_dimensions
-    dims = tuple(round(d, 6) for d in sorted(fp_dimensions(ring).dims))
-    return (ring.rank, sum(ring.invertible), dims)
+    # No dimensions needed: in one pointed-z2 enumeration the rank fixes
+    # them (near-group rings have rank 3|U|/2, pointed ones rank 2|U|).
+    return (ring.rank, sum(ring.invertible), ring.n.tobytes())
 
 
 def _dedup_rings(rings: list[FusionRing]) -> list[FusionRing]:
+    """One ring per isomorphism class, the first in _ring_sort_key order.
+
+    A candidate is only compared with the kept rings of equal rank and
+    colour multiset; no other ring can be isomorphic to it.
+    """
     kept: list[FusionRing] = []
+    buckets: dict[tuple, list[FusionRing]] = {}
     for ring in sorted(rings, key=_ring_sort_key):
-        fp = _ring_fingerprint(ring)
-        if not any(fp == _ring_fingerprint(r) and find_isomorphism(ring, r) is not None
-                   for r in kept):
+        bucket = buckets.setdefault((ring.rank, tuple(sorted(colour_classes(ring)))), [])
+        if not any(find_isomorphism(ring, r) is not None for r in bucket):
+            bucket.append(ring)
             kept.append(ring)
     return kept
 

@@ -408,10 +408,11 @@ def _abelian_factorizations(m: int) -> list[list[int]]:
 
 # ---------------------------------------------------- central extensions by Z2
 
-def _gf2_nullspace(rows: list[int], nvars: int) -> list[int]:
-    # Reduced row echelon form over GF(2), rows as bitmasks. The invariant
-    # kept here is that every echelon row contains its own pivot bit and
-    # free-column bits only; the nullspace read-off below depends on it.
+def _gf2_echelon(rows: list[int]) -> dict[int, int]:
+    # Reduced row echelon form over GF(2), rows as bitmasks keyed by their
+    # leading (pivot) bit. The invariant kept here is that every echelon row
+    # contains its own pivot bit and free-column bits only; the nullspace
+    # read-off and the reduction below depend on it.
     echelon: dict[int, int] = {}
     for r in rows:
         cur = r
@@ -430,6 +431,11 @@ def _gf2_nullspace(rows: list[int], nvars: int) -> list[int]:
             if (echelon[l2] >> lead) & 1:
                 echelon[l2] ^= cur
         echelon[lead] = cur
+    return echelon
+
+
+def _gf2_nullspace(rows: list[int], nvars: int) -> list[int]:
+    echelon = _gf2_echelon(rows)
     basis = []
     for c in range(nvars):
         if c in echelon:
@@ -442,12 +448,21 @@ def _gf2_nullspace(rows: list[int], nvars: int) -> list[int]:
     return basis
 
 
+def _gf2_reduce(vec: int, echelon: dict[int, int]) -> int:
+    """The representative of vec modulo the row space, with every pivot bit clear."""
+    for lead, row in echelon.items():
+        if (vec >> lead) & 1:
+            vec ^= row
+    return vec
+
+
 def central_extensions_by_z2(group: FiniteGroup) -> list[FiniteGroup]:
     """All groups H of order 2m with a central order-2 subgroup K and H/K = group.
 
-    Enumerated through normalized 2-cocycles with values in Z2, then
-    deduplicated up to isomorphism. Any order-2 normal subgroup is central,
-    so this is the complete list of such extensions.
+    Enumerated through normalized 2-cocycles with values in Z2, one per
+    cohomology class, then deduplicated up to isomorphism. Any order-2
+    normal subgroup is central, so this is the complete list of such
+    extensions.
     """
     m = group.order
     t = group.table
@@ -470,12 +485,27 @@ def central_extensions_by_z2(group: FiniteGroup) -> list[FiniteGroup]:
     basis = _gf2_nullspace(rows, len(pairs))
     if len(basis) > 14:
         raise GroupError("cocycle space too large to enumerate")
+    # Cohomologous cocycles give isomorphic extensions, so only the first
+    # cocycle of each class modulo the coboundaries d(1_x), x != e, is built.
+    coboundaries = []
+    for x in range(1, m):
+        mask = 0
+        for (g, h), v in vidx.items():
+            if (g == x) ^ (h == x) ^ (t[g][h] == x):
+                mask |= 1 << v
+        coboundaries.append(mask)
+    echelon = _gf2_echelon(coboundaries)
+    seen: set[int] = set()
     reps: list[FiniteGroup] = []
     for sel in range(1 << len(basis)):
         vec = 0
         for i, b in enumerate(basis):
             if (sel >> i) & 1:
                 vec ^= b
+        residue = _gf2_reduce(vec, echelon)
+        if residue in seen:
+            continue
+        seen.add(residue)
         table = [[0] * (2 * m) for _ in range(2 * m)]
         for g in range(m):
             for s in (0, 1):

@@ -270,49 +270,58 @@ def make_subring(ring: FusionRing, members: Iterable[int]) -> Subring:
 
 # -------------------------------------------------------------- isomorphism
 
-_ISO_DIM_TOL = 1e-9
+@per_object_cache
+def colour_classes(ring: FusionRing) -> tuple[int, ...]:
+    """An exact colour per basis element, equal across isomorphic rings.
 
-
-def _index_profiles(ring: FusionRing) -> list[tuple]:
-    n = ring.n
-    profs = []
-    for i in range(ring.rank):
-        profs.append((
-            bool(ring.invertible[i]),
-            ring.dual[i] == i,
-            int(n[i, i, i]),
-            tuple(sorted(int(x) for x in n[i].ravel())),
-            tuple(sorted(int(x) for x in n[:, i, :].ravel())),
-            tuple(sorted(int(x) for x in n[:, :, i].ravel())),
-        ))
-    return profs
+    Colour refinement: the colours start from each element's integer index
+    profile and are refined until the number of classes stops growing. Each
+    round an element's new colour combines its old colour, its dual's colour
+    and, for each of the three tensor slots it can occupy, the total
+    multiplicity over every pair of colours in the other two slots.
+    Colours are hashes of int tuples only, so they do not vary between
+    processes. Any isomorphism maps each element to one of the same colour;
+    a hash collision can only merge classes, never split them.
+    """
+    r, n = ring.rank, ring.n
+    slots = (n, n.transpose(1, 0, 2), n.transpose(2, 0, 1))
+    # seed, the index profile: invertible, self-dual, n[i,i,i] and the
+    # sorted entries of each slot
+    entries = [np.sort(t.reshape(r, -1), axis=1).tolist() for t in slots]
+    colours = [hash((bool(ring.invertible[i]), ring.dual[i] == i, int(n[i, i, i]),
+                     tuple(entries[0][i]), tuple(entries[1][i]), tuple(entries[2][i])))
+               for i in range(r)]
+    while True:
+        index = {c: a for a, c in enumerate(sorted(set(colours)))}
+        onehot = np.zeros((r, len(index)), dtype=np.int64)
+        onehot[np.arange(r), [index[c] for c in colours]] = 1
+        # counts[s][i][a * classes + b]: total multiplicity with i in slot s and
+        # colours a, b in the other two slots
+        counts = [(onehot.T @ (t @ onehot)).reshape(r, -1).tolist() for t in slots]
+        refined = [hash((colours[i], colours[ring.dual[i]],
+                         tuple(counts[0][i]), tuple(counts[1][i]), tuple(counts[2][i])))
+                   for i in range(r)]
+        if len(set(refined)) <= len(index):
+            return tuple(colours)
+        colours = refined
 
 
 def find_isomorphism(r1: FusionRing, r2: FusionRing) -> tuple[int, ...] | None:
     """A basis permutation s with n1[i,j,k] = n2[s(i),s(j),s(k)], or None.
 
-    The unit is pinned to the unit; candidates are pruned by dimension,
-    self-duality and invertibility before the backtracking search runs.
+    The unit is pinned to the unit and each element may only map to one of
+    the same colour class (colour_classes); rings whose colour multisets
+    differ are rejected before the backtracking search runs. No float is
+    read: every decision is on integer structure.
     """
     if r1.rank != r2.rank:
         return None
     rank = r1.rank
-    from .numerics import fp_dimensions
-
-    d1 = fp_dimensions(r1).dims
-    d2 = fp_dimensions(r2).dims
-    if any(abs(a - b) > _ISO_DIM_TOL for a, b in zip(sorted(d1), sorted(d2))):
+    c1, c2 = colour_classes(r1), colour_classes(r2)
+    if sorted(c1) != sorted(c2):
         return None
-    p1 = _index_profiles(r1)
-    p2 = _index_profiles(r2)
-    cands: list[list[int]] = []
-    for i in range(rank):
-        cs = [p for p in range(rank)
-              if p1[i] == p2[p] and abs(d1[i] - d2[p]) <= _ISO_DIM_TOL]
-        if not cs:
-            return None
-        cands.append(cs)
-    if cands[0] != [0] and 0 not in cands[0]:
+    cands = [[p for p in range(rank) if c2[p] == c1[i]] for i in range(rank)]
+    if 0 not in cands[0]:
         return None
 
     n1, n2 = r1.n, r2.n

@@ -1,3 +1,5 @@
+import hashlib
+import importlib
 import math
 
 import numpy as np
@@ -9,6 +11,8 @@ from fusionring import groups as gr
 from fusionring import structure as st
 from fusionring.catalog import GTYSpec
 from fusionring.numerics import fp_dimensions, type_signature
+
+numerics_module = importlib.import_module("fusionring.numerics")
 
 SMALL_GROUPS = ["Z1", "Z2", "Z3", "Z4", "Z2xZ2", "Z5", "Z6", "S3",
                 "Z7", "Z8", "Z2xZ4", "D4", "Q8"]
@@ -156,14 +160,73 @@ def test_enumerate_yang_lee_base():
 
 @pytest.mark.parametrize("name,count", [
     ("Z1", 1), ("Z2", 3), ("Z3", 1), ("Z4", 4), ("Z2xZ2", 6), ("Z5", 1),
-    ("Z6", 3), ("S3", 3), ("Z7", 1), ("Z8", 4), ("Z2xZ4", 14), ("D4", 14),
-    ("Q8", 4),
+    ("Z6", 3), ("S3", 3), ("Z7", 1), ("Z8", 4), ("Z2xZ4", 14), ("Z2xZ2xZ2", 9),
+    ("D4", 14), ("Q8", 4),
 ])
 def test_enumerate_pointed_z2_counts(name, count):
     rings = cat.enumerate_extensions("pointed-z2", name)
     assert len(rings) == count
     for ring in rings:
         assert fr.verify_axioms(ring) == []
+
+
+# sha256 of the reference output for every group of order <= 8: the
+# enumerated rings in output order (tensor, duality, labels) and the tables
+# of the central extensions by Z2. A change to which rings are kept, to
+# their representatives or to their order changes the digest.
+ENUMERATION_DIGESTS = {
+    "Z1": ("a8cb7802fae797e2c7b0607693549e8fc68a2078bd16ccb7aeee04526766a288",
+           "a0e10c7a00c7e25d546e124a2f6fbc687ecbbb1b2cb4a95dd2ec09a0d05e7461"),
+    "Z2": ("776fc246af0c179c5c96b17fd86984f35756671561b2a0b66478a40485e710ec",
+           "36b865003b16bcd237f399b120f9eb24ef08acf2436d0fb35db0835b68fa0d82"),
+    "Z3": ("e3e77cff623e748b7d7ae688d367e54047b02e8fc0e853a0c99a9e04e6f050ef",
+           "ef0948b430e2ddd31205dd2e2ef779bb6798898f0513f77e3bc783eea0462ed1"),
+    "Z4": ("3136a5ff92e322dbb13872f391d12701003607fa159927b4590928477e058348",
+           "3b086cd52620a89bcbf7859448dd203b95e3dd5c49ee2dfcef4c84b677468a7d"),
+    "Z2xZ2": ("8a8463fe11152c76da3849d94f70ab6a0a8f4f00a689d59dcc816a17499d4f69",
+              "e8c411ba7ef9ec642fe0ff4d8625b50e0fe5ec6084f1d8bc33c7b40bab362ac4"),
+    "Z5": ("6445b176229b95aab953fdc21bb2fda8c19f7cb304144f2bf45a65f5d36aa0ca",
+           "23bf192583ba585256dba445d88b7f315b252610b8b9e3cdd8153b26a0645ca9"),
+    "Z6": ("8e098b0cc4aed206bbc835ca4f12e5b0f3a54969c033e586cb7ea98c0e13f2e1",
+           "ab6d5c959baa18b14701317f1c7dc64e700abf5d045875342501a926d8befe7d"),
+    "S3": ("3c0b72b4a5dd1755bb5425c2a7c9e3aaf00d7fc1e27498b365e3f1f690a64b3a",
+           "4a3c8e62719485c23e8ca1f7d308cf3eda7b2a4d5836b51c674515f1d061a0a0"),
+    "Z7": ("901af90db08b5d74b8e63c61a30e5644386b4f5ba3c80ef05d9d298c8d191d4f",
+           "31adc2469de86a9db1d15dc307bc45b2fbaae91933f33e9e07f2416eea6ecd38"),
+    "Z8": ("4a505bcdc7ab19ad21a24508b5e9a7ca171cc0d982b9a2398661898a5a15fcb4",
+           "73c91a50a9a82bc58e33a1113392ebf7366dcd0114209cd2b05cfcc07c0d02a5"),
+    "Z2xZ4": ("b189dee004a058f9e55cf85b6b7f58323469860d6f491b4697a59d8bce8b6f66",
+              "119a564e8fa4ae10faea2ffbf1b1aa5d78d9ef8e847a7a0b16c9e6a87dc7a7b5"),
+    "Z2xZ2xZ2": ("671eb5375f87182be55ca761da1a1395affebd8d1d20ccde9207bdf8497eb6d3",
+                 "04815ea49ad49c23ad51cb2796464cda54e046da9b7c57915e42ce1795cf8b10"),
+    "D4": ("6ea19675254996380a86d78441b453264810387bf98dd8a82b873f918178dc7e",
+           "dafb26486cb8e8f85dd9a72ef8d199114d97cfa740552ce25a8af0d04dd4ee87"),
+    "Q8": ("698435c8a9ab5570a3a219be87fc747f413c5bd945260c2481f81a2a8551ed14",
+           "15b6b0367d5bec42b6946935adfa2e6d3d8ac2e2be3169ec909034660875b9d6"),
+}
+
+
+@pytest.mark.parametrize("name", list(ENUMERATION_DIGESTS))
+def test_enumeration_output_is_pinned(name):
+    rings = hashlib.sha256()
+    for ring in cat.enumerate_extensions("pointed-z2", name):
+        rings.update(ring.n.astype("<i8").tobytes())
+        rings.update(repr(ring.dual).encode())
+        rings.update(repr(ring.labels).encode())
+    tables = hashlib.sha256()
+    for ext in gr.central_extensions_by_z2(gr.named_group(name)):
+        tables.update(repr(ext.table).encode())
+    assert (rings.hexdigest(), tables.hexdigest()) == ENUMERATION_DIGESTS[name]
+
+
+def test_dedup_and_isomorphism_read_no_dimensions(monkeypatch):
+    def float_dimensions(ring):
+        raise AssertionError("an identity decision read Perron-Frobenius dimensions")
+
+    monkeypatch.setattr(numerics_module, "fp_dimensions", float_dimensions)
+    rings = cat.enumerate_extensions("pointed-z2", "Z2xZ2")
+    assert len(rings) == 6
+    assert fr.find_isomorphism(rings[-1], rings[-1]) is not None
 
 
 def test_enumerate_pointed_z2_z2_contains_ising():

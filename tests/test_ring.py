@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import fusionring as fr
 from fusionring import catalog as cat
+from fusionring import groups as gr
 from fusionring.ring import (
     AXIOM_ASSOCIATIVITY,
     AXIOM_DUAL,
@@ -13,6 +14,7 @@ from fusionring.ring import (
     AXIOM_UNIT,
     FusionRing,
     StructuralError,
+    colour_classes,
 )
 
 
@@ -205,26 +207,42 @@ def test_iso_finds_relabeling():
     assert perm is not None and perm[0] == 0
 
 
-@settings(deadline=None, max_examples=30)
-@given(tail=st.permutations(list(range(1, 6))))
-def test_iso_of_conjugated_ring(tail):
-    r = cat.yl_extension("Z3")
-    p = [0] + list(tail)
+ISO_RINGS = [cat.ising(), cat.yang_lee(), cat.pointed("S3"), cat.yl_extension("Z3"),
+             cat.yl_extension("Z2xZ2"), cat.deligne_product(cat.ising(), cat.pointed("Z2"))] \
+    + cat.enumerate_extensions("pointed-z2", "Z2xZ2") \
+    + cat.enumerate_extensions("pointed-z2", "Q8")
+
+
+@settings(deadline=None, max_examples=40)
+@given(data=st.data())
+def test_iso_of_conjugated_ring(data):
+    r = data.draw(st.sampled_from(ISO_RINGS))
+    p = [0] + data.draw(st.permutations(list(range(1, r.rank))))
     n2 = np.zeros_like(r.n)
-    for i in range(6):
-        for j in range(6):
-            for k in range(6):
-                n2[p[i], p[j], p[k]] = r.n[i, j, k]
-    dual2 = [0] * 6
-    for i in range(6):
+    n2[np.ix_(p, p, p)] = r.n
+    dual2 = [0] * r.rank
+    for i in range(r.rank):
         dual2[p[i]] = p[r.dual[i]]
-    conj = FusionRing(6, tuple(dual2), n2)
+    conj = FusionRing(r.rank, tuple(dual2), n2)
+    c1, c2 = colour_classes(r), colour_classes(conj)
+    assert all(c2[p[i]] == c1[i] for i in range(r.rank))
     sigma = fr.find_isomorphism(r, conj)
     assert sigma is not None
-    for i in range(6):
-        for j in range(6):
-            for k in range(6):
-                assert r.n[i, j, k] == conj.n[sigma[i], sigma[j], sigma[k]]
+    s = np.array(sigma)
+    assert np.array_equal(r.n, conj.n[np.ix_(s, s, s)])
+    assert all(sigma[r.dual[i]] == conj.dual[sigma[i]] for i in range(r.rank))
+
+
+@pytest.mark.parametrize("build,a,b", [
+    (cat.yl_extension, gr.product_of_cyclics([2, 4]), gr.dihedral(4)),
+    (cat.pointed, gr.product_of_cyclics([4, 4]), gr.product_of_cyclics([2, 8])),
+], ids=["yl-Z2xZ4-D4", "pointed-Z4xZ4-Z2xZ8"])
+def test_iso_rejects_rings_with_equal_dimensions(build, a, b):
+    r1, r2 = build(a), build(b)
+    d1, d2 = sorted(fr.fp_dimensions(r1).dims), sorted(fr.fp_dimensions(r2).dims)
+    assert d1 == pytest.approx(d2, abs=1e-9)
+    assert fr.find_isomorphism(r1, r2) is None
+    assert fr.find_isomorphism(r2, r1) is None
 
 
 def test_iso_respects_duality():
