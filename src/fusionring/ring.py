@@ -222,10 +222,20 @@ def verify_axioms(ring: FusionRing) -> list[AxiomViolation]:
     for idx in frob:
         out.append(AxiomViolation(AXIOM_FROBENIUS, idx))
 
-    left = np.einsum("ijm,mkl->ijkl", n, n)
-    right = np.einsum("jkm,iml->ijkl", n, n)
-    for idx in np.argwhere(left != right):
-        out.append(AxiomViolation(AXIOM_ASSOCIATIVITY, tuple(int(x) for x in idx)))
+    # (i*j)*k against i*(j*k), a block of left factors i at a time so that
+    # memory stays near rank**3. Every sum is an integer below r * max(n)**2:
+    # under 2**53 float64 holds each one exactly, above it Python ints do.
+    top = int(n.max())
+    a = n.astype(np.float64) if r * top * top < 2 ** 53 else n.astype(object)
+    by_row, by_col = a.reshape(r, r * r), a.reshape(r * r, r)
+    step = max(1, 2 ** 16 // r ** 3)
+    for start in range(0, r, step):
+        block = a[start:start + step]
+        left = (block @ by_row).reshape(-1, r, r, r)
+        right = (by_col @ block).reshape(-1, r, r, r)
+        for i, j, k, l in np.argwhere(left != right):
+            out.append(AxiomViolation(AXIOM_ASSOCIATIVITY,
+                                      (start + int(i), int(j), int(k), int(l))))
     return out
 
 

@@ -5,8 +5,9 @@ A ring document is an object with exactly these fields:
     rank     positive integer
     duality  list of rank indices, the permutation i -> i*
     labels   optional list of rank strings
-    N        rank x rank x rank nested lists of non-negative integers,
-             N[i][j][k] = multiplicity of basis element k in the product i*j
+    N        rank x rank x rank nested lists of non-negative integers below
+             2**63, N[i][j][k] = multiplicity of basis element k in the
+             product i*j
 
 parse_ring is strict: unknown fields, wrong shapes and wrong value types are
 reported with the exact location rather than coerced.
@@ -27,6 +28,7 @@ class RingFormatError(ValueError):
 
 
 _FIELDS = {"rank", "duality", "labels", "N"}
+_ENTRY_LIMIT = 2 ** 63  # entries are stored as int64
 
 
 def _require_int(value: Any, where: str) -> int:
@@ -77,21 +79,25 @@ def ring_from_document(doc: Any) -> FusionRing:
     table = doc["N"]
     if not isinstance(table, list) or len(table) != rank:
         raise RingFormatError(f"N must be a {rank}x{rank}x{rank} nested list")
-    n = np.zeros((rank, rank, rank), dtype=np.int64)
     for i, plane in enumerate(table):
         if not isinstance(plane, list) or len(plane) != rank:
             raise RingFormatError(f"N[{i}] must be a list of {rank} rows")
         for j, row in enumerate(plane):
             if not isinstance(row, list) or len(row) != rank:
                 raise RingFormatError(f"N[{i}][{j}] must be a list of {rank} integers")
+            if all(type(v) is int for v in row) and 0 <= min(row) and max(row) < _ENTRY_LIMIT:
+                continue
+            # a row that fails the check is walked entry by entry for the location
             for k, value in enumerate(row):
                 entry = _require_int(value, f"N[{i}][{j}][{k}]")
                 if entry < 0:
                     raise RingFormatError(f"N[{i}][{j}][{k}] is negative: {entry}")
-                n[i, j, k] = entry
+                if entry >= _ENTRY_LIMIT:
+                    raise RingFormatError(
+                        f"N[{i}][{j}][{k}] is too large: {entry} (at most 2**63 - 1)")
 
     try:
-        return FusionRing(rank, dual, n, labels)
+        return FusionRing(rank, dual, np.array(table, dtype=np.int64), labels)
     except ValueError as exc:
         raise RingFormatError(str(exc)) from None
 

@@ -260,3 +260,14 @@ def test_malformed_json_file(capsys, tmp_path):
     code, _, err = cli(capsys, "verify", path)
     assert code == 1
     assert "not valid JSON" in err
+
+
+def test_oversized_entry_exits_1_without_traceback(capsys, tmp_path):
+    doc = json.loads((DATA / "ising.json").read_text())
+    doc["N"][1][1][0] = 2 ** 63
+    path = tmp_path / "oversized.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = cli(capsys, "verify", path)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {path}: N[1][1][0] is too large")
+    assert "Traceback" not in err

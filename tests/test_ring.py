@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -115,6 +117,79 @@ def test_violations_are_ordered_by_family():
              AXIOM_FROBENIUS: 3, AXIOM_ASSOCIATIVITY: 4}
     ranks = [order[x.axiom] for x in v]
     assert ranks == sorted(ranks)
+
+
+@pytest.mark.parametrize("q,b", [
+    (3, (3 - pow(3, -1, 2 ** 64)) % 2 ** 64),  # 1 + 3b == 9 modulo 2**64
+    (2 ** 30, 2 ** 30),                         # 1 + q*b == q*q in float64
+], ids=["int64-wrap", "float64-rounding"])
+def test_associativity_is_exact(q, b):
+    # x*x = 1 + q*y, x*y = y*x = q*x, y*y = 1 + b*y. Then (x*x)*y has 1 + q*b
+    # copies of y and x*(x*y) has q*q; they differ, but not after the wrap
+    # or the rounding named above.
+    assert b < 2 ** 63 and 1 + q * b != q * q
+    n = np.zeros((3, 3, 3), dtype=np.int64)
+    n[0] = np.eye(3, dtype=np.int64)
+    n[:, 0] = np.eye(3, dtype=np.int64)
+    n[1, 1] = (1, 0, q)
+    n[1, 2] = n[2, 1] = (0, q, 0)
+    n[2, 2] = (1, 0, b)
+    v = fr.verify_axioms(FusionRing(3, (0, 1, 2), n))
+    assert [(x.axiom, x.at) for x in v] == [
+        (AXIOM_ASSOCIATIVITY, at)
+        for at in [(1, 1, 2, 2), (1, 2, 2, 1), (2, 1, 1, 2), (2, 2, 1, 1)]]
+
+
+def associativity_reference(ring):
+    """(i*j)*k against i*(j*k) as two rank**4 tensors of Python ints."""
+    n = ring.n.astype(object)
+    left = np.einsum("ijm,mkl->ijkl", n, n)
+    right = np.einsum("jkm,iml->ijkl", n, n)
+    return [tuple(int(x) for x in idx) for idx in np.argwhere(left != right)]
+
+
+def perturbed(data, ring, values):
+    r = ring.rank
+    i, j, k = (data.draw(st.integers(0, r - 1)) for _ in range(3))
+    n = writable(ring)
+    n[i, j, k] = data.draw(values.filter(lambda v: v != n[i, j, k]))
+    return FusionRing(r, ring.dual, n)
+
+
+# rank 24 runs in blocks of four left factors, so violations cross block edges
+PERTURB_RINGS = [cat.ising(), cat.pointed("S3"), cat.yl_extension("Z3"),
+                 cat.yl_extension("Q8"),
+                 cat.deligne_product(cat.yl_extension("Z3"), cat.pointed("Z4"))]
+
+
+@settings(deadline=None, max_examples=30)
+@given(data=st.data())
+def test_associativity_matches_reference(data):
+    ring = perturbed(data, data.draw(st.sampled_from(PERTURB_RINGS)), st.integers(0, 3))
+    found = [x.at for x in fr.verify_axioms(ring) if x.axiom == AXIOM_ASSOCIATIVITY]
+    assert found == associativity_reference(ring)
+
+
+@settings(deadline=None, max_examples=20)
+@given(data=st.data())
+def test_associativity_matches_reference_with_huge_entries(data):
+    # sums beyond 2**53 take the Python-int path, sums beyond 2**63 would wrap int64
+    ring = perturbed(data, data.draw(st.sampled_from(PERTURB_RINGS[:4])),
+                     st.integers(2 ** 26, 2 ** 63 - 1))
+    found = [x.at for x in fr.verify_axioms(ring) if x.axiom == AXIOM_ASSOCIATIVITY]
+    assert found == associativity_reference(ring)
+
+
+def test_associativity_memory_stays_near_rank_cubed():
+    ring = cat.deligne_product(cat.yl_extension("Z2xZ2xZ2"), cat.pointed("Z4"))
+    assert ring.rank == 64
+    tracemalloc.start()
+    try:
+        assert fr.verify_axioms(ring) == []
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
 
 
 # ------------------------------------------------------------------ algebra

@@ -106,6 +106,30 @@ def test_tensor_entry_errors_carry_position():
         ring_from_document(doc)
 
 
+def test_oversized_entry_is_a_format_error():
+    doc = ring_to_document(cat.ising())
+    doc["N"][2][1][2] = 2 ** 63
+    with pytest.raises(RingFormatError, match=r"N\[2\]\[1\]\[2\] is too large"):
+        ring_from_document(doc)
+    doc["N"][2][1][2] = 2 ** 63 - 1
+    assert ring_from_document(doc).n[2, 1, 2] == 2 ** 63 - 1
+
+
+def test_first_bad_entry_is_reported_in_document_order():
+    doc = ring_to_document(cat.ising())
+    doc["N"][2][2][1] = "x"
+    doc["N"][1][2][0] = -1
+    doc["N"][1][2][2] = 1.0
+    with pytest.raises(RingFormatError, match=r"N\[1\]\[2\]\[0\] is negative"):
+        ring_from_document(doc)
+    doc["N"][1][2][0] = 0
+    with pytest.raises(RingFormatError, match=r"N\[1\]\[2\]\[2\]: expected an integer"):
+        ring_from_document(doc)
+    doc["N"][1][2][2] = True
+    with pytest.raises(RingFormatError, match=r"N\[1\]\[2\]\[2\]: expected an integer"):
+        ring_from_document(doc)
+
+
 def test_structural_errors_become_format_errors():
     # negative entry: shape is fine, FusionRing itself rejects it
     doc = {"rank": 1, "duality": [0], "N": [[[-1]]]}
