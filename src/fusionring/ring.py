@@ -13,6 +13,7 @@ verify_axioms, which reports every violation instead of raising.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, wraps
 from typing import Any, Callable, Iterable, TypeVar
@@ -94,7 +95,7 @@ class FusionRing:
         return self.n[i].T
 
     def constituents(self, i: int, j: int) -> tuple[int, ...]:
-        return tuple(int(k) for k in np.nonzero(self.n[i, j])[0])
+        return tuple(product_support(self)[i][j])
 
     @cached_property
     def invertible(self) -> tuple[bool, ...]:
@@ -223,10 +224,12 @@ def verify_axioms(ring: FusionRing) -> list[AxiomViolation]:
         out.append(AxiomViolation(AXIOM_FROBENIUS, idx))
 
     # (i*j)*k against i*(j*k), a block of left factors i at a time so that
-    # memory stays near rank**3. Every sum is an integer below r * max(n)**2:
-    # under 2**53 float64 holds each one exactly, above it Python ints do.
+    # memory stays near rank**3. Every sum and partial sum is an integer of
+    # at most r * max(n)**2: under 2**53 float64 holds each one exactly,
+    # under 2**63 int64 does, above that Python ints do.
     top = int(n.max())
-    a = n.astype(np.float64) if r * top * top < 2 ** 53 else n.astype(object)
+    bound = r * top * top
+    a = n.astype(np.float64 if bound < 2 ** 53 else np.int64 if bound < 2 ** 63 else object)
     by_row, by_col = a.reshape(r, r * r), a.reshape(r * r, r)
     step = max(1, 2 ** 16 // r ** 3)
     for start in range(0, r, step):
@@ -239,27 +242,48 @@ def verify_axioms(ring: FusionRing) -> list[AxiomViolation]:
     return out
 
 
+@per_object_cache
+def product_support(ring: FusionRing) -> tuple[tuple[dict[int, int], ...], ...]:
+    """The sparse product table: support[i][j] = {k: n[i,j,k]} over n[i,j,k] > 0.
+
+    Keys come in increasing k. Equal products share one dict, which keeps
+    the table small while many candidate rings are alive at once. Held by
+    per_object_cache; do not mutate.
+    """
+    r = ring.rank
+    cells: list[list[list[tuple[int, int]]]] = [[[] for _ in range(r)] for _ in range(r)]
+    nz = np.nonzero(ring.n)
+    for i, j, k, m in zip(*(x.tolist() for x in nz), ring.n[nz].tolist()):
+        cells[i][j].append((k, m))
+    shared: dict[tuple[tuple[int, int], ...], dict[int, int]] = {}
+    return tuple(tuple(shared.setdefault(tuple(cell), dict(cell)) for cell in row)
+                 for row in cells)
+
+
 def closure(ring: FusionRing, seed: Iterable[int]) -> Subring:
-    """Smallest closed subset containing the unit and the seed."""
+    """Smallest closed subset containing the unit and the seed.
+
+    A worklist: each new member is expanded once, against itself and the
+    members expanded before it, so every pair of members is multiplied once.
+    """
     members = {0}
     for i in seed:
         if not 0 <= int(i) < ring.rank:
             raise StructuralError(f"seed index {i} out of range")
         members.add(int(i))
-    while True:
-        new: set[int] = set()
-        for i in members:
-            di = ring.dual[i]
-            if di not in members:
-                new.add(di)
-        for i in members:
-            for j in members:
-                for k in np.nonzero(ring.n[i, j])[0]:
-                    if int(k) not in members:
-                        new.add(int(k))
-        if not new:
-            break
-        members |= new
+    support = product_support(ring)
+    todo, done = sorted(members), []
+    while todo:
+        i = todo.pop()
+        done.append(i)
+        found = [ring.dual[i]]
+        for j in done:
+            found.extend(support[i][j])
+            found.extend(support[j][i])
+        for k in found:
+            if k not in members:
+                members.add(k)
+                todo.append(k)
     mem = tuple(sorted(members))
     pointed = all(ring.invertible[i] for i in mem)
     return Subring(mem, pointed)
@@ -316,77 +340,131 @@ def colour_classes(ring: FusionRing) -> tuple[int, ...]:
         colours = refined
 
 
+@per_object_cache
+def square_profiles(ring: FusionRing) -> tuple[int, ...]:
+    """Per element i, the colours and multiplicities of i*i and of each x with i in x*x.
+
+    Equal across isomorphic rings, like colour_classes, and finer than it on
+    the diagonal n[x,x,k], which colour refinement only counts together with
+    every other pair of the same colours: in Z2^3 x Z4 the one involution
+    that is a square shares its colour with the other fourteen.
+    find_isomorphism prunes with it and keeps colour classes as candidates.
+    """
+    c = colour_classes(ring)
+    r = ring.rank
+    square = ring.n[np.arange(r), np.arange(r)]  # square[x][k] = n[x,x,k]
+    out: list[list[tuple[int, int]]] = [[] for _ in range(r)]
+    roots: list[list[tuple[int, int]]] = [[] for _ in range(r)]
+    for x, k in zip(*(a.tolist() for a in np.nonzero(square))):
+        m = int(square[x, k])
+        out[x].append((c[k], m))
+        roots[k].append((c[x], m))
+    return tuple(hash((tuple(sorted(out[i])), tuple(sorted(roots[i])))) for i in range(r))
+
+
 def find_isomorphism(r1: FusionRing, r2: FusionRing) -> tuple[int, ...] | None:
     """A basis permutation s with n1[i,j,k] = n2[s(i),s(j),s(k)], or None.
 
     The unit is pinned to the unit and each element may only map to one of
     the same colour class (colour_classes); rings whose colour multisets
-    differ are rejected before the backtracking search runs. No float is
+    differ are rejected before the backtracking search runs, and i -> p also
+    needs equal square_profiles. Assigning i -> p checks only the products
+    of i with the elements already assigned, on the sparse product tables
+    (product_support), and propagates what the assignment forces:
+    dual(i) -> dual(p), and the sole constituent of every product that has
+    exactly one. A trail undoes the forced images on backtrack. No float is
     read: every decision is on integer structure.
     """
     if r1.rank != r2.rank:
         return None
     rank = r1.rank
     c1, c2 = colour_classes(r1), colour_classes(r2)
-    if sorted(c1) != sorted(c2):
+    q1, q2 = square_profiles(r1), square_profiles(r2)
+    if sorted(c1) != sorted(c2) or sorted(q1) != sorted(q2):
         return None
     cands = [[p for p in range(rank) if c2[p] == c1[i]] for i in range(rank)]
-    if 0 not in cands[0]:
-        return None
+    s1, s2 = product_support(r1), product_support(r2)
+    sigma, inverse = [-1] * rank, [-1] * rank
+    trail: list[int] = []  # assigned elements, in assignment order
+    chosen = [False] * rank  # elements branched on, forced or not
+    free = Counter(c2)  # images per colour not taken by a chosen element
 
-    n1, n2 = r1.n, r2.n
-    sigma = [-1] * rank
-    used = [False] * rank
+    def agrees(a: int, b: int, forced: list[tuple[int, int]]) -> bool:
+        # a*b against s(a)*s(b): the same number of constituents, and equal
+        # multiplicities wherever the image of a constituent is fixed
+        left, right = s1[a][b], s2[sigma[a]][sigma[b]]
+        if len(left) != len(right):
+            return False
+        fixed = 0
+        for k, m in left.items():
+            q = sigma[k]
+            if q >= 0:
+                if right.get(q) != m:
+                    return False
+                fixed += 1
+            elif len(left) == 1:
+                ((q, m2),) = right.items()
+                if m2 != m:
+                    return False
+                forced.append((k, q))
+        # no other constituent of s(a)*s(b) may have a fixed preimage
+        for q in right:
+            if inverse[q] >= 0:
+                fixed -= 1
+        return fixed == 0
 
-    def consistent(i: int, p: int, assigned: list[int]) -> bool:
-        if sigma[r1.dual[i]] not in (-1, r2.dual[p]):
-            return False
-        a1 = assigned + [i]
-        a2 = [sigma[j] for j in assigned] + [p]
-        ix1 = np.ix_(a1, a1)
-        ix2 = np.ix_(a2, a2)
-        if not np.array_equal(n1[i][ix1], n2[p][ix2]):
-            return False
-        if not np.array_equal(n1[:, i, :][np.ix_(a1, a1)], n2[:, p, :][np.ix_(a2, a2)]):
-            return False
-        if not np.array_equal(n1[:, :, i][np.ix_(a1, a1)], n2[:, :, p][np.ix_(a2, a2)]):
-            return False
+    def assign(i: int, p: int) -> bool:
+        queue = [(i, p)]
+        while queue:
+            i, p = queue.pop()
+            if sigma[i] == p:
+                continue
+            if sigma[i] >= 0 or inverse[p] >= 0 or c1[i] != c2[p] or q1[i] != q2[p]:
+                return False
+            sigma[i], inverse[p] = p, i
+            trail.append(i)
+            queue.append((r1.dual[i], r2.dual[p]))
+            for j in trail:
+                if not (agrees(i, j, queue) and agrees(j, i, queue)):
+                    return False
         return True
 
-    def pick_next(assigned: list[int]) -> int | None:
-        best, best_count = None, rank + 1
-        for i in range(rank):
-            if sigma[i] >= 0:
-                continue
-            count = sum(1 for p in cands[i] if not used[p])
-            if count < best_count:
-                best, best_count = i, count
-        return best
-
-    def dfs(assigned: list[int]) -> bool:
-        i = pick_next(assigned)
-        if i is None:
-            return True
-        for p in cands[i]:
-            if used[p]:
-                continue
-            if not consistent(i, p, assigned):
-                continue
-            sigma[i] = p
-            used[p] = True
-            if dfs(assigned + [i]):
-                return True
+    def undo(mark: int) -> None:
+        for i in trail[mark:]:
+            inverse[sigma[i]] = -1
             sigma[i] = -1
-            used[p] = False
+        del trail[mark:]
+
+    def search() -> bool:
+        if len(trail) == rank:
+            perm = np.array(sigma)
+            return (np.array_equal(r1.n, r2.n[np.ix_(perm, perm, perm)])
+                    and all(sigma[r1.dual[i]] == r2.dual[sigma[i]] for i in range(rank)))
+        # Branch on the element with the fewest images left in its colour,
+        # lowest index first, counting only chosen elements and not forced
+        # ones, so the search meets the isomorphisms in the same order as
+        # one without propagation and returns the same first map. A forced
+        # element has one image left to try.
+        _, i = min((free[c1[i]], i) for i in range(rank) if not chosen[i])
+        chosen[i] = True
+        free[c1[i]] -= 1
+        if sigma[i] >= 0:
+            if search():
+                return True
+        else:
+            for p in cands[i]:
+                if inverse[p] >= 0:
+                    continue
+                mark = len(trail)
+                if assign(i, p) and search():
+                    return True
+                undo(mark)
+        chosen[i] = False
+        free[c1[i]] += 1
         return False
 
-    sigma[0] = 0
-    used[0] = True
-    if not dfs([0]):
-        return None
-    perm = np.array(sigma)
-    if not np.array_equal(n1, n2[np.ix_(perm, perm, perm)]):
-        return None
-    if any(sigma[r1.dual[i]] != r2.dual[sigma[i]] for i in range(rank)):
+    chosen[0] = True
+    free[c1[0]] -= 1
+    if not (assign(0, 0) and search()):
         return None
     return tuple(sigma)

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -17,6 +18,7 @@ from fusionring.ring import (
     FusionRing,
     StructuralError,
     colour_classes,
+    square_profiles,
 )
 
 
@@ -122,7 +124,8 @@ def test_violations_are_ordered_by_family():
 @pytest.mark.parametrize("q,b", [
     (3, (3 - pow(3, -1, 2 ** 64)) % 2 ** 64),  # 1 + 3b == 9 modulo 2**64
     (2 ** 30, 2 ** 30),                         # 1 + q*b == q*q in float64
-], ids=["int64-wrap", "float64-rounding"])
+    (2 ** 29, 2 ** 29),                         # 3 * max**2 in [2**53, 2**63): int64
+], ids=["int64-wrap", "float64-rounding", "int64-exact"])
 def test_associativity_is_exact(q, b):
     # x*x = 1 + q*y, x*y = y*x = q*x, y*y = 1 + b*y. Then (x*x)*y has 1 + q*b
     # copies of y and x*(x*y) has q*q; they differ, but not after the wrap
@@ -338,3 +341,133 @@ def test_iso_symmetric():
     ab = fr.find_isomorphism(a, b)
     ba = fr.find_isomorphism(b, a)
     assert ab is not None and ba is not None
+
+
+def relabelled(ring, p):
+    """The ring with basis element i renamed p[i] (p fixes the unit)."""
+    n = np.zeros_like(ring.n)
+    n[np.ix_(p, p, p)] = ring.n
+    dual = [0] * ring.rank
+    for i in range(ring.rank):
+        dual[p[i]] = p[ring.dual[i]]
+    return FusionRing(ring.rank, tuple(dual), n)
+
+
+def is_isomorphism(r1, r2, sigma):
+    s = np.array(sigma)
+    return (sorted(sigma) == list(range(r1.rank)) and sigma[0] == 0
+            and np.array_equal(r1.n, r2.n[np.ix_(s, s, s)])
+            and all(sigma[r1.dual[i]] == r2.dual[sigma[i]] for i in range(r1.rank)))
+
+
+def brute_force_isomorphic(r1, r2):
+    """Whether any unit-fixing basis permutation is an isomorphism, trying all."""
+    if r1.rank != r2.rank:
+        return False
+    r = r1.rank
+    perms = np.array([(0,) + p for p in itertools.permutations(range(1, r))])
+    d1, d2 = np.array(r1.dual), np.array(r2.dual)
+    perms = perms[(perms[:, d1] == d2[perms]).all(axis=1)]
+    tensors = r2.n[perms[:, :, None, None], perms[:, None, :, None], perms[:, None, None, :]]
+    return bool((tensors == r1.n).all(axis=(1, 2, 3)).any())
+
+
+# rank <= 8: everything brute force can try in well under a second
+SMALL_RINGS = [r for g in ("Z1", "Z2", "Z3", "Z4", "Z2xZ2")
+               for r in cat.enumerate_extensions("pointed-z2", g)] \
+    + [cat.ising(), cat.yang_lee(), cat.pointed("Z4"), cat.pointed("Z2xZ2"),
+       cat.pointed("S3"), cat.yl_extension("Z2"), cat.yl_extension("Z3"),
+       cat.yl_extension("Z4"), cat.yl_extension("Z2xZ2"),
+       cat.deligne_product(cat.ising(), cat.pointed("Z2")),
+       cat.deligne_product(cat.ising(), cat.yang_lee()),
+       cat.deligne_product(cat.yang_lee(), cat.yang_lee())]
+
+
+def draw_relabelling(data, ring):
+    return relabelled(ring, [0] + data.draw(st.permutations(list(range(1, ring.rank)))))
+
+
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_iso_agrees_with_brute_force(data):
+    r1 = data.draw(st.sampled_from(SMALL_RINGS))
+    r2 = data.draw(st.sampled_from([r for r in SMALL_RINGS if r.rank == r1.rank]))
+    r1, r2 = draw_relabelling(data, r1), draw_relabelling(data, r2)
+    sigma = fr.find_isomorphism(r1, r2)
+    assert (sigma is not None) == brute_force_isomorphic(r1, r2)
+    assert sigma is None or is_isomorphism(r1, r2, sigma)
+
+
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_iso_agrees_with_brute_force_on_arbitrary_tensors(data):
+    # No axiom need hold, so the search cannot lean on Frobenius reciprocity:
+    # only the final full-tensor check makes a found map right.
+    r = data.draw(st.integers(2, 5))
+    dual = [0] + data.draw(st.permutations(list(range(1, r))))
+    n = np.array(data.draw(st.lists(st.integers(0, 1), min_size=r ** 3, max_size=r ** 3)),
+                 dtype=np.int64).reshape(r, r, r)
+    r1 = FusionRing(r, tuple(dual), n)
+    r2 = draw_relabelling(data, r1)
+    if data.draw(st.booleans()):
+        n2 = r2.n.copy()
+        i, j, k = (data.draw(st.integers(1, r - 1)) for _ in range(3))
+        n2[i, j, k] = 1 - n2[i, j, k]
+        r2 = FusionRing(r, r2.dual, n2)
+    sigma = fr.find_isomorphism(r1, r2)
+    assert (sigma is not None) == brute_force_isomorphic(r1, r2)
+    assert sigma is None or is_isomorphism(r1, r2, sigma)
+
+
+@pytest.fixture(scope="module")
+def enumerated_le8():
+    return [r for m in range(1, 9) for g in gr.groups_of_order(m)
+            for r in cat.enumerate_extensions("pointed-z2", g)]
+
+
+def test_iso_finds_every_relabelled_enumerated_ring(enumerated_le8):
+    rng = np.random.default_rng(5)
+    assert len(enumerated_le8) == 68
+    for ring in enumerated_le8:
+        for _ in range(2):
+            other = relabelled(ring, [0] + list(rng.permutation(np.arange(1, ring.rank))))
+            q1, q2 = square_profiles(ring), square_profiles(other)
+            sigma = fr.find_isomorphism(ring, other)
+            assert sigma is not None and is_isomorphism(ring, other, sigma)
+            assert all(q2[sigma[i]] == q1[i] for i in range(ring.rank))
+
+
+def test_iso_of_relabelled_rank64_product():
+    # Colour refinement gives the involution of Z2^3 x Z4 that is a square the
+    # colour of the other fourteen; without square profiles the search spent
+    # up to a minute on wrong images for it.
+    ring = cat.deligne_product(cat.yl_extension("Z2xZ2xZ2"), cat.pointed("Z4"))
+    p = [0] + list(np.random.default_rng(5).permutation(np.arange(1, 64)))
+    other = relabelled(ring, p)
+    sigma = fr.find_isomorphism(ring, other)
+    assert sigma is not None and is_isomorphism(ring, other, sigma)
+
+
+def closure_reference(ring, seed):
+    """Fixed point of adding duals and constituents of all member products."""
+    members = {0} | set(seed)
+    while True:
+        new = {ring.dual[i] for i in members}
+        new |= {int(k) for i in members for j in members for k in np.nonzero(ring.n[i, j])[0]}
+        if new <= members:
+            return tuple(sorted(members))
+        members |= new
+
+
+CLOSURE_RINGS = [cat.yl_extension("Q8"), cat.deligne_product(cat.ising(), cat.pointed("Q8")),
+                 cat.deligne_product(cat.yl_extension("S3"), cat.pointed("Z4"))]
+
+
+@settings(deadline=None, max_examples=40)
+@given(data=st.data())
+def test_closure_matches_fixed_point_reference(data):
+    ring = data.draw(st.sampled_from(CLOSURE_RINGS))
+    seed = data.draw(st.lists(st.integers(0, ring.rank - 1), max_size=3))
+    sub = fr.closure(ring, seed)
+    assert sub.members == closure_reference(ring, seed)
+    assert sub.pointed == all(ring.invertible[i] for i in sub.members)
