@@ -12,7 +12,8 @@ import numpy as np
 
 from . import groups as gr
 from .groups import FiniteGroup, GroupError
-from .ring import FusionRing, colour_classes, find_isomorphism, verify_axioms
+from .ring import FusionRing, colour_classes, find_isomorphism
+from .structure import _components
 
 
 def _as_group(g) -> FiniteGroup:
@@ -107,11 +108,28 @@ class GTYSpec:
     quotient_map: tuple[int, ...]
 
 
-def generalized_ty(spec: GTYSpec) -> FusionRing | None:
-    """Build the ring described by the spec; None when the axioms fail.
+def generalized_ty(spec: GTYSpec) -> FusionRing:
+    """Build the ring described by the spec.
 
     Inconsistent spec data (delta not central of order 2, quotient map not a
     homomorphism with kernel {e, delta} onto the subgroup) raises GroupError.
+    Data that passes these checks always gives a fusion ring, so the axioms
+    are not checked again. Write U1 for the coset U - U0, X_x for x in U1,
+    and deg a = q(a), deg X_x = x. The rules are a*b = ab,
+    a*X_x = X_{q(a)x}, X_x*a = X_{x q(a)} and X_x*X_y = the sum of the two
+    a with q(a) = xy (xy lies in U0 as U0 has index 2; the fibre is a coset
+    of ker q = {e, delta}).
+    - Unit, duals, reciprocity: with duals a* = a^-1 and X_x* = X_{x^-1},
+      N_ij^k is 1 exactly when deg i * deg j = deg k and, if i, j, k all lie
+      in G, ij = k; else 0. Since deg i* = (deg i)^-1, the conditions for
+      N_ij^k, N_{i*k}^j and N_{kj*}^i are the same, and N_ij^e = 1 exactly
+      when j = i*.
+    - Associativity, by the number of X factors in (i*j)*k against
+      i*(j*k): none is G's associativity; with one, both sides are the X
+      of the product of the degrees, as q is a homomorphism; with two, both
+      sides are the fibre of q over the product of the degrees, because
+      multiplying by a in G moves the fibre over w onto the fibre over
+      q(a)w or w q(a); with three, both sides are 2 X_{xyz}.
     """
     u, g = spec.grading_group, spec.invertibles
     u0 = tuple(sorted(spec.index2_subgroup))
@@ -158,8 +176,7 @@ def generalized_ty(spec: GTYSpec) -> FusionRing | None:
         tuple(xpos[u.inverse[x]] for x in coset)
     labels = tuple(g.element_name(a) for a in range(m)) + \
         tuple(f"X[{x}]" for x in coset)
-    ring = FusionRing(rank, dual, n, labels)
-    return ring if not verify_axioms(ring) else None
+    return FusionRing(rank, dual, n, labels)
 
 
 def _ring_sort_key(ring: FusionRing):
@@ -184,6 +201,45 @@ def _dedup_rings(rings: list[FusionRing]) -> list[FusionRing]:
     return kept
 
 
+def _near_group_rings(u: FiniteGroup) -> list[FusionRing]:
+    """One near-group ring per orbit of specs under Aut(U) x Aut(G).
+
+    A spec over U is indexed by (G's index in groups_of_order, delta, q);
+    the subgroup U0 is set(q). alpha in Aut(U) maps q to alpha.q, and beta
+    in Aut(G) maps (delta, q) to (beta(delta), q.beta^-1). Both relabel the
+    ring (X_x -> X_alpha(x), or a -> beta(a)), so the specs of one orbit
+    give isomorphic rings and need no isomorphism search. Every spec is
+    built; each orbit keeps its smallest ring in _ring_sort_key order, the
+    first built on ties, and the kept rings come in build order, so
+    _dedup_rings keeps the same ring of each class as on all the specs.
+    """
+    gs = gr.groups_of_order(u.order)
+    specs: dict[tuple[int, int, tuple[int, ...]], int] = {}
+    rings: list[FusionRing] = []
+    for u0 in gr.index2_subgroups(u):
+        u0_group, embed = gr.subgroup_group(u, u0)
+        for gi, g in enumerate(gs):
+            for delta in gr.central_elements_of_order2(g):
+                quot, proj = gr.quotient_group(g, gr.generated_subgroup(g, (delta,)))
+                for phi in gr.iter_isomorphisms(quot, u0_group):
+                    qmap = tuple(embed[phi[proj[a]]] for a in range(g.order))
+                    specs[(gi, delta, qmap)] = len(rings)
+                    rings.append(generalized_ty(GTYSpec(u, u0, g, delta, qmap)))
+    edges = []
+    for (gi, delta, q), s in specs.items():
+        for alpha in gr.automorphism_generators(u):
+            edges.append((s, specs[(gi, delta, tuple(alpha[x] for x in q))]))
+        for beta in gr.automorphism_generators(gs[gi]):
+            moved = [0] * len(q)
+            for a, x in enumerate(q):
+                moved[beta[a]] = x
+            edges.append((s, specs[(gi, beta[delta], tuple(moved))]))
+    keys = [_ring_sort_key(ring) for ring in rings]
+    kept = sorted(min(orbit, key=lambda s: (keys[s], s))
+                  for orbit in _components(range(len(rings)), edges))
+    return [rings[s] for s in kept]
+
+
 def enumerate_extensions(base: str, u) -> list[FusionRing]:
     """All rings extending the base with the given grading group, up to isomorphism.
 
@@ -199,18 +255,6 @@ def enumerate_extensions(base: str, u) -> list[FusionRing]:
         return [yl_extension(group)]
     if base != "pointed-z2":
         raise ValueError(f"unknown base {base!r}; expected 'pointed-z2' or 'yang-lee'")
-    out: list[FusionRing] = []
-    if group.order % 2 == 0:
-        for u0 in gr.index2_subgroups(group):
-            u0_group, embed = gr.subgroup_group(group, u0)
-            for g in gr.groups_of_order(group.order):
-                for delta in gr.central_elements_of_order2(g):
-                    quot, proj = gr.quotient_group(g, gr.generated_subgroup(g, (delta,)))
-                    for phi in gr.iter_isomorphisms(quot, u0_group):
-                        qmap = tuple(embed[phi[proj[a]]] for a in range(g.order))
-                        ring = generalized_ty(GTYSpec(group, u0, g, delta, qmap))
-                        if ring is not None:
-                            out.append(ring)
-    for ext in gr.central_extensions_by_z2(group):
-        out.append(pointed(ext))
+    out = _near_group_rings(group) if group.order % 2 == 0 else []
+    out.extend(pointed(ext) for ext in gr.central_extensions_by_z2(group))
     return _dedup_rings(out)

@@ -13,6 +13,7 @@ verify_axioms, which reports every violation instead of raising.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, wraps
@@ -223,23 +224,47 @@ def verify_axioms(ring: FusionRing) -> list[AxiomViolation]:
     for idx in frob:
         out.append(AxiomViolation(AXIOM_FROBENIUS, idx))
 
-    # (i*j)*k against i*(j*k), a block of left factors i at a time so that
-    # memory stays near rank**3. Every sum and partial sum is an integer of
-    # at most r * max(n)**2: under 2**53 float64 holds each one exactly,
-    # under 2**63 int64 does, above that Python ints do.
+    # (i*j)*k against i*(j*k) as float64 matrix products, a block of left
+    # factors i at a time so that memory stays near rank**3. Every sum is an
+    # integer of at most bound = r * max(n)**2. Under 2**53 float64 holds it
+    # exactly. Above, the products run on n mod p for primes p with
+    # r * p**2 < 2**53, whose product exceeds the bound: two sums are equal
+    # when they agree modulo every such prime (Chinese remainder theorem).
+    # The single modulus 0 stands for no reduction.
     top = int(n.max())
     bound = r * top * top
-    a = n.astype(np.float64 if bound < 2 ** 53 else np.int64 if bound < 2 ** 63 else object)
-    by_row, by_col = a.reshape(r, r * r), a.reshape(r * r, r)
+    primes = _residue_primes(r, bound) if bound >= 2 ** 53 else [0]
+    residues = [(n % p if p else n).astype(np.float64) for p in primes]
     step = max(1, 2 ** 16 // r ** 3)
     for start in range(0, r, step):
-        block = a[start:start + step]
-        left = (block @ by_row).reshape(-1, r, r, r)
-        right = (by_col @ block).reshape(-1, r, r, r)
-        for i, j, k, l in np.argwhere(left != right):
+        differ = None
+        for p, a in zip(primes, residues):
+            block = a[start:start + step]
+            left = (block @ a.reshape(r, r * r)).reshape(-1, r, r, r)
+            right = (a.reshape(r * r, r) @ block).reshape(-1, r, r, r)
+            if p:
+                np.fmod(left, p, out=left)
+                np.fmod(right, p, out=right)
+            if differ is None:
+                differ = left != right
+            else:
+                differ |= left != right
+        for i, j, k, l in np.argwhere(differ):
             out.append(AxiomViolation(AXIOM_ASSOCIATIVITY,
                                       (start + int(i), int(j), int(k), int(l))))
     return out
+
+
+def _residue_primes(r: int, bound: int) -> list[int]:
+    """The largest primes p with r * p**2 < 2**53, until their product exceeds bound."""
+    primes: list[int] = []
+    product, p = 1, math.isqrt((2 ** 53 - 1) // r)
+    while product <= bound:
+        if all(p % d for d in range(2, math.isqrt(p) + 1)):
+            primes.append(p)
+            product *= p
+        p -= 1
+    return primes
 
 
 @per_object_cache

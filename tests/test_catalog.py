@@ -1,6 +1,7 @@
 import hashlib
 import importlib
 import math
+import random
 
 import numpy as np
 import pytest
@@ -151,6 +152,70 @@ def test_generalized_ty_spec_validation():
         cat.generalized_ty(GTYSpec(z4, (0, 2), z4, 2, (0, 0, 0, 0)))
 
 
+def all_specs(u):
+    """Every near-group spec over u, in the enumeration's order."""
+    for u0 in gr.index2_subgroups(u):
+        u0_group, embed = gr.subgroup_group(u, u0)
+        for g in gr.groups_of_order(u.order):
+            for delta in gr.central_elements_of_order2(g):
+                quot, proj = gr.quotient_group(g, gr.generated_subgroup(g, (delta,)))
+                for phi in gr.iter_isomorphisms(quot, u0_group):
+                    qmap = tuple(embed[phi[proj[a]]] for a in range(g.order))
+                    yield GTYSpec(u, u0, g, delta, qmap)
+
+
+def test_generalized_ty_gives_valid_rings_without_checking():
+    count = 0
+    for m in range(2, 9, 2):
+        for u in gr.groups_of_order(m):
+            for spec in all_specs(u):
+                assert fr.verify_axioms(cat.generalized_ty(spec)) == []
+                count += 1
+    assert count == 663
+
+
+def spec_orbits(u):
+    """Orbits of the specs over u under all of Aut(U) x Aut(G), by search."""
+    specs = {(gr.groups_of_order(u.order).index(s.invertibles), s.delta, s.quotient_map): s
+             for s in all_specs(u)}
+    autos_u = list(gr.iter_isomorphisms(u, u))
+    autos_g = [list(gr.iter_isomorphisms(g, g)) for g in gr.groups_of_order(u.order)]
+    seen, orbits = set(), []
+    for key in specs:
+        if key in seen:
+            continue
+        orbit, todo = [key], [key]
+        seen.add(key)
+        while todo:
+            gi, delta, q = todo.pop()
+            images = [(gi, delta, tuple(alpha[x] for x in q)) for alpha in autos_u]
+            for beta in autos_g[gi]:
+                moved = [0] * len(q)
+                for a, x in enumerate(q):
+                    moved[beta[a]] = x
+                images.append((gi, beta[delta], tuple(moved)))
+            for image in images:
+                assert image in specs
+                if image not in seen:
+                    seen.add(image)
+                    orbit.append(image)
+                    todo.append(image)
+        orbits.append([specs[k] for k in orbit])
+    return orbits
+
+
+@pytest.mark.parametrize("name", ["Z2", "Z4", "Z2xZ2", "D4"])
+def test_specs_in_one_orbit_give_isomorphic_rings(name):
+    u = gr.named_group(name)
+    orbits = spec_orbits(u)
+    for orbit in orbits:
+        first = cat.generalized_ty(orbit[0])
+        for spec in orbit[1:]:
+            assert fr.find_isomorphism(first, cat.generalized_ty(spec)) is not None
+    # the enumeration, which joins specs under generators only, finds the same orbits
+    assert len(cat._near_group_rings(u)) == len(orbits)
+
+
 def test_enumerate_yang_lee_base():
     for name in ("Z1", "Z4", "S3"):
         rings = cat.enumerate_extensions("yang-lee", name)
@@ -206,17 +271,132 @@ ENUMERATION_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("name", list(ENUMERATION_DIGESTS))
-def test_enumeration_output_is_pinned(name):
+def enumeration_digests(group):
     rings = hashlib.sha256()
-    for ring in cat.enumerate_extensions("pointed-z2", name):
+    for ring in cat.enumerate_extensions("pointed-z2", group):
         rings.update(ring.n.astype("<i8").tobytes())
         rings.update(repr(ring.dual).encode())
         rings.update(repr(ring.labels).encode())
     tables = hashlib.sha256()
-    for ext in gr.central_extensions_by_z2(gr.named_group(name)):
+    for ext in gr.central_extensions_by_z2(group):
         tables.update(repr(ext.table).encode())
-    assert (rings.hexdigest(), tables.hexdigest()) == ENUMERATION_DIGESTS[name]
+    return rings.hexdigest(), tables.hexdigest()
+
+
+@pytest.mark.parametrize("name", list(ENUMERATION_DIGESTS))
+def test_enumeration_output_is_pinned(name):
+    assert enumeration_digests(gr.named_group(name)) == ENUMERATION_DIGESTS[name]
+
+
+def relabelled_group(name, variant):
+    """The named group with its elements shuffled by a seeded permutation fixing 0."""
+    group = gr.named_group(name)
+    m = group.order
+    rest = list(range(1, m))
+    random.Random(f"{name}/{variant}").shuffle(rest)
+    p = [0] + rest
+    table = [[0] * m for _ in range(m)]
+    for a in range(m):
+        for b in range(m):
+            table[p[a]][p[b]] = p[group.table[a][b]]
+    return gr.FiniteGroup(m, tuple(tuple(row) for row in table))
+
+
+# The same digests for two relabellings of each group table. Which spec of
+# an orbit of isomorphic candidates is built first depends on the labelling,
+# so these pin the representatives beyond the named tables.
+RELABELLED_DIGESTS = {
+    ("Z1", 1): (
+        "a8cb7802fae797e2c7b0607693549e8fc68a2078bd16ccb7aeee04526766a288",
+        "a0e10c7a00c7e25d546e124a2f6fbc687ecbbb1b2cb4a95dd2ec09a0d05e7461"),
+    ("Z1", 2): (
+        "a8cb7802fae797e2c7b0607693549e8fc68a2078bd16ccb7aeee04526766a288",
+        "a0e10c7a00c7e25d546e124a2f6fbc687ecbbb1b2cb4a95dd2ec09a0d05e7461"),
+    ("Z2", 1): (
+        "776fc246af0c179c5c96b17fd86984f35756671561b2a0b66478a40485e710ec",
+        "36b865003b16bcd237f399b120f9eb24ef08acf2436d0fb35db0835b68fa0d82"),
+    ("Z2", 2): (
+        "776fc246af0c179c5c96b17fd86984f35756671561b2a0b66478a40485e710ec",
+        "36b865003b16bcd237f399b120f9eb24ef08acf2436d0fb35db0835b68fa0d82"),
+    ("Z3", 1): (
+        "e3e77cff623e748b7d7ae688d367e54047b02e8fc0e853a0c99a9e04e6f050ef",
+        "ef0948b430e2ddd31205dd2e2ef779bb6798898f0513f77e3bc783eea0462ed1"),
+    ("Z3", 2): (
+        "e3e77cff623e748b7d7ae688d367e54047b02e8fc0e853a0c99a9e04e6f050ef",
+        "ef0948b430e2ddd31205dd2e2ef779bb6798898f0513f77e3bc783eea0462ed1"),
+    ("Z4", 1): (
+        "3136a5ff92e322dbb13872f391d12701003607fa159927b4590928477e058348",
+        "3b086cd52620a89bcbf7859448dd203b95e3dd5c49ee2dfcef4c84b677468a7d"),
+    ("Z4", 2): (
+        "5904979011ca61a67ce1bc36c68f6711a576719128dfb221bf538993aed64aa1",
+        "87298aa0ad9e9ebd4a3b2e1aad3be195ccd19d609beff5cac1c81caabfc64a67"),
+    ("Z2xZ2", 1): (
+        "8a8463fe11152c76da3849d94f70ab6a0a8f4f00a689d59dcc816a17499d4f69",
+        "e8c411ba7ef9ec642fe0ff4d8625b50e0fe5ec6084f1d8bc33c7b40bab362ac4"),
+    ("Z2xZ2", 2): (
+        "8a8463fe11152c76da3849d94f70ab6a0a8f4f00a689d59dcc816a17499d4f69",
+        "e8c411ba7ef9ec642fe0ff4d8625b50e0fe5ec6084f1d8bc33c7b40bab362ac4"),
+    ("Z5", 1): (
+        "5209fd3b48fcc4cf0ccf5ee2491d60503c9c2cd5ef74d567d9f24e93b524780d",
+        "987e068673f46c00d42400ee08361fe2245a8542abe380429961da0e4498aac3"),
+    ("Z5", 2): (
+        "5209fd3b48fcc4cf0ccf5ee2491d60503c9c2cd5ef74d567d9f24e93b524780d",
+        "987e068673f46c00d42400ee08361fe2245a8542abe380429961da0e4498aac3"),
+    ("Z6", 1): (
+        "f56cd9541fcbe2f2e86e769dfbce1b439055c07627b0b0aa0dd3c825bad739ac",
+        "59c881cab57b1fca2219d6d12fe507fd4e923067eaf55d1f267a56c00337d99c"),
+    ("Z6", 2): (
+        "ec62928939f7cab5b31f5e45bb18db4266aff8dfd1c52782647a4d07c1dcd3d9",
+        "fef42b752e6ebcbd61d99f63da6abc19cd4d97708fa9a670ef4f7c0311080c38"),
+    ("S3", 1): (
+        "68cd934f306842e475acb52c4ade6f27a35e6815966d356f35e58e5892ec134b",
+        "d3e04aab9b9a9cee92bbbbe0a822045b06597340e9b5f88da014600933225c38"),
+    ("S3", 2): (
+        "c5afedcb7f6b0870ecac647e65cca3ab2761e69d93d1215e80b8d76cfa2dee8b",
+        "55b5115132da52843c5f8399c349db235f0749bae4f3eccddca9c056e6472b45"),
+    ("Z7", 1): (
+        "901af90db08b5d74b8e63c61a30e5644386b4f5ba3c80ef05d9d298c8d191d4f",
+        "31adc2469de86a9db1d15dc307bc45b2fbaae91933f33e9e07f2416eea6ecd38"),
+    ("Z7", 2): (
+        "7d7d5cc34e1c0e80a47e6d5361a4008296925e770ab9cc4ee686558c052c8c9e",
+        "4f10172714e47526a5721e2de765c0f6bd4baba186984930c41e858bd07fe27b"),
+    ("Z8", 1): (
+        "db1c44bf46474ac9a3ae2db992c3e05d04b7b8bd624c8702df18d241e335298e",
+        "035655542d0ad8b9a13927c74cede95c0d17abf0f41b5c026c2274c3a1a54a50"),
+    ("Z8", 2): (
+        "994dbc958d2df5d11a869948611635369ead3a0d7efada5cda0da316112e22fa",
+        "4c1e355c49ae5b535e809a72da4189d8c5d3ae163217478c5d6394d42f800745"),
+    ("Z2xZ4", 1): (
+        "f0655a76de7d20017d5a0a19f56003db751dbd5c01ed1e7f01bd745d70c4c5ca",
+        "133222a5ae45ee75250bb62eb67d3e1fa33bc1d417f7aadcbb45017393998c11"),
+    ("Z2xZ4", 2): (
+        "07406eb42f66fa43d611b6031a25fb732f075bcc78cc16038442d5c3822126e8",
+        "ef414b7bdc6d220e3339245dac47e525c480d13926b89a0c7cfc9560aabf6aa8"),
+    ("Z2xZ2xZ2", 1): (
+        "ca4ed3d50740916995fbe78967c7b3d2e123add09c96dcce6cbdae6f39af2dbb",
+        "e23c20021a1100e0744477a83e12fa319b10305fd2674696d30fa0f8519c9c8b"),
+    ("Z2xZ2xZ2", 2): (
+        "250618e8599d04ddb2675df671ddb28bb3f3ecad289f50626c4c43caf4ec1a15",
+        "28c8dd0fcb74bd2ef5703bb626f66457199af9daba14382e182a27742c62a3a2"),
+    ("D4", 1): (
+        "8f613a146b3c993e92a9a73d5fc4d3462870588b659e4ae890c16901cf6d9a50",
+        "01ad6a811c044530a993103b3dbefc1a7d8a3c1e51811a09d6ef872102093354"),
+    ("D4", 2): (
+        "8ac706a0d3172c31958807b7b26c176d307f12357e286026cef8a294e39b60f2",
+        "ebecc408f6f3bbfdb3cae97b13df6a9d159afec6c18b62cba0676a3f48136684"),
+    ("Q8", 1): (
+        "98de3675c2489d0c3cc490021ce16d966d6b5c3acb362184c3ba6d719cf8f2af",
+        "ed21ffc37cd13c08299068aafebec6b286145ab7c171310411bab0864c13b618"),
+    ("Q8", 2): (
+        "30b91b3fcd1df561c2e463ffd00c36681fc438f21784b6b27673a1e2c44f02fa",
+        "de93e172b46811d580ca5d292c533986122eca5b19e9351dddab81f400d52e48"),
+}
+
+
+@pytest.mark.parametrize("name,variant", list(RELABELLED_DIGESTS))
+def test_enumeration_output_is_pinned_on_relabelled_tables(name, variant):
+    group = relabelled_group(name, variant)
+    assert enumeration_digests(group) == RELABELLED_DIGESTS[(name, variant)]
 
 
 def test_dedup_and_isomorphism_read_no_dimensions(monkeypatch):

@@ -1,5 +1,8 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import jsonschema
 import numpy as np
@@ -271,3 +274,12 @@ def test_oversized_entry_exits_1_without_traceback(capsys, tmp_path):
     assert code == 1 and out == ""
     assert err.startswith(f"error: {path}: N[1][1][0] is too large")
     assert "Traceback" not in err
+
+
+def test_module_entry_point_runs_from_a_checkout():
+    # python -m fusionring with only the source directory on the path
+    env = dict(os.environ, PYTHONPATH=str(HERE.parent / "src"))
+    proc = subprocess.run([sys.executable, "-m", "fusionring", "verify", str(DATA / "ising.json")],
+                          capture_output=True, text=True, env=env, cwd=HERE.parent)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("ok: all fusion-ring axioms hold")

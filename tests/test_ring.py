@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import fusionring as fr
@@ -17,6 +17,7 @@ from fusionring.ring import (
     AXIOM_UNIT,
     FusionRing,
     StructuralError,
+    _residue_primes,
     colour_classes,
     square_profiles,
 )
@@ -143,6 +144,28 @@ def test_associativity_is_exact(q, b):
         for at in [(1, 1, 2, 2), (1, 2, 2, 1), (2, 1, 1, 2), (2, 2, 1, 1)]]
 
 
+def test_associativity_counts_every_prime():
+    # The ring above with 3 * max**2 >= 2**53, so the check runs modulo
+    # several primes, and 1 + q*b - q*q a nonzero multiple of the first one:
+    # modulo that prime alone the two sides agree.
+    q = 2 ** 30
+    p = _residue_primes(3, 2 ** 53)[0]
+    b = q + (-pow(q, -1, p)) % p
+    primes = _residue_primes(3, 3 * b * b)
+    assert primes[0] == p and len(primes) > 1
+    assert 1 + q * b != q * q and (1 + q * b - q * q) % p == 0
+    n = np.zeros((3, 3, 3), dtype=np.int64)
+    n[0] = np.eye(3, dtype=np.int64)
+    n[:, 0] = np.eye(3, dtype=np.int64)
+    n[1, 1] = (1, 0, q)
+    n[1, 2] = n[2, 1] = (0, q, 0)
+    n[2, 2] = (1, 0, b)
+    v = fr.verify_axioms(FusionRing(3, (0, 1, 2), n))
+    assert [(x.axiom, x.at) for x in v] == [
+        (AXIOM_ASSOCIATIVITY, at)
+        for at in [(1, 1, 2, 2), (1, 2, 2, 1), (2, 1, 1, 2), (2, 2, 1, 1)]]
+
+
 def associativity_reference(ring):
     """(i*j)*k against i*(j*k) as two rank**4 tensors of Python ints."""
     n = ring.n.astype(object)
@@ -181,6 +204,29 @@ def test_associativity_matches_reference_with_huge_entries(data):
                      st.integers(2 ** 26, 2 ** 63 - 1))
     found = [x.at for x in fr.verify_axioms(ring) if x.axiom == AXIOM_ASSOCIATIVITY]
     assert found == associativity_reference(ring)
+
+
+def reciprocity_reference(ring):
+    """(i, j, k) where n[i,j,k], n[i*,k,j] and n[k,j*,i] are not all equal."""
+    r, d, n = ring.rank, ring.dual, ring.n.tolist()
+    return [(i, j, k) for i in range(r) for j in range(r) for k in range(r)
+            if not n[i][j][k] == n[d[i]][k][j] == n[k][d[j]][i]]
+
+
+@settings(deadline=None, max_examples=40)
+@given(data=st.data())
+def test_broken_reciprocity_is_always_reported(data):
+    base = data.draw(st.sampled_from(PERTURB_RINGS))
+    r = base.rank
+    n = writable(base)
+    for _ in range(data.draw(st.integers(1, 3))):
+        i, j, k = (data.draw(st.integers(0, r - 1)) for _ in range(3))
+        n[i, j, k] = data.draw(st.integers(0, 3).filter(lambda v: v != n[i, j, k]))
+    ring = FusionRing(r, base.dual, n)
+    expected = reciprocity_reference(ring)
+    assume(expected)
+    found = [x.at for x in fr.verify_axioms(ring) if x.axiom == AXIOM_FROBENIUS]
+    assert found == expected
 
 
 def test_associativity_memory_stays_near_rank_cubed():
