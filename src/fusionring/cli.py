@@ -61,6 +61,8 @@ def _read_text(path: str) -> str:
             return fh.read()
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise CliError(f"cannot read {path}: not UTF-8 text ({exc})") from None
 
 
 def _load_ring(path: str):

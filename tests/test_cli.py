@@ -257,6 +257,15 @@ def test_missing_file(capsys):
     assert err.startswith("error: cannot read")
 
 
+def test_non_utf8_file_names_the_path(capsys, tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"rank": 1, "labels": ["\xff"]}')
+    code, out, err = cli(capsys, "verify", path)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: cannot read {path}: not UTF-8 text")
+    assert "Traceback" not in err
+
+
 def test_malformed_json_file(capsys, tmp_path):
     path = tmp_path / "mangled.json"
     path.write_text('{"rank": ')

@@ -17,7 +17,9 @@ from fusionring.ring import (
     AXIOM_UNIT,
     FusionRing,
     StructuralError,
+    _generating_set,
     _residue_primes,
+    _span_prime,
     colour_classes,
     square_profiles,
 )
@@ -227,6 +229,127 @@ def test_broken_reciprocity_is_always_reported(data):
     assume(expected)
     found = [x.at for x in fr.verify_axioms(ring) if x.axiom == AXIOM_FROBENIUS]
     assert found == expected
+
+
+def reciprocity_orbit(ring, i, j, k):
+    """The positions whose entries reciprocity ties to n[i,j,k]."""
+    d = ring.dual
+    orbit, todo = set(), [(i, j, k)]
+    while todo:
+        a, b, c = at = todo.pop()
+        if at not in orbit:
+            orbit.add(at)
+            todo += [(d[a], c, b), (c, d[b], a)]
+    return orbit
+
+
+def orbit_perturbed(data, ring, change):
+    """ring with change(entry) applied to one whole reciprocity orbit off the unit.
+
+    Unit, duality and reciprocity stay valid, so verify_axioms reaches its
+    associativity check with nothing reported before it.
+    """
+    r = ring.rank
+    i, j, k = (data.draw(st.integers(1, r - 1)) for _ in range(3))
+    n = writable(ring)
+    for at in reciprocity_orbit(ring, i, j, k):
+        n[at] = change(n[at])
+    return FusionRing(r, ring.dual, n)
+
+
+# rank > 16, so the full check runs in more than one block and the generating
+# set is tried first
+CERTIFIED_RINGS = [cat.deligne_product(cat.yl_extension("Z3"), cat.pointed("Z4")),
+                   cat.deligne_product(cat.yl_extension("Q8"), cat.pointed("Z2"))]
+
+
+def small_associativity_reference(ring):
+    """associativity_reference as two int64 products, exact for small entries."""
+    r, n = ring.rank, ring.n
+    assert r * int(n.max()) ** 2 < 2 ** 63
+    left = (n.reshape(r * r, r) @ n.reshape(r, r * r)).reshape(r, r, r, r)
+    right = np.matmul(n.reshape(r * r, r), n).reshape(r, r, r, r)
+    return [tuple(int(x) for x in idx) for idx in np.argwhere(left != right)]
+
+
+@settings(deadline=None, max_examples=30)
+@given(data=st.data())
+def test_certificate_falls_back_to_the_full_check(data):
+    ring = orbit_perturbed(data, data.draw(st.sampled_from(CERTIFIED_RINGS)),
+                           lambda v: v + 1)
+    found = fr.verify_axioms(ring)
+    assert {x.axiom for x in found} <= {AXIOM_ASSOCIATIVITY}
+    assert [x.at for x in found] == small_associativity_reference(ring)
+
+
+@settings(deadline=None, max_examples=15)
+@given(data=st.data())
+def test_certificate_checks_every_generator(data):
+    # Perturb the first factor of A x pointed(Z4). Basis element 1 = (1, g) acts
+    # on the first factor as the unit does, so it stays in the left nucleus and
+    # only a later generator can show the violations.
+    left = orbit_perturbed(data, data.draw(st.sampled_from(
+        [cat.yl_extension("Z3"), cat.yl_extension("Z4")])), lambda v: v + 1)
+    ring = cat.deligne_product(left, cat.pointed("Z4"))
+    expected = small_associativity_reference(ring)
+    assume(expected)
+    assert all(at[0] != 1 for at in expected)
+    found = fr.verify_axioms(ring)
+    assert [(x.axiom, x.at) for x in found] == [(AXIOM_ASSOCIATIVITY, at) for at in expected]
+
+
+def test_small_reference_agrees_with_reference():
+    ring = cat.deligne_product(cat.yl_extension("Z3"), cat.pointed("Z2"))
+    n = writable(ring)
+    for at in reciprocity_orbit(ring, 1, 2, 3):
+        n[at] += 1
+    ring = FusionRing(ring.rank, ring.dual, n)
+    assert small_associativity_reference(ring) == associativity_reference(ring) != []
+
+
+@settings(deadline=None, max_examples=10)
+@given(data=st.data())
+def test_certificate_falls_back_with_huge_entries(data):
+    # one value on the whole orbit: 2**26 and up need one or more residue primes
+    value = data.draw(st.integers(2 ** 26, 2 ** 62))
+    ring = orbit_perturbed(data, CERTIFIED_RINGS[0], lambda v: value)
+    found = fr.verify_axioms(ring)
+    assert {x.axiom for x in found} <= {AXIOM_ASSOCIATIVITY}
+    assert [x.at for x in found] == associativity_reference(ring)
+
+
+def span_rank_mod(ring, gens, q):
+    """Rank modulo q of the products of gens, from the unit multiplied on the right."""
+    rows = {}  # pivot -> row, zero before its pivot and 1 at it
+    todo = [np.eye(ring.rank, dtype=np.int64)[0]]
+    while todo:
+        v = todo.pop() % q
+        for c in sorted(rows):
+            v = (v - v[c] * rows[c]) % q
+        if v.any():
+            c = int(np.flatnonzero(v)[0])
+            rows[c] = v * pow(int(v[c]), -1, q) % q
+            todo += [rows[c] @ ring.n[:, s, :] for s in gens]
+    return len(rows)
+
+
+def test_generating_set_is_small():
+    # the catalog and Deligne rings of rank 24 to 64 that the benchmark verifies,
+    # classifies or compares; only yl(Q8) x Ising as built needs six generators
+    z2 = gr.cyclic(2)
+    rings = [cat.yl_extension(g) for g in (
+        gr.product_of_cyclics([4, 4]), gr.product_of_cyclics([2, 8]),
+        gr.product_group(z2, gr.dihedral(4)), gr.product_group(z2, gr.quaternion8()),
+        gr.dihedral(8))]
+    rings += [cat.deligne_product(cat.yl_extension(g), other) for g, other in (
+        ("Z3", cat.pointed("Z4")), ("S3", cat.pointed("Z4")), ("Q8", cat.ising()),
+        ("D4", cat.ising()), ("Z2xZ2xZ2", cat.pointed("Z4")))]
+    q = 1_000_003
+    for ring in rings:
+        assert 24 <= ring.rank <= 64 and q != _span_prime(ring.rank)
+        gens = _generating_set(ring)
+        assert len(gens) <= 6
+        assert span_rank_mod(ring, gens, q) == ring.rank
 
 
 def test_associativity_memory_stays_near_rank_cubed():
