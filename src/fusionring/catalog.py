@@ -12,7 +12,7 @@ import numpy as np
 
 from . import groups as gr
 from .groups import FiniteGroup, GroupError
-from .ring import FusionRing, colour_classes, find_isomorphism
+from .ring import FusionRing
 from .structure import _components
 
 
@@ -185,22 +185,6 @@ def _ring_sort_key(ring: FusionRing):
     return (ring.rank, sum(ring.invertible), ring.n.tobytes())
 
 
-def _dedup_rings(rings: list[FusionRing]) -> list[FusionRing]:
-    """One ring per isomorphism class, the first in _ring_sort_key order.
-
-    A candidate is only compared with the kept rings of equal rank and
-    colour multiset; no other ring can be isomorphic to it.
-    """
-    kept: list[FusionRing] = []
-    buckets: dict[tuple, list[FusionRing]] = {}
-    for ring in sorted(rings, key=_ring_sort_key):
-        bucket = buckets.setdefault((ring.rank, tuple(sorted(colour_classes(ring)))), [])
-        if not any(find_isomorphism(ring, r) is not None for r in bucket):
-            bucket.append(ring)
-            kept.append(ring)
-    return kept
-
-
 def _near_group_rings(u: FiniteGroup) -> list[FusionRing]:
     """One near-group ring per orbit of specs under Aut(U) x Aut(G).
 
@@ -208,23 +192,35 @@ def _near_group_rings(u: FiniteGroup) -> list[FusionRing]:
     the subgroup U0 is set(q). alpha in Aut(U) maps q to alpha.q, and beta
     in Aut(G) maps (delta, q) to (beta(delta), q.beta^-1). Both relabel the
     ring (X_x -> X_alpha(x), or a -> beta(a)), so the specs of one orbit
-    give isomorphic rings and need no isomorphism search. Every spec is
-    built; each orbit keeps its smallest ring in _ring_sort_key order, the
-    first built on ties, and the kept rings come in build order, so
-    _dedup_rings keeps the same ring of each class as on all the specs.
+    give isomorphic rings. Conversely, take an isomorphism s between the
+    rings of two specs over U:
+    - s maps invertibles to invertibles (G, as X_x * X_{x^-1} = e + delta),
+      so it gives beta in Aut(G) with the same index, because the groups of
+      groups_of_order are pairwise non-isomorphic;
+    - s preserves the universal grading: the adjoint subring is {e, delta},
+      the components are the fibres of q and the singletons {X_x}, and the
+      group is U, so s induces alpha in Aut(U);
+    - s maps {e, delta} onto {e, delta'} and the fibre of q over w onto that
+      of q' over alpha(w), so (delta', q') = (beta(delta), alpha.q.beta^-1)
+      lies in the orbit of (delta, q).
+    So the orbits are the isomorphism classes; each keeps its smallest ring
+    in _ring_sort_key order, the first built on ties. The pointed rings of
+    enumerate_extensions need no search either: central_extensions_by_z2
+    returns pairwise non-isomorphic groups, and their rings have rank 2|U|
+    against 3|U|/2 here.
     """
     gs = gr.groups_of_order(u.order)
     specs: dict[tuple[int, int, tuple[int, ...]], int] = {}
     rings: list[FusionRing] = []
+    quotients = [(gi, g, delta, *gr.quotient_group(g, gr.generated_subgroup(g, (delta,))))
+                 for gi, g in enumerate(gs) for delta in gr.central_elements_of_order2(g)]
     for u0 in gr.index2_subgroups(u):
         u0_group, embed = gr.subgroup_group(u, u0)
-        for gi, g in enumerate(gs):
-            for delta in gr.central_elements_of_order2(g):
-                quot, proj = gr.quotient_group(g, gr.generated_subgroup(g, (delta,)))
-                for phi in gr.iter_isomorphisms(quot, u0_group):
-                    qmap = tuple(embed[phi[proj[a]]] for a in range(g.order))
-                    specs[(gi, delta, qmap)] = len(rings)
-                    rings.append(generalized_ty(GTYSpec(u, u0, g, delta, qmap)))
+        for gi, g, delta, quot, proj in quotients:
+            for phi in gr.iter_isomorphisms(quot, u0_group):
+                qmap = tuple(embed[phi[proj[a]]] for a in range(g.order))
+                specs[(gi, delta, qmap)] = len(rings)
+                rings.append(generalized_ty(GTYSpec(u, u0, g, delta, qmap)))
     edges = []
     for (gi, delta, q), s in specs.items():
         for alpha in gr.automorphism_generators(u):
@@ -235,9 +231,8 @@ def _near_group_rings(u: FiniteGroup) -> list[FusionRing]:
                 moved[beta[a]] = x
             edges.append((s, specs[(gi, beta[delta], tuple(moved))]))
     keys = [_ring_sort_key(ring) for ring in rings]
-    kept = sorted(min(orbit, key=lambda s: (keys[s], s))
-                  for orbit in _components(range(len(rings)), edges))
-    return [rings[s] for s in kept]
+    return [rings[min(orbit, key=lambda s: (keys[s], s))]
+            for orbit in _components(range(len(rings)), edges)]
 
 
 def enumerate_extensions(base: str, u) -> list[FusionRing]:
@@ -246,7 +241,8 @@ def enumerate_extensions(base: str, u) -> list[FusionRing]:
     base "yang-lee" yields exactly one ring per group. base "pointed-z2"
     yields the near-group family (identity component of the universal
     grading equal to the base) plus the pointed extensions, which arise from
-    central extensions of the grading group by Z2.
+    central extensions of the grading group by Z2. No isomorphism search
+    runs: see _near_group_rings for why none is needed.
     """
     group = _as_group(u)
     if group.order > 8:
@@ -257,4 +253,4 @@ def enumerate_extensions(base: str, u) -> list[FusionRing]:
         raise ValueError(f"unknown base {base!r}; expected 'pointed-z2' or 'yang-lee'")
     out = _near_group_rings(group) if group.order % 2 == 0 else []
     out.extend(pointed(ext) for ext in gr.central_extensions_by_z2(group))
-    return _dedup_rings(out)
+    return sorted(out, key=_ring_sort_key)

@@ -20,7 +20,7 @@ import numpy as np
 from . import catalog, groups as gr, structure as st
 from .classify import classify, verify_claims
 from .numerics import COS_TARGET, ConvergenceError, fp_dimensions, solve_cos_equation, type_signature
-from .ring import StructuralError, verify_axioms, find_isomorphism
+from .ring import verify_axioms, find_isomorphism
 from .ringfile import RingFormatError, parse_ring, ring_to_document, serialize_ring
 
 
@@ -379,11 +379,7 @@ def run(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (RingFormatError, StructuralError, gr.GroupError,
-            ConvergenceError, ValueError) as exc:
+    except (CliError, ConvergenceError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -10,11 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-import numpy as np
-
 from .groups import FiniteGroup
 from .numerics import dimension_classes
-from .ring import FusionRing, StructuralError, Subring, closure, make_subring, per_object_cache
+from .ring import (FusionRing, StructuralError, Subring, closure, make_subring, per_object_cache,
+                   product_support)
 
 
 @dataclass(frozen=True)
@@ -73,11 +72,11 @@ def invertibles(ring: FusionRing) -> tuple[FiniteGroup, tuple[int, ...]]:
     for g in members:
         row = []
         for h in members:
-            prod = np.nonzero(ring.n[g, h])[0]
-            if len(prod) != 1 or ring.n[g, h, prod[0]] != 1 or int(prod[0]) not in pos:
+            prod = tuple(product_support(ring)[g][h].items())
+            if len(prod) != 1 or prod[0][1] != 1 or prod[0][0] not in pos:
                 raise StructuralError(
                     "product of invertibles is not a single invertible; invalid ring")
-            row.append(pos[int(prod[0])])
+            row.append(pos[prod[0][0]])
         table.append(tuple(row))
     return FiniteGroup(len(members), tuple(table)), tuple(members)
 
@@ -87,7 +86,7 @@ def adjoint_subring(ring: FusionRing) -> Subring:
     """Closure of all constituents of i * dual(i)."""
     seed: set[int] = set()
     for i in range(ring.rank):
-        seed.update(int(k) for k in np.nonzero(ring.n[i, ring.dual[i]])[0])
+        seed.update(ring.constituents(i, ring.dual[i]))
     return closure(ring, seed)
 
 
@@ -101,9 +100,10 @@ def universal_grading(ring: FusionRing) -> Grading:
     StructuralError flags any inconsistency.
     """
     rank = ring.rank
+    support = product_support(ring)
     ad = adjoint_subring(ring).members
-    components = _components(range(rank), ((i, int(j)) for a in ad for i in range(rank)
-                                           for j in np.nonzero(ring.n[a, i])[0]))
+    components = _components(range(rank), ((i, j) for a in ad for i in range(rank)
+                                           for j in support[a][i]))
     comp_of = [0] * rank
     for cid, comp in enumerate(components):
         for i in comp:
@@ -116,8 +116,8 @@ def universal_grading(ring: FusionRing) -> Grading:
     for i in range(rank):
         for j in range(rank):
             ci, cj = comp_of[i], comp_of[j]
-            for t in np.nonzero(ring.n[i, j])[0]:
-                ct = comp_of[int(t)]
+            for t in support[i][j]:
+                ct = comp_of[t]
                 if table[ci][cj] == -1:
                     table[ci][cj] = ct
                 elif table[ci][cj] != ct:
@@ -171,11 +171,10 @@ def commutator(ring: FusionRing, sub: Subring) -> Subring:
 
 
 def _action_image(ring: FusionRing, g: int, x: int) -> int:
-    row = ring.n[g, x]
-    hits = np.nonzero(row)[0]
-    if len(hits) != 1 or row[hits[0]] != 1:
+    hits = tuple(product_support(ring)[g][x].items())
+    if len(hits) != 1 or hits[0][1] != 1:
         raise StructuralError("invertible action is not a permutation; invalid ring")
-    return int(hits[0])
+    return hits[0][0]
 
 
 def stabilizer(ring: FusionRing, x: int) -> tuple[int, ...]:

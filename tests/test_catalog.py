@@ -416,8 +416,10 @@ def test_enumerate_pointed_z2_z2_contains_ising():
     assert pointed_counts == [2, 4, 4]
 
 
-def test_enumerate_outputs_pairwise_nonisomorphic():
-    rings = cat.enumerate_extensions("pointed-z2", "Z2xZ2")
+@pytest.mark.parametrize("name", list(ENUMERATION_DIGESTS))
+def test_enumerate_outputs_pairwise_nonisomorphic(name):
+    # enumerate_extensions runs no isomorphism search: this checks its proof
+    rings = cat.enumerate_extensions("pointed-z2", name)
     for i in range(len(rings)):
         for j in range(i + 1, len(rings)):
             assert fr.find_isomorphism(rings[i], rings[j]) is None
