@@ -67,29 +67,16 @@ def deligne_product(r1: FusionRing, r2: FusionRing) -> FusionRing:
 
 
 def yl_extension(g) -> FusionRing:
-    """Extension of the Yang-Lee ring by a finite group.
+    """Extension of the Yang-Lee ring by a finite group: the Deligne product of both.
 
-    Basis d_g (invertible) and Y_g for g in the group, with
-    d_g d_h = d_gh, d_g Y_h = Y_gh, Y_h d_g = Y_hg, Y_g Y_h = d_gh + Y_gh.
+    deligne_product(yang_lee(), pointed(g)) relabelled: d_g = 1*g
+    (invertible) sits at index g and Y_g = Y*g at |G| + g, so d_g d_h = d_gh,
+    d_g Y_h = Y_gh, Y_h d_g = Y_hg and Y_g Y_h = d_gh + Y_gh.
     """
     group = _as_group(g)
-    m = group.order
-    rank = 2 * m
-    t = group.table
-    n = np.zeros((rank, rank, rank), dtype=np.int64)
-    for a in range(m):
-        for b in range(m):
-            ab = t[a][b]
-            n[a, b, ab] = 1
-            n[a, m + b, m + ab] = 1
-            n[m + a, b, m + ab] = 1
-            n[m + a, m + b, ab] = 1
-            n[m + a, m + b, m + ab] = 1
-    dual = tuple(group.inverse[a] for a in range(m)) + \
-        tuple(m + group.inverse[a] for a in range(m))
-    labels = tuple(f"d[{group.element_name(a)}]" for a in range(m)) + \
-        tuple(f"Y[{group.element_name(a)}]" for a in range(m))
-    return FusionRing(rank, dual, n, labels)
+    ring = deligne_product(yang_lee(), pointed(group))
+    labels = tuple(f"{s}[{group.element_name(a)}]" for s in "dY" for a in range(group.order))
+    return FusionRing(ring.rank, ring.dual, ring.n, labels)
 
 
 @dataclass(frozen=True)

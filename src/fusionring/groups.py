@@ -13,7 +13,7 @@ from itertools import product as iter_product
 
 import numpy as np
 
-from .ring import per_object_cache
+from .ring import closed_subsets, per_object_cache
 
 
 class GroupError(ValueError):
@@ -221,21 +221,7 @@ def generated_subgroup(group: FiniteGroup, seed) -> frozenset[int]:
 @per_object_cache
 def subgroups(group: FiniteGroup) -> tuple[tuple[int, ...], ...]:
     """Every subgroup, as a sorted member tuple, smallest first."""
-    found = {frozenset({0})}
-    for g in range(group.order):
-        found.add(generated_subgroup(group, (g,)))
-    while True:
-        new = set()
-        for s in found:
-            for t in found:
-                if not (s <= t or t <= s):
-                    u = generated_subgroup(group, s | t)
-                    if u not in found:
-                        new.add(u)
-        if not new:
-            break
-        found |= new
-    return tuple(sorted((tuple(sorted(s)) for s in found), key=lambda s: (len(s), s)))
+    return tuple(closed_subsets(lambda seed: generated_subgroup(group, seed), group.order))
 
 
 def index2_subgroups(group: FiniteGroup) -> list[tuple[int, ...]]:
@@ -326,12 +312,10 @@ def iter_isomorphisms(g1: FiniteGroup, g2: FiniteGroup):
             frontier = nxt
         if len(f) != g1.order or len(set(f.values())) != g1.order:
             return None
-        for a in range(g1.order):
-            fa = f[a]
-            row = g1.table[a]
-            for b in range(g1.order):
-                if f[row[b]] != g2.table[fa][f[b]]:
-                    return None
+        # f is a homomorphism: the walk checked f(x*gen) = f(x)*img for every
+        # x and generator, and f(gen) = f(e)*img = img. Every b is a word in
+        # the generators (inverses are powers in a finite group), so
+        # f(a*b) = f(a)*f(b) follows by induction on the length of b.
         return tuple(f[a] for a in range(g1.order))
 
     for images in iter_product(*pools):
@@ -378,54 +362,38 @@ def identify_group(group: FiniteGroup) -> str:
     if group.is_cyclic():
         return f"Z{m}"
     if group.is_abelian():
-        for factors in _abelian_factorizations(m):
-            if len(factors) > 1 and are_isomorphic(group, product_of_cyclics(factors)):
-                return "x".join(f"Z{n}" for n in factors)
-    else:
-        if m == 8 and are_isomorphic(group, quaternion8()):
-            return "Q8"
-        if m == 6 and are_isomorphic(group, symmetric3()):
-            return "S3"
-        if m % 2 == 0 and are_isomorphic(group, dihedral(m // 2)):
-            return f"D{m // 2}"
+        return "x".join(f"Z{n}" for n in _abelian_invariants(group))
+    if m == 8 and are_isomorphic(group, quaternion8()):
+        return "Q8"
+    if m == 6 and are_isomorphic(group, symmetric3()):
+        return "S3"
+    if m % 2 == 0 and are_isomorphic(group, dihedral(m // 2)):
+        return f"D{m // 2}"
     return f"grp{m}c{len(group.center)}"
 
 
-def _abelian_factorizations(m: int) -> list[list[int]]:
-    """Multisets of prime power cyclic factors with product m, sorted ascending."""
-    def prime_powers(p: int, a: int) -> list[list[int]]:
-        # partitions of the exponent a
-        parts: list[list[int]] = []
+def _abelian_invariants(group: FiniteGroup) -> list[int]:
+    """The prime-power orders of the cyclic factors of an abelian group, ascending.
 
-        def rec(rest, mx, cur):
-            if rest == 0:
-                parts.append(list(cur))
-                return
-            for nxt in range(min(rest, mx), 0, -1):
-                rec(rest - nxt, nxt, cur + [nxt])
-
-        rec(a, a, [])
-        return [[p ** e for e in part] for part in parts]
-
-    factors: dict[int, int] = {}
-    x = m
-    p = 2
-    while p * p <= x:
-        while x % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            x //= p
+    In Z_{p^e1} x ... x Z_{p^er} exactly p^(sum_i min(k, e_i)) elements have
+    order dividing p^k. So with s_k the exponent of that count, s_k - s_(k-1)
+    is the number of factors with e_i >= k, which fixes every e_i.
+    """
+    out: list[int] = []
+    rest, p = group.order, 1
+    while rest > 1:
         p += 1
-    if x > 1:
-        factors[x] = factors.get(x, 0) + 1
-    choices = [prime_powers(p, a) for p, a in sorted(factors.items())]
-    out: list[list[int]] = []
-    for combo in iter_product(*choices):
-        merged: list[int] = []
-        for ch in combo:
-            merged.extend(ch)
-        out.append(sorted(merged))
-    out.sort()
-    return out
+        if rest % p:
+            continue
+        while rest % p == 0:
+            rest //= p
+        logs = [0]  # logs[k] = s_k, while it still grows
+        while len(logs) < 2 or logs[-1] > logs[-2]:
+            count = sum(1 for o in group.element_orders if p ** len(logs) % o == 0)
+            logs.append(next(s for s in range(count) if p ** s == count))
+        at_least = [b - a for a, b in zip(logs, logs[1:])]  # at_least[k - 1] = s_k - s_(k-1)
+        out.extend(p ** sum(1 for a in at_least if a > i) for i in range(at_least[0]))
+    return sorted(out)
 
 
 # ---------------------------------------------------- central extensions by Z2

@@ -411,6 +411,32 @@ def make_subring(ring: FusionRing, members: Iterable[int]) -> Subring:
     return sub
 
 
+def closed_subsets(close: Callable[[Iterable[int]], Iterable[int]],
+                   size: int) -> list[tuple[int, ...]]:
+    """Every closed subset of range(size), sorted by (size, members).
+
+    close(seed) is the smallest closed set holding the seed, for subgroups
+    and subrings alike. A closed set is the join of the single-element
+    closures of its members, so a worklist joins each set found with every
+    single-element closure it does not contain until nothing new appears.
+    """
+    def closed(seed: Iterable[int]) -> tuple[int, ...]:
+        return tuple(sorted(close(seed)))
+
+    singles = {closed((i,)) for i in range(size)}
+    found = {closed(())} | singles
+    todo = list(found)
+    while todo:
+        members = set(todo.pop())
+        for b in singles:
+            if not members.issuperset(b):
+                joined = closed(members.union(b))
+                if joined not in found:
+                    found.add(joined)
+                    todo.append(joined)
+    return sorted(found, key=lambda s: (len(s), s))
+
+
 # -------------------------------------------------------------- isomorphism
 
 @per_object_cache

@@ -44,6 +44,8 @@ def parse_ring(text: str) -> FusionRing:
         raise RingFormatError(
             f"not valid JSON: {exc.msg} (line {exc.lineno}, column {exc.colno})"
         ) from None
+    except RecursionError:
+        raise RingFormatError("not valid JSON: nested too deeply") from None
     return ring_from_document(doc)
 
 

@@ -12,8 +12,8 @@ from typing import Iterable
 
 from .groups import FiniteGroup
 from .numerics import dimension_classes
-from .ring import (FusionRing, StructuralError, Subring, closure, make_subring, per_object_cache,
-                   product_support)
+from .ring import (FusionRing, StructuralError, Subring, closed_subsets, closure, make_subring,
+                   per_object_cache, product_support)
 
 
 @dataclass(frozen=True)
@@ -81,13 +81,18 @@ def invertibles(ring: FusionRing) -> tuple[FiniteGroup, tuple[int, ...]]:
     return FiniteGroup(len(members), tuple(table)), tuple(members)
 
 
+def _adjoint_within(ring: FusionRing, members: Iterable[int]) -> Subring:
+    """Closure of all constituents of i * dual(i) over the given members i."""
+    seed: set[int] = set()
+    for i in members:
+        seed.update(ring.constituents(i, ring.dual[i]))
+    return closure(ring, seed)
+
+
 @per_object_cache
 def adjoint_subring(ring: FusionRing) -> Subring:
     """Closure of all constituents of i * dual(i)."""
-    seed: set[int] = set()
-    for i in range(ring.rank):
-        seed.update(ring.constituents(i, ring.dual[i]))
-    return closure(ring, seed)
+    return _adjoint_within(ring, range(ring.rank))
 
 
 @per_object_cache
@@ -140,24 +145,8 @@ def all_subrings(ring: FusionRing) -> list[Subring]:
     """Every closed subset, smallest first. Supports rank up to 24."""
     if ring.rank > 24:
         raise ValueError("subring enumeration supports rank at most 24")
-    base = {closure(ring, ()).members}
-    for i in range(ring.rank):
-        base.add(closure(ring, (i,)).members)
-    found = set(base)
-    while True:
-        new = set()
-        for s in found:
-            ss = set(s)
-            for b in base:
-                if set(b) <= ss:
-                    continue
-                joined = closure(ring, ss | set(b)).members
-                if joined not in found:
-                    new.add(joined)
-        if not new:
-            break
-        found |= new
-    return [make_subring(ring, m) for m in sorted(found, key=lambda m: (len(m), m))]
+    return [closure(ring, m)
+            for m in closed_subsets(lambda seed: closure(ring, seed).members, ring.rank)]
 
 
 def commutator(ring: FusionRing, sub: Subring) -> Subring:
@@ -229,16 +218,10 @@ def faithful_simples(ring: FusionRing) -> tuple[tuple[int, ...], bool]:
 
 def nilpotency(ring: FusionRing) -> int | None:
     """Steps of the iterated adjoint chain down to the trivial subring, or None."""
-    def adjoint_within(members: tuple[int, ...]) -> tuple[int, ...]:
-        seed: set[int] = set()
-        for i in members:
-            seed.update(ring.constituents(i, ring.dual[i]))
-        return closure(ring, seed).members
-
     current = tuple(range(ring.rank))
     steps = 0
     while len(current) > 1:
-        nxt = adjoint_within(current)
+        nxt = _adjoint_within(ring, current).members
         if nxt == current:
             return None
         current = nxt

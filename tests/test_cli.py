@@ -285,6 +285,16 @@ def test_oversized_entry_exits_1_without_traceback(capsys, tmp_path):
     assert "Traceback" not in err
 
 
+def test_deeply_nested_json_exits_1_without_traceback(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    code, out, err = cli(capsys, "verify", path)
+    assert code == 1 and out == ""
+    assert err.startswith("error:")
+    assert "nested too deeply" in err
+    assert "Traceback" not in err
+
+
 def test_module_entry_point_runs_from_a_checkout():
     # python -m fusionring with only the source directory on the path
     env = dict(os.environ, PYTHONPATH=str(HERE.parent / "src"))

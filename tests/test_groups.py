@@ -84,6 +84,13 @@ def test_identify_group_on_constructed_tables():
     assert gr.identify_group(gr.product_of_cyclics([3, 5])) == "Z15"
     assert gr.identify_group(gr.dihedral(3)) == "S3"
     assert gr.identify_group(gr.dihedral(6)) == "D6"
+    # several primes, and several factors per prime
+    assert gr.identify_group(gr.product_of_cyclics([2, 6])) == "Z2xZ2xZ3"
+    assert gr.identify_group(gr.product_of_cyclics([6, 6])) == "Z2xZ2xZ3xZ3"
+    assert gr.identify_group(gr.product_of_cyclics([4, 4])) == "Z4xZ4"
+    assert gr.identify_group(gr.product_of_cyclics([2, 2, 4])) == "Z2xZ2xZ4"
+    assert gr.identify_group(gr.product_of_cyclics([3, 9])) == "Z3xZ9"
+    assert gr.identify_group(gr.product_of_cyclics([2, 4, 8])) == "Z2xZ4xZ8"
 
 
 def test_groups_of_order_census():
@@ -163,14 +170,19 @@ def test_automorphism_counts():
     assert len(list(gr.iter_isomorphisms(gr.named_group("Z2xZ2"),
                                          gr.named_group("Z2xZ2")))) == 6
     assert len(list(gr.iter_isomorphisms(gr.symmetric3(), gr.symmetric3()))) == 6
+    for name, count in (("Z2xZ4", 8), ("Z2xZ2xZ2", 168), ("D4", 8), ("Q8", 24)):
+        g = gr.named_group(name)
+        assert len(list(gr.iter_isomorphisms(g, g))) == count, name
     assert list(gr.iter_isomorphisms(gr.cyclic(4), gr.named_group("Z2xZ2"))) == []
 
 
-def test_isomorphisms_are_homomorphisms():
-    g = gr.named_group("D4")
+@pytest.mark.parametrize("g", [g for m in range(1, 9) for g in gr.groups_of_order(m)],
+                         ids=lambda g: g.name)
+def test_isomorphisms_are_homomorphisms(g):
     for phi in gr.iter_isomorphisms(g, g):
-        for a in range(8):
-            for b in range(8):
+        assert sorted(phi) == list(range(g.order))
+        for a in range(g.order):
+            for b in range(g.order):
                 assert phi[g.table[a][b]] == g.table[phi[a]][phi[b]]
 
 
