@@ -1,7 +1,7 @@
 """Builders for the stock rings and the two extension families.
 
 Group arguments accept either a FiniteGroup or one of the registered group
-names (Z1..Z16, Z2xZ2, Z2xZ4, D4, Q8, S3).
+names (Z1..Z16, Z2xZ2, Z2xZ4, Z2xZ2xZ2, D4, Q8, S3).
 """
 
 from __future__ import annotations

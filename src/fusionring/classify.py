@@ -13,21 +13,18 @@ verify_claims() re-checks, on the concrete ring, each structural statement
 the families are supposed to satisfy, reporting verified / refuted /
 inapplicable per claim. Everything here is decided at the level of the
 based ring (structure constants only); the one claim that would need
-associator data is always reported inapplicable.
+associator data is always reported inapplicable. No flag or claim reads a
+float: the dimensions enter only through the displayed type signature.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import catalog, groups as gr, structure as st
-from .numerics import DIM_TOL, GOLDEN, TypeSignature, fp_dimensions, type_signature
-from .ring import FusionRing, Subring, closure, find_isomorphism, per_object_cache
-
-_SQRT2 = math.sqrt(2.0)
+from .numerics import TypeSignature, type_signature
+from .ring import (FusionRing, Subring, closure, find_isomorphism, per_object_cache,
+                   product_support)
 
 FLAG_ORDER = ("pointed", "yang-lee", "ising", "generalized-ty",
               "yl-extension", "rank2-pointed-extension")
@@ -85,11 +82,20 @@ def _noninvertible_products_pointed(ring: FusionRing) -> tuple[bool, tuple[int, 
 
 
 def _is_yang_lee_pair(ring: FusionRing, unit: int, y: int) -> bool:
-    row = ring.n[y, y]
-    expected = np.zeros(ring.rank, dtype=np.int64)
-    expected[unit] = 1
-    expected[y] = 1
-    return bool(np.array_equal(row, expected)) and ring.dual[y] == y
+    return product_support(ring)[y][y] == {unit: 1, y: 1} and ring.dual[y] == y
+
+
+def _has_dim_sqrt2(ring: FusionRing, x: int) -> bool:
+    """FPdim(x) = sqrt(2), decided on the fusion rules: x·x* = 1 + g, g invertible.
+
+    FPdim is a ring homomorphism, so FPdim(x)² = FPdim(x·x*) = Σ_k N_{x x*}^k
+    FPdim(k). The unit occurs once in x·x*, and every basis element has
+    FPdim ≥ 1, with equality exactly for the invertibles (Etingof, Gelaki,
+    Nikshych & Ostrik, *Tensor Categories*, 2015, §3.3). So the sum is 2
+    exactly when x·x* has multiplicity sum 2 and only invertible constituents.
+    """
+    product = product_support(ring)[x][ring.dual[x]]
+    return sum(product.values()) == 2 and all(ring.invertible[k] for k in product)
 
 
 @per_object_cache
@@ -105,18 +111,17 @@ def classify(ring: FusionRing) -> Classification:
                 and _is_yang_lee_pair(ring, 0, 1))
     products_pointed, counterexample = _noninvertible_products_pointed(ring)
     generalized_ty = not pointed and products_pointed
-    dims_set = [v for v, _ in sig.entries]
-    rank2_ext = (len(dims_set) == 2
-                 and abs(dims_set[0] - 1.0) <= DIM_TOL
-                 and abs(dims_set[1] - _SQRT2) <= DIM_TOL)
-    ising = ring.rank == 3 and find_isomorphism(ring, catalog.ising()) is not None
+    rank2_ext = not pointed and all(_has_dim_sqrt2(ring, i) for i in range(ring.rank)
+                                    if not ring.invertible[i])
+    # Rank 3 with dimensions {1, sqrt(2)} forces the Ising rules: X·X* = 1 + g
+    # needs an invertible g ≠ 1, so the basis is {1, g, X}, whence g² = 1,
+    # X* = X, gX = Xg = X and X·X = 1 + g.
+    ising = ring.rank == 3 and rank2_ext
 
     yl_ext = False
     canonical_map = None
-    if (len(dims_set) == 2
-            and abs(dims_set[0] - 1.0) <= DIM_TOL
-            and abs(dims_set[1] - GOLDEN) <= DIM_TOL
-            and sig.entries[0][1] == sig.entries[1][1]
+    # A map onto Yang-Lee ⊠ pointed(G) gives type (1,n; phi,n) by itself.
+    if (2 * group.order == ring.rank
             and adjoint.rank == 2
             and _is_yang_lee_pair(ring, adjoint.members[0], adjoint.members[1])):
         canonical_map = find_isomorphism(ring, catalog.yl_extension(grading.group))
@@ -150,19 +155,12 @@ def find_ising_subring_unchecked(ring: FusionRing) -> IsingDetection:
         len(comp) == 1 and grading.group.element_orders[cid] == 2
         for cid, comp in enumerate(grading.components))
 
+    # x·x* = 1 + g puts 1, g, x and x* in the closure of x; at rank 3 that
+    # leaves {1, g, x} with x* = x, which is the Ising ring.
     found: Subring | None = None
-    target = catalog.ising()
     for i in noninv:
         sub = closure(ring, (i,))
-        if sub.rank != 3:
-            continue
-        mem = list(sub.members)
-        small = FusionRing(
-            3,
-            tuple(mem.index(ring.dual[m]) for m in mem),
-            ring.n[np.ix_(mem, mem, mem)].copy(),
-        )
-        if find_isomorphism(small, target) is not None:
+        if sub.rank == 3 and _has_dim_sqrt2(ring, i):
             found = sub
             break
     return IsingDetection(found, found is not None, rank1_at_involution, self_dual)
@@ -207,11 +205,8 @@ def _claim_gty_products(ring, ctx):
 
 
 def _claim_gty_type(ring, ctx):
-    sig = ctx["sig"].entries
     two_n = ctx["group"].order
-    ok = (len(sig) == 2
-          and abs(sig[0][0] - 1.0) <= DIM_TOL and sig[0][1] == two_n
-          and abs(sig[1][0] - _SQRT2) <= DIM_TOL and 2 * sig[1][1] == two_n)
+    ok = 2 * (ctx["rank"] - two_n) == two_n
     return ok, {"invertibles": two_n, "type": ctx["sig"].text()}
 
 
@@ -261,21 +256,14 @@ def _claim_faithful_iff_cyclic(ring, ctx):
 
 
 def _claim_ylext_type(ring, ctx):
-    sig = ctx["sig"].entries
     n = ctx["group"].order
-    ok = (len(sig) == 2
-          and abs(sig[0][0] - 1.0) <= DIM_TOL and sig[0][1] == n
-          and abs(sig[1][0] - GOLDEN) <= DIM_TOL and sig[1][1] == n)
+    ok = ctx["rank"] == 2 * n
     return ok, {"invertibles": n, "type": ctx["sig"].text()}
 
 
 def _claim_ylext_components(ring, ctx):
-    data = fp_dimensions(ring)
     for comp in ctx["grading"].components:
-        if len(comp) != 2:
-            return False, {"component": list(comp)}
-        ds = sorted(data.dims[i] for i in comp)
-        if abs(ds[0] - 1.0) > DIM_TOL or abs(ds[1] - GOLDEN) > DIM_TOL:
+        if len(comp) != 2 or sum(ring.invertible[i] for i in comp) != 1:
             return False, {"component": list(comp)}
     return True, {"components": len(ctx["grading"].components)}
 

@@ -178,8 +178,7 @@ _NAMED_BUILDERS.update({
 })
 
 #: Names accepted on the command line.
-NAMED_GROUPS: tuple[str, ...] = tuple([f"Z{n}" for n in range(1, 17)]
-                                      + ["Z2xZ2", "Z2xZ4", "D4", "Q8", "S3"])
+NAMED_GROUPS: tuple[str, ...] = tuple(_NAMED_BUILDERS)
 
 
 def named_group(name: str) -> FiniteGroup:

@@ -1,5 +1,6 @@
 import gc
 import importlib
+import sys
 import weakref
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 import fusionring as fr
 from fusionring import catalog as cat
 from fusionring import groups as gr
-from fusionring.classify import find_ising_subring_unchecked
+from fusionring.classify import _has_dim_sqrt2, find_ising_subring_unchecked
 from fusionring.ring import FusionRing
 
 classify_module = importlib.import_module("fusionring.classify")
@@ -195,9 +196,10 @@ def test_invariant_caches_free_the_ring_and_group():
 @pytest.mark.parametrize("build,searches", [
     # the canonical-rules search in classify, then the product-splitting claim
     (lambda: cat.yl_extension("S3"), 2),
-    # one Ising detection, whose first rank 3 closure is already Ising
-    (lambda: cat.deligne_product(cat.ising(), cat.pointed("Z2")), 1),
-], ids=["yl-extension-S3", "ising-times-Z2"])
+    # the Ising flag and the Ising subring are read off the fusion rules
+    (lambda: cat.deligne_product(cat.ising(), cat.pointed("Z2")), 0),
+    (cat.ising, 0),
+], ids=["yl-extension-S3", "ising-times-Z2", "ising"])
 def test_classify_and_claims_search_once(monkeypatch, build, searches):
     calls = []
 
@@ -238,3 +240,40 @@ def test_relabelling_keeps_every_invariant(data):
         fr.universal_grading(ring).group.order
     assert fr.classify(conj).flags() == fr.classify(ring).flags()
     assert claim_status(conj) == claim_status(ring)
+
+
+# ------------------------------------------------- no float in any decision
+
+def decision_rings():
+    """Catalog rings, Deligne products and every pointed-Z2 extension of order <= 8."""
+    rings = [cat.ising(), cat.yang_lee(), ty_z3(), cat.pointed("Z4"), cat.pointed("S3"),
+             cat.yl_extension("Z3"), cat.yl_extension("S3"), cat.yl_extension("Z2xZ2"),
+             cat.deligne_product(cat.ising(), cat.pointed("Z2")),
+             cat.deligne_product(cat.ising(), cat.pointed("Z3")),
+             cat.deligne_product(cat.ising(), cat.ising()),
+             cat.deligne_product(cat.ising(), cat.yang_lee()),
+             cat.deligne_product(cat.yang_lee(), cat.yang_lee()),
+             cat.deligne_product(ty_z3(), cat.pointed("Z2"))]
+    for m in range(1, 9):
+        for group in gr.groups_of_order(m):
+            rings.extend(cat.enumerate_extensions("pointed-z2", group))
+    return rings
+
+
+def test_has_dim_sqrt2_matches_the_perron_dimension():
+    for ring in decision_rings():
+        dims = fr.fp_dimensions(ring).dims
+        for x in range(ring.rank):
+            assert _has_dim_sqrt2(ring, x) == (abs(dims[x] - np.sqrt(2.0)) < 1e-9), \
+                (ring.rank, x, dims[x])
+
+
+def test_decisions_do_not_read_the_dimension_tolerance(monkeypatch):
+    def decisions():
+        return [(fr.classify(r).flags(), claim_status(r)) for r in decision_rings()]
+
+    before = decisions()
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "fusionring" and hasattr(module, "DIM_TOL"):
+            monkeypatch.setattr(module, "DIM_TOL", 0.0)
+    assert decisions() == before

@@ -198,6 +198,13 @@ def test_catalog_errors(capsys):
     assert code == 1 and err.startswith("error:")
 
 
+def test_catalog_without_group_lists_every_accepted_name(capsys):
+    code, _, err = cli(capsys, "catalog", "pointed")
+    assert code == 1 and "Z2xZ2xZ2" in err
+    code, out, _ = cli(capsys, "catalog", "pointed", "--group", "Z2xZ2xZ2")
+    assert code == 0 and parse_ring(out).rank == 8
+
+
 # ---------------------------------------------------------------- enumerate
 
 def test_enumerate_human(capsys):
