@@ -213,6 +213,29 @@ def test_even_rank_pairing_rejects_bad_delta():
         st.even_rank_pairing(cat.pointed("Z4"), 1)  # order 4
 
 
+def test_free_order2_invertible_keeps_dimensions():
+    # FPdim(delta * x) = FPdim(x) exactly; the computed values may differ by
+    # rounding only, far below the DIM_TOL that groups dimension classes.
+    rings = [cat.ising(), cat.yang_lee()]
+    for m in range(1, 9):
+        for g in gr.groups_of_order(m):
+            rings += [cat.pointed(g), cat.yl_extension(g)]
+            rings += cat.enumerate_extensions("pointed-z2", g)
+    free = 0
+    for ring in rings:
+        dims = fr.fp_dimensions(ring).dims
+        for delta in range(1, ring.rank):
+            if not ring.invertible[delta] or ring.n[delta, delta, 0] != 1:
+                continue
+            image = [ring.constituents(delta, x)[0] for x in range(ring.rank)]
+            if any(image[x] == x for x in range(ring.rank)):
+                continue
+            free += 1
+            for x in range(ring.rank):
+                assert abs(dims[image[x]] - dims[x]) <= 1e-12 * dims[x], (ring.rank, delta, x)
+    assert free >= 100   # the check is not vacuous
+
+
 # ------------------------------------------------- faithful simples, nilpotency
 
 def test_faithful_simples():
