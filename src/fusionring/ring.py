@@ -91,10 +91,6 @@ class FusionRing:
     def label(self, i: int) -> str:
         return self.labels[i] if self.labels is not None else str(i)
 
-    def left_matrix(self, i: int) -> np.ndarray:
-        """Matrix of left multiplication by basis element i: M[k][j] = n[i][j][k]."""
-        return self.n[i].T
-
     def constituents(self, i: int, j: int) -> tuple[int, ...]:
         return tuple(product_support(self)[i][j])
 
@@ -215,14 +211,11 @@ def verify_axioms(ring: FusionRing) -> list[AxiomViolation]:
     for i, j in np.argwhere(n[:, :, 0] != pairing):
         out.append(AxiomViolation(AXIOM_DUALITY, (int(i), int(j), 0)))
 
+    # argwhere lists indices in C order, which is lexicographic
     swapped = n[list(d)].transpose(0, 2, 1)
-    mism = np.argwhere(n != swapped)
     cols = n[:, list(d), :].transpose(2, 1, 0)
-    mism2 = np.argwhere(n != cols)
-    frob = sorted({tuple(int(x) for x in idx) for idx in mism}
-                  | {tuple(int(x) for x in idx) for idx in mism2})
-    for idx in frob:
-        out.append(AxiomViolation(AXIOM_FROBENIUS, idx))
+    for idx in np.argwhere((n != swapped) | (n != cols)):
+        out.append(AxiomViolation(AXIOM_FROBENIUS, tuple(int(x) for x in idx)))
 
     # (i*j)*k against i*(j*k) as float64 matrix products, a block of left
     # factors i at a time so that memory stays near rank**3. Every sum is an

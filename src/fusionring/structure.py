@@ -197,11 +197,14 @@ def even_rank_pairing(ring: FusionRing, delta: int) -> PairingReport:
     for x in range(ring.rank):
         if image[x] == x:
             return PairingReport(delta, False, x, ())
+    # Each class holds delta * x along with x. Left multiplication by delta*
+    # permutes the basis and N_ij^{delta k} = N_{(delta* i) j}^k, so rows k and
+    # delta * k of the matrix M = sum_i n[i]^T behind fp_dimensions are equal.
+    # d(delta * x) and d(x) thus differ by rounding only, far below DIM_TOL,
+    # and any value sorted between them is closer still: no class boundary
+    # falls between them.
     classes = []
     for dim, members in dimension_classes(ring):
-        mem = set(members)
-        if any(image[x] not in mem for x in members):
-            raise StructuralError("free action does not preserve a dimension class")
         pairs = tuple(sorted((min(x, image[x]), max(x, image[x])) for x in members
                              if x <= image[x]))
         classes.append(DimensionClass(dim, tuple(members), pairs))

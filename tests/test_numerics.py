@@ -27,6 +27,16 @@ from fusionring.ringfile import serialize_ring
 PHI = (1 + math.sqrt(5)) / 2
 
 
+def relabelled(ring, p):
+    """The ring with basis element i renamed p[i] (p fixes the unit)."""
+    n = np.zeros_like(ring.n)
+    n[np.ix_(p, p, p)] = ring.n
+    dual = [0] * ring.rank
+    for i in range(ring.rank):
+        dual[p[i]] = p[ring.dual[i]]
+    return FusionRing(ring.rank, tuple(dual), n)
+
+
 def test_ising_dimensions():
     data = fp_dimensions(cat.ising())
     assert abs(data.dims[0] - 1) <= 1e-12
@@ -49,11 +59,25 @@ def test_yl_extension_total():
     assert abs(data.total - (6 + 3 * PHI)) <= 1e-9
 
 
+def test_ring_with_a_zero_product_is_rejected():
+    n = np.zeros((2, 2, 2), dtype=np.int64)
+    n[0] = np.eye(2, dtype=np.int64)   # 1 * 1 = 1 and nothing else
+    with pytest.raises(fr.ConvergenceError):
+        fp_dimensions(FusionRing(2, (0, 1), n))
+
+
 def test_duality_symmetry_is_exact():
-    r = cat.yl_extension("S3")
-    data = fp_dimensions(r)
-    for i in range(r.rank):
-        assert data.dims[r.dual[i]] == data.dims[i]
+    # under some labellings the Perron vector's entries of a dual pair differ
+    # in the last bit
+    rng = np.random.default_rng(0)
+    for base in (cat.yl_extension("S3"), cat.yl_extension("Z7"),
+                 cat.enumerate_extensions("pointed-z2", "Z6")[0],
+                 cat.enumerate_extensions("pointed-z2", "S3")[0]):
+        for _ in range(5):
+            r = relabelled(base, [0] + list(1 + rng.permutation(base.rank - 1)))
+            data = fp_dimensions(r)
+            for i in range(r.rank):
+                assert data.dims[r.dual[i]] == data.dims[i]
 
 
 @pytest.mark.parametrize("ring", [
@@ -230,16 +254,6 @@ REPORT_DIGESTS = {
 @pytest.mark.parametrize("name", list(REPORT_DIGESTS))
 def test_reports_are_pinned(name, tmp_path):
     assert report_digest(report_rings(name), tmp_path) == REPORT_DIGESTS[name]
-
-
-def relabelled(ring, p):
-    """The ring with basis element i renamed p[i] (p fixes the unit)."""
-    n = np.zeros_like(ring.n)
-    n[np.ix_(p, p, p)] = ring.n
-    dual = [0] * ring.rank
-    for i in range(ring.rank):
-        dual[p[i]] = p[ring.dual[i]]
-    return FusionRing(ring.rank, tuple(dual), n)
 
 
 def reference_dimension(matrix):
