@@ -212,9 +212,9 @@ def verify_axioms(ring: FusionRing) -> list[AxiomViolation]:
         out.append(AxiomViolation(AXIOM_DUALITY, (int(i), int(j), 0)))
 
     # argwhere lists indices in C order, which is lexicographic
-    swapped = n[list(d)].transpose(0, 2, 1)
-    cols = n[:, list(d), :].transpose(2, 1, 0)
-    for idx in np.argwhere((n != swapped) | (n != cols)):
+    mism = n != n[list(d)].transpose(0, 2, 1)
+    mism |= n != n[:, list(d), :].transpose(2, 1, 0)
+    for idx in np.argwhere(mism):
         out.append(AxiomViolation(AXIOM_FROBENIUS, tuple(int(x) for x in idx)))
 
     # (i*j)*k against i*(j*k) as float64 matrix products, a block of left
