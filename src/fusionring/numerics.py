@@ -64,20 +64,20 @@ def fp_dimensions(ring: FusionRing) -> FPData:
     if not (m > 0).all():
         raise ConvergenceError("a product k * j* is zero, so this is not a fusion ring")
     # A positive M contracts Hilbert's projective metric, so in exact
-    # arithmetic the Collatz-Wielandt spread max(Mv/v) / min(Mv/v) - 1 shrinks
-    # strictly until it is 0. Each entry of Mv sums nonnegative terms, so it is
+    # arithmetic the Collatz-Wielandt spread max(Mv/v) / min(Mv/v) falls
+    # strictly until it is 1. Each entry of Mv sums nonnegative terms, so it is
     # computed to a relative (rank + 1) * 2**-53 (7e-15 at rank 64), and the
-    # spread levels off at a small multiple of that. Stopping at the first
-    # step where it does not shrink therefore stops at that floor, whatever
-    # the rank, with no tolerance that rounding could keep out of reach. The
-    # distance of v from the Perron vector in the same metric is then at most
-    # the spread over one minus the contraction rate.
+    # spread levels off within a small multiple of that above 1. Stopping at
+    # the first step where it does not fall therefore stops at that floor,
+    # whatever the rank, with no tolerance that rounding could keep out of
+    # reach. The distance of v from the Perron vector in the same metric is
+    # then at most log(spread) over one minus the contraction rate.
     v = np.ones(ring.rank)
     spread = math.inf
     for _ in range(_POWER_CAP):
         w = m @ v
         ratios = w / v
-        prev, spread = spread, float(ratios.max() / ratios.min()) - 1.0
+        prev, spread = spread, ratios.max() / ratios.min()
         v = w / w[0]
         if spread >= prev:
             break

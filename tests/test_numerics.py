@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 import fusionring as fr
 from fusionring import catalog as cat
-from fusionring import groups as gr
 from fusionring.cli import run
 from fusionring.numerics import (
     COS_TARGET,
@@ -171,9 +170,6 @@ def test_cos_target_identity():
 
 
 # ------------------------------------------- pinned reports and a reference
-
-SMALL_GROUPS = [g.name for m in range(1, 9) for g in gr.groups_of_order(m)]
-
 
 def report_rings(name):
     """The catalog ring `name`, or for ext-G every pointed-Z2 extension of G."""
