@@ -12,8 +12,7 @@ import numpy as np
 
 from . import groups as gr
 from .groups import FiniteGroup, GroupError
-from .ring import FusionRing
-from .structure import _components
+from .ring import FusionRing, _components
 
 
 def _as_group(g) -> FiniteGroup:
@@ -172,6 +171,25 @@ def _ring_sort_key(ring: FusionRing):
     return (ring.rank, sum(ring.invertible), ring.n.tobytes())
 
 
+def _spec_sort_key(spec: GTYSpec) -> tuple[int, ...]:
+    """A key that orders specs with equal U and G as _ring_sort_key orders their rings.
+
+    The negated sorted constituents of every cell of generalized_ty(spec)
+    outside the G x G block, in row-major order: see _near_group_rings.
+    """
+    u, q = spec.grading_group, spec.quotient_map
+    m, u0 = len(q), set(q)
+    coset = [x for x in range(u.order) if x not in u0]
+    xpos = {x: m + i for i, x in enumerate(coset)}
+    fibres = {w: [-a for a in range(m) if q[a] == w] for w in u0}
+    key = [-xpos[u.table[q[a]][x]] for a in range(m) for x in coset]
+    for x in coset:
+        key.extend(-xpos[u.table[x][q[b]]] for b in range(m))
+        for y in coset:
+            key.extend(fibres[u.table[x][y]])
+    return tuple(key)
+
+
 def _near_group_rings(u: FiniteGroup) -> list[FusionRing]:
     """One near-group ring per orbit of specs under Aut(U) x Aut(G).
 
@@ -190,15 +208,30 @@ def _near_group_rings(u: FiniteGroup) -> list[FusionRing]:
     - s maps {e, delta} onto {e, delta'} and the fibre of q over w onto that
       of q' over alpha(w), so (delta', q') = (beta(delta), alpha.q.beta^-1)
       lies in the orbit of (delta, q).
-    So the orbits are the isomorphism classes; each keeps its smallest ring
-    in _ring_sort_key order, the first built on ties. The pointed rings of
-    enumerate_extensions need no search either: central_extensions_by_z2
-    returns pairwise non-isomorphic groups, and their rings have rank 2|U|
-    against 3|U|/2 here.
+    So the orbits are the isomorphism classes. Each orbit keeps the ring of
+    its smallest spec in _spec_sort_key order, the first built on ties, and
+    only that ring is built. It is the smallest ring of the orbit in
+    _ring_sort_key order, the first built on ties:
+    - specs with equal U and G give rings of one rank m + |U|/2 with m
+      invertibles, so _ring_sort_key compares them by n.tobytes() alone;
+    - every entry of n is 0 or 1, and a little-endian int64 0 or 1 compares
+      as bytes as it does as a number, so n.tobytes() order is the
+      lexicographic order of the cells n[i, j, :] in row-major (i, j) order;
+    - the G x G cells are G's table, the same for all these specs. The
+      cells (a, X_x) and (X_x, b) hold one constituent, the cells
+      (X_x, X_y) two (a fibre of q). Between 0/1 cells with equally many
+      ones, the larger is the one whose first one comes first, that is,
+      whose sorted constituents, negated, form the larger tuple;
+    - _spec_sort_key lists those negated tuples in row-major order, each of
+      fixed length, so it compares as n.tobytes() does, equal exactly when
+      the tensors are.
+    The pointed rings of enumerate_extensions need no search either:
+    central_extensions_by_z2 returns pairwise non-isomorphic groups, and
+    their rings have rank 2|U| against 3|U|/2 here.
     """
     gs = gr.groups_of_order(u.order)
     specs: dict[tuple[int, int, tuple[int, ...]], int] = {}
-    rings: list[FusionRing] = []
+    built: list[GTYSpec] = []
     quotients = [(gi, g, delta, *gr.quotient_group(g, gr.generated_subgroup(g, (delta,))))
                  for gi, g in enumerate(gs) for delta in gr.central_elements_of_order2(g)]
     for u0 in gr.index2_subgroups(u):
@@ -206,8 +239,8 @@ def _near_group_rings(u: FiniteGroup) -> list[FusionRing]:
         for gi, g, delta, quot, proj in quotients:
             for phi in gr.iter_isomorphisms(quot, u0_group):
                 qmap = tuple(embed[phi[proj[a]]] for a in range(g.order))
-                specs[(gi, delta, qmap)] = len(rings)
-                rings.append(generalized_ty(GTYSpec(u, u0, g, delta, qmap)))
+                specs[(gi, delta, qmap)] = len(built)
+                built.append(GTYSpec(u, u0, g, delta, qmap))
     edges = []
     for (gi, delta, q), s in specs.items():
         for alpha in gr.automorphism_generators(u):
@@ -217,9 +250,9 @@ def _near_group_rings(u: FiniteGroup) -> list[FusionRing]:
             for a, x in enumerate(q):
                 moved[beta[a]] = x
             edges.append((s, specs[(gi, beta[delta], tuple(moved))]))
-    keys = [_ring_sort_key(ring) for ring in rings]
-    return [rings[min(orbit, key=lambda s: (keys[s], s))]
-            for orbit in _components(range(len(rings)), edges)]
+    keys = [_spec_sort_key(spec) for spec in built]
+    return [generalized_ty(built[min(orbit, key=lambda s: (keys[s], s))])
+            for orbit in _components(range(len(built)), edges)]
 
 
 def enumerate_extensions(base: str, u) -> list[FusionRing]:

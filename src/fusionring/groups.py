@@ -13,7 +13,7 @@ from itertools import product as iter_product
 
 import numpy as np
 
-from .ring import closed_subsets, per_object_cache
+from .ring import _components, closed_subsets, per_object_cache
 
 
 class GroupError(ValueError):
@@ -445,13 +445,13 @@ def _gf2_reduce(vec: int, echelon: dict[int, int]) -> int:
     return vec
 
 
-def central_extensions_by_z2(group: FiniteGroup) -> list[FiniteGroup]:
-    """All groups H of order 2m with a central order-2 subgroup K and H/K = group.
+def _cocycle_orbits(group: FiniteGroup) -> tuple[dict[tuple[int, int], int], list[list[int]]]:
+    """The cohomology classes of normalized Z2-valued 2-cocycles, grouped by Aut(group)-orbit.
 
-    Enumerated through normalized 2-cocycles with values in Z2, one per
-    cohomology class, then deduplicated up to isomorphism. Any order-2
-    normal subgroup is central, so this is the complete list of such
-    extensions.
+    Returns (vidx, orbits): bit vidx[(g, h)] of a cocycle mask holds c(g, h)
+    for g, h != e. Each class appears as the first of its cocycles in the
+    enumeration over the nullspace basis. An orbit lists its classes in that
+    order, and the orbits are ordered by their first class.
     """
     m = group.order
     t = group.table
@@ -474,8 +474,7 @@ def central_extensions_by_z2(group: FiniteGroup) -> list[FiniteGroup]:
     basis = _gf2_nullspace(rows, len(pairs))
     if len(basis) > 14:
         raise GroupError("cocycle space too large to enumerate")
-    # Cohomologous cocycles give isomorphic extensions, so only the first
-    # cocycle of each class modulo the coboundaries d(1_x), x != e, is built.
+    # Classes are keyed by their residue modulo the coboundaries d(1_x), x != e.
     coboundaries = []
     for x in range(1, m):
         mask = 0
@@ -484,17 +483,53 @@ def central_extensions_by_z2(group: FiniteGroup) -> list[FiniteGroup]:
                 mask |= 1 << v
         coboundaries.append(mask)
     echelon = _gf2_echelon(coboundaries)
-    seen: set[int] = set()
-    reps: list[FiniteGroup] = []
+    classes: dict[int, int] = {}
     for sel in range(1 << len(basis)):
         vec = 0
         for i, b in enumerate(basis):
             if (sel >> i) & 1:
                 vec ^= b
-        residue = _gf2_reduce(vec, echelon)
-        if residue in seen:
-            continue
-        seen.add(residue)
+        classes.setdefault(_gf2_reduce(vec, echelon), vec)
+    residues = list(classes)
+    edges = []
+    if len(residues) > 1:   # odd orders have one class: no automorphisms needed
+        index = {r: i for i, r in enumerate(residues)}
+        for beta in automorphism_generators(group):
+            moved = [vidx[(beta[g], beta[h])] for g, h in pairs]
+            for i, r in enumerate(residues):
+                image = 0
+                for v, w in enumerate(moved):
+                    if (r >> v) & 1:
+                        image |= 1 << w
+                edges.append((i, index[_gf2_reduce(image, echelon)]))
+    firsts = list(classes.values())
+    return vidx, [[firsts[i] for i in orbit] for orbit in _components(range(len(residues)), edges)]
+
+
+def central_extensions_by_z2(group: FiniteGroup) -> list[FiniteGroup]:
+    """All groups H of order 2m with a central order-2 subgroup K and H/K = group.
+
+    Enumerated through normalized 2-cocycles c with values in Z2: H_c is
+    group x Z2 with (g, s)(h, u) = (gh, s + u + c(g, h)). Any order-2 normal
+    subgroup is central, so the H_c cover every such extension, and
+    cohomologous cocycles give isomorphic groups, so one cocycle per
+    cohomology class is enough. An automorphism beta of the group moves c
+    to c' = c(beta^-1 ., beta^-1 .), and (g, s) -> (beta(g), s) is an
+    isomorphism H_c -> H_c': it maps the product above to
+    (beta(g)beta(h), s + u + c'(beta(g), beta(h))). So the classes of one
+    Aut(group)-orbit give isomorphic groups, and only the first class of
+    each orbit is built. Isomorphic groups may still come from different
+    orbits (an isomorphism need not preserve K), so are_isomorphic runs
+    across the orbit representatives, in order. Each isomorphism class is a
+    union of orbits, so the group kept for it is its first class's, as if
+    every class were built.
+    """
+    m = group.order
+    t = group.table
+    vidx, orbits = _cocycle_orbits(group)
+    reps: list[FiniteGroup] = []
+    for orbit in orbits:
+        vec = orbit[0]
         table = [[0] * (2 * m) for _ in range(2 * m)]
         for g in range(m):
             for s in (0, 1):

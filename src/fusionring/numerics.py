@@ -88,6 +88,14 @@ def fp_dimensions(ring: FusionRing) -> FPData:
     return FPData(vals, total, tuple(recognize(d) for d in vals))
 
 
+#: The (value, tag) candidates of recognize, in preference order.
+_CLOSED_FORMS: tuple[tuple[float, str], ...] = (
+    tuple((float(m), str(m)) for m in range(1, 65))
+    + tuple((math.sqrt(m), f"sqrt({m})") for m in range(2, 65) if math.isqrt(m) ** 2 != m)
+    + ((GOLDEN, "golden"),)
+    + tuple((2.0 * math.cos(math.pi / k), f"2cos(pi/{k})") for k in range(3, 31)))
+
+
 def recognize(value: float, tol: float = DIM_TOL) -> str | None:
     """Closed-form tag for a dimension value, or None.
 
@@ -95,20 +103,9 @@ def recognize(value: float, tol: float = DIM_TOL) -> str | None:
     non-square integers up to 64, the golden ratio, then 2cos(pi/k) for
     k up to 30.
     """
-    for m in range(1, 65):
-        if abs(value - m) <= tol:
-            return str(m)
-    for m in range(2, 65):
-        root = math.sqrt(m)
-        if abs(root - round(root)) < 1e-12:
-            continue
-        if abs(value - root) <= tol:
-            return f"sqrt({m})"
-    if abs(value - GOLDEN) <= tol:
-        return "golden"
-    for k in range(3, 31):
-        if abs(value - 2.0 * math.cos(math.pi / k)) <= tol:
-            return f"2cos(pi/{k})"
+    for candidate, tag in _CLOSED_FORMS:
+        if abs(value - candidate) <= tol:
+            return tag
     return None
 
 

@@ -430,6 +430,27 @@ def closed_subsets(close: Callable[[Iterable[int]], Iterable[int]],
     return sorted(found, key=lambda s: (len(s), s))
 
 
+def _components(items: Iterable[int],
+                edges: Iterable[tuple[int, int]]) -> tuple[tuple[int, ...], ...]:
+    """Connected components of the items under the edges, sorted by smallest member."""
+    parent = {x: x for x in items}
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for x, y in edges:
+        rx, ry = find(x), find(y)
+        if rx != ry:
+            parent[max(rx, ry)] = min(rx, ry)
+    buckets: dict[int, list[int]] = {}
+    for x in parent:
+        buckets.setdefault(find(x), []).append(x)
+    return tuple(sorted(tuple(sorted(b)) for b in buckets.values()))
+
+
 # -------------------------------------------------------------- isomorphism
 
 @per_object_cache

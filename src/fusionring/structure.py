@@ -12,8 +12,8 @@ from typing import Iterable
 
 from .groups import FiniteGroup
 from .numerics import dimension_classes
-from .ring import (FusionRing, StructuralError, Subring, closed_subsets, closure, make_subring,
-                   per_object_cache, product_support)
+from .ring import (FusionRing, StructuralError, Subring, _components, closed_subsets, closure,
+                   make_subring, per_object_cache, product_support)
 
 
 @dataclass(frozen=True)
@@ -40,27 +40,6 @@ class PairingReport:
     free: bool
     fixed_witness: int | None
     classes: tuple[DimensionClass, ...]
-
-
-def _components(items: Iterable[int],
-                edges: Iterable[tuple[int, int]]) -> tuple[tuple[int, ...], ...]:
-    """Connected components of the items under the edges, sorted by smallest member."""
-    parent = {x: x for x in items}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for x, y in edges:
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[max(rx, ry)] = min(rx, ry)
-    buckets: dict[int, list[int]] = {}
-    for x in parent:
-        buckets.setdefault(find(x), []).append(x)
-    return tuple(sorted(tuple(sorted(b)) for b in buckets.values()))
 
 
 @per_object_cache

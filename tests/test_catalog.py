@@ -216,6 +216,47 @@ def test_specs_in_one_orbit_give_isomorphic_rings(name):
     assert len(cat._near_group_rings(u)) == len(orbits)
 
 
+EVEN_ORDER_GROUPS = [g.name for m in range(2, 9, 2) for g in gr.groups_of_order(m)]
+
+
+@pytest.mark.parametrize("name", EVEN_ORDER_GROUPS)
+@pytest.mark.parametrize("variant", [0, 1, 2, 3])
+def test_spec_sort_key_orders_specs_as_their_rings(name, variant):
+    # variant 0 is the table as built, the others seeded relabellings of it
+    u = gr.named_group(name) if variant == 0 else relabelled_group(name, variant)
+    by_group = {}
+    for spec in all_specs(u):
+        by_group.setdefault(spec.invertibles.name, []).append(spec)
+    for specs in by_group.values():
+        spec_keys = [cat._spec_sort_key(spec) for spec in specs]
+        ring_keys = [cat._ring_sort_key(cat.generalized_ty(spec)) for spec in specs]
+        # the same rank for every spec under both keys, ties included
+        assert [sorted(set(spec_keys)).index(k) for k in spec_keys] == \
+            [sorted(set(ring_keys)).index(k) for k in ring_keys]
+
+
+def test_enumeration_builds_one_ring_per_spec_orbit(monkeypatch):
+    calls = {"generalized_ty": 0, "are_isomorphic": 0}
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return original(*args)
+        monkeypatch.setattr(module, name, counted)
+
+    count(cat, "generalized_ty")
+    count(gr, "are_isomorphic")
+    for m in range(1, 9):
+        for group in gr.groups_of_order(m):
+            cat.enumerate_extensions("pointed-z2", group)
+    # one near-group ring per orbit of the 663 specs; are_isomorphic only
+    # across the 37 orbits of the 106 cohomology classes
+    assert calls["generalized_ty"] == 31
+    assert calls["are_isomorphic"] <= 52
+
+
 def test_enumerate_yang_lee_base():
     for name in ("Z1", "Z4", "S3"):
         rings = cat.enumerate_extensions("yang-lee", name)

@@ -216,3 +216,64 @@ def test_central_extensions_have_central_fiber():
         assert all(h.table[a][1] == h.table[1][a] for a in range(8))
         quot, _ = gr.quotient_group(h, (0, 1))
         assert gr.are_isomorphic(quot, base)
+
+
+def extension_group(group, cocycle):
+    """group x Z2 with (g, s)(h, u) = (gh, s + u + cocycle(g, h))."""
+    m = group.order
+    table = [[0] * (2 * m) for _ in range(2 * m)]
+    for g, s, h, u in itertools.product(range(m), (0, 1), range(m), (0, 1)):
+        table[2 * g + s][2 * h + u] = 2 * group.table[g][h] + (s ^ u ^ cocycle(g, h))
+    return gr.FiniteGroup(2 * m, tuple(tuple(row) for row in table))
+
+
+@pytest.mark.parametrize("name,classes", [("Z2", 2), ("Z4", 2), ("Z2xZ2", 8), ("D4", 8)])
+def test_cocycle_classes_in_one_orbit_give_isomorphic_groups(name, classes):
+    group = gr.named_group(name)
+    m, t = group.order, group.table
+    vidx, orbits = gr._cocycle_orbits(group)
+    reps = [c for orbit in orbits for c in orbit]
+    assert len(reps) == classes   # |H^2(group, Z2)|
+
+    def value(mask, g, h):
+        return 0 if g == 0 or h == 0 else (mask >> vidx[(g, h)]) & 1
+
+    # every coboundary d f, f(e) = 0, by brute force over f
+    coboundaries = set()
+    for bits in range(1 << (m - 1)):
+        f = [0] + [(bits >> (x - 1)) & 1 for x in range(1, m)]
+        coboundaries.add(sum(1 << v for (g, h), v in vidx.items() if f[g] ^ f[h] ^ f[t[g][h]]))
+    for c in reps:
+        assert all(value(c, t[g][h], k) ^ value(c, g, h) == value(c, g, t[h][k]) ^ value(c, h, k)
+                   for g, h, k in itertools.product(range(m), repeat=3))
+    assert len({min(c ^ b for b in coboundaries) for c in reps}) == classes
+
+    def class_of(mask):
+        (j,) = [j for j, c in enumerate(reps) if mask ^ c in coboundaries]
+        return j
+
+    # orbits under all of Aut(group), c -> c(beta^-1 ., beta^-1 .), by search
+    autos = list(gr.iter_isomorphisms(group, group))
+    found, seen = [], set()
+    for start in range(len(reps)):
+        if start in seen:
+            continue
+        orbit, todo = {start}, [start]
+        while todo:
+            c = reps[todo.pop()]
+            for beta in autos:
+                inv = [beta.index(x) for x in range(m)]
+                image = sum(1 << v for (g, h), v in vidx.items() if value(c, inv[g], inv[h]))
+                j = class_of(image)
+                if j not in orbit:
+                    orbit.add(j)
+                    todo.append(j)
+        seen |= orbit
+        found.append(sorted(orbit))
+    # the enumeration, which joins classes under generators only, finds the same orbits
+    assert found == [[reps.index(c) for c in orbit] for orbit in orbits]
+    for orbit in found:
+        first = extension_group(group, lambda g, h: value(reps[orbit[0]], g, h))
+        for j in orbit[1:]:
+            other = extension_group(group, lambda g, h: value(reps[j], g, h))
+            assert next(gr.iter_isomorphisms(first, other), None) is not None
