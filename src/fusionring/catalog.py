@@ -7,12 +7,13 @@ names (Z1..Z16, Z2xZ2, Z2xZ4, Z2xZ2xZ2, D4, Q8, S3).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
 from . import groups as gr
 from .groups import FiniteGroup, GroupError
-from .ring import FusionRing, _components
+from .ring import FusionRing, _orbits
 
 
 def _as_group(g) -> FiniteGroup:
@@ -241,18 +242,21 @@ def _near_group_rings(u: FiniteGroup) -> list[FusionRing]:
                 qmap = tuple(embed[phi[proj[a]]] for a in range(g.order))
                 specs[(gi, delta, qmap)] = len(built)
                 built.append(GTYSpec(u, u0, g, delta, qmap))
-    edges = []
-    for (gi, delta, q), s in specs.items():
+    spec_keys = list(specs)  # in build order: no spec is built twice
+
+    def step(s: int) -> Iterable[int]:
+        gi, delta, q = spec_keys[s]
         for alpha in gr.automorphism_generators(u):
-            edges.append((s, specs[(gi, delta, tuple(alpha[x] for x in q))]))
+            yield specs[(gi, delta, tuple(alpha[x] for x in q))]
         for beta in gr.automorphism_generators(gs[gi]):
             moved = [0] * len(q)
             for a, x in enumerate(q):
                 moved[beta[a]] = x
-            edges.append((s, specs[(gi, beta[delta], tuple(moved))]))
+            yield specs[(gi, beta[delta], tuple(moved))]
+
     keys = [_spec_sort_key(spec) for spec in built]
     return [generalized_ty(built[min(orbit, key=lambda s: (keys[s], s))])
-            for orbit in _components(range(len(built)), edges)]
+            for orbit in _orbits(range(len(built)), step)]
 
 
 def enumerate_extensions(base: str, u) -> list[FusionRing]:

@@ -10,10 +10,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product as iter_product
+from typing import Iterable
 
 import numpy as np
 
-from .ring import _components, closed_subsets, per_object_cache
+from .ring import _orbits, _walk, closed_subsets, per_object_cache
 
 
 class GroupError(ValueError):
@@ -135,32 +136,18 @@ def dihedral(n: int) -> FiniteGroup:
 
 
 def quaternion8() -> FiniteGroup:
-    """The quaternion group {1,-1,i,-i,j,-j,k,-k}."""
-    units = "1ijk"
-    cyc = {"ij": "k", "jk": "i", "ki": "j"}
+    """The quaternion group; index 2u + s is (-1)**s times unit u of 1, i, j, k.
 
-    def umul(u: str, v: str) -> tuple[int, str]:
-        if u == "1":
-            return 1, v
-        if v == "1":
-            return 1, u
-        if u == v:
-            return -1, "1"
-        if u + v in cyc:
-            return 1, cyc[u + v]
-        return -1, cyc[v + u]
+    Units multiply by XOR (ij = k, jk = i, ki = j). The sign flips for
+    i*i = j*j = k*k = -1 and for the anticyclic pairs ji, kj and ik, where
+    (v - u) mod 3 = 2.
+    """
+    def mul(a: int, b: int) -> int:
+        u, v = a // 2, b // 2
+        flip = u and v and (u == v or (v - u) % 3 == 2)
+        return 2 * (u ^ v) + (a % 2 ^ b % 2 ^ flip)
 
-    def enc(sign: int, u: str) -> int:
-        return units.index(u) * 2 + (0 if sign > 0 else 1)
-
-    table = [[0] * 8 for _ in range(8)]
-    for iu, u in enumerate(units):
-        for su in (1, -1):
-            for iv, v in enumerate(units):
-                for sv in (1, -1):
-                    sw, w = umul(u, v)
-                    table[enc(su, u)][enc(sv, v)] = enc(su * sv * sw, w)
-    return FiniteGroup(8, tuple(tuple(row) for row in table), name="Q8")
+    return FiniteGroup(8, tuple(tuple(mul(a, b) for b in range(8)) for a in range(8)), name="Q8")
 
 
 def symmetric3() -> FiniteGroup:
@@ -203,18 +190,9 @@ def groups_of_order(m: int) -> tuple[FiniteGroup, ...]:
 # ------------------------------------------------------------------- subgroups
 
 def generated_subgroup(group: FiniteGroup, seed) -> frozenset[int]:
-    members = {0} | set(seed)
-    frontier = sorted(members)
-    while frontier:
-        new = []
-        for a in sorted(members):
-            for b in frontier:
-                for c in (group.table[a][b], group.table[b][a]):
-                    if c not in members:
-                        members.add(c)
-                        new.append(c)
-        frontier = new
-    return frozenset(members)
+    """The walk from e by right multiplication with the seed (inverses are powers)."""
+    seed = set(seed)
+    return frozenset(_walk(0, lambda a: (group.table[a][b] for b in seed)))
 
 
 @per_object_cache
@@ -331,17 +309,13 @@ def automorphism_generators(group: FiniteGroup) -> tuple[tuple[int, ...], ...]:
     so orbit computations need only a few images per point instead of one
     per automorphism (Aut(Z2^3) has 168 elements and gets 5 generators).
     """
+    identity = tuple(range(group.order))
     gens: list[tuple[int, ...]] = []
-    span = {tuple(range(group.order))}
+    span = {identity}
     for auto in iter_isomorphisms(group, group):
-        if auto in span:
-            continue
-        gens.append(auto)
-        frontier = list(span)
-        while frontier:
-            grown = [tuple(g[x] for x in f) for f in frontier for g in gens]
-            frontier = list(set(grown) - span)
-            span.update(frontier)
+        if auto not in span:
+            gens.append(auto)
+            span = _walk(identity, lambda f: (tuple(g[x] for x in f) for g in gens))
     return tuple(gens)
 
 
@@ -491,19 +465,21 @@ def _cocycle_orbits(group: FiniteGroup) -> tuple[dict[tuple[int, int], int], lis
                 vec ^= b
         classes.setdefault(_gf2_reduce(vec, echelon), vec)
     residues = list(classes)
-    edges = []
-    if len(residues) > 1:   # odd orders have one class: no automorphisms needed
-        index = {r: i for i, r in enumerate(residues)}
-        for beta in automorphism_generators(group):
-            moved = [vidx[(beta[g], beta[h])] for g, h in pairs]
-            for i, r in enumerate(residues):
-                image = 0
-                for v, w in enumerate(moved):
-                    if (r >> v) & 1:
-                        image |= 1 << w
-                edges.append((i, index[_gf2_reduce(image, echelon)]))
+    index = {r: i for i, r in enumerate(residues)}
+    # odd orders have one class: no automorphisms needed
+    moves = [[vidx[(beta[g], beta[h])] for g, h in pairs]
+             for beta in (automorphism_generators(group) if len(residues) > 1 else ())]
+
+    def step(i: int) -> Iterable[int]:
+        for moved in moves:
+            image = 0
+            for v, w in enumerate(moved):
+                if (residues[i] >> v) & 1:
+                    image |= 1 << w
+            yield index[_gf2_reduce(image, echelon)]
+
     firsts = list(classes.values())
-    return vidx, [[firsts[i] for i in orbit] for orbit in _components(range(len(residues)), edges)]
+    return vidx, [[firsts[i] for i in orbit] for orbit in _orbits(range(len(residues)), step)]
 
 
 def central_extensions_by_z2(group: FiniteGroup) -> list[FiniteGroup]:

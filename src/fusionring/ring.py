@@ -14,7 +14,6 @@ verify_axioms, which reports every violation instead of raising.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, wraps
 from typing import Any, Callable, Iterable, TypeVar
@@ -349,8 +348,7 @@ def product_support(ring: FusionRing) -> tuple[tuple[dict[int, int], ...], ...]:
     """The sparse product table: support[i][j] = {k: n[i,j,k]} over n[i,j,k] > 0.
 
     Keys come in increasing k. Equal products share one dict, which keeps
-    the table small while many candidate rings are alive at once. Held by
-    per_object_cache; do not mutate.
+    the table small. Held by per_object_cache; do not mutate.
     """
     r = ring.rank
     cells: list[list[list[tuple[int, int]]]] = [[[] for _ in range(r)] for _ in range(r)]
@@ -404,51 +402,54 @@ def make_subring(ring: FusionRing, members: Iterable[int]) -> Subring:
     return sub
 
 
+def _walk(start: _T, step: Callable[[_T], Iterable[_T]]) -> set[_T]:
+    """Every point reachable from start, where step(x) yields the points one move from x."""
+    seen = {start}
+    todo = [start]
+    while todo:
+        for y in step(todo.pop()):
+            if y not in seen:
+                seen.add(y)
+                todo.append(y)
+    return seen
+
+
+def _orbits(items: Iterable[int],
+            step: Callable[[int], Iterable[int]]) -> tuple[tuple[int, ...], ...]:
+    """The orbits of the items under the moves, sorted by smallest member.
+
+    Each orbit is the walk from an item not yet seen, so every move must be
+    undone by moves: a group acting through generators (inverses are powers
+    in a finite group) or a symmetric relation.
+    """
+    seen: set[int] = set()
+    orbits = []
+    for x in items:
+        if x not in seen:
+            orbit = _walk(x, step)
+            seen |= orbit
+            orbits.append(tuple(sorted(orbit)))
+    return tuple(sorted(orbits))
+
+
 def closed_subsets(close: Callable[[Iterable[int]], Iterable[int]],
                    size: int) -> list[tuple[int, ...]]:
     """Every closed subset of range(size), sorted by (size, members).
 
     close(seed) is the smallest closed set holding the seed, for subgroups
     and subrings alike. A closed set is the join of the single-element
-    closures of its members, so a worklist joins each set found with every
-    single-element closure it does not contain until nothing new appears.
+    closures of its members, so the walk from the smallest closed set joins
+    each set found with every single-element closure it does not contain.
     """
     def closed(seed: Iterable[int]) -> tuple[int, ...]:
         return tuple(sorted(close(seed)))
 
+    def joins(found: tuple[int, ...]) -> Iterable[tuple[int, ...]]:
+        members = set(found)
+        return (closed(members.union(b)) for b in singles if not members.issuperset(b))
+
     singles = {closed((i,)) for i in range(size)}
-    found = {closed(())} | singles
-    todo = list(found)
-    while todo:
-        members = set(todo.pop())
-        for b in singles:
-            if not members.issuperset(b):
-                joined = closed(members.union(b))
-                if joined not in found:
-                    found.add(joined)
-                    todo.append(joined)
-    return sorted(found, key=lambda s: (len(s), s))
-
-
-def _components(items: Iterable[int],
-                edges: Iterable[tuple[int, int]]) -> tuple[tuple[int, ...], ...]:
-    """Connected components of the items under the edges, sorted by smallest member."""
-    parent = {x: x for x in items}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for x, y in edges:
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[max(rx, ry)] = min(rx, ry)
-    buckets: dict[int, list[int]] = {}
-    for x in parent:
-        buckets.setdefault(find(x), []).append(x)
-    return tuple(sorted(tuple(sorted(b)) for b in buckets.values()))
+    return sorted(_walk(closed(()), joins), key=lambda s: (len(s), s))
 
 
 # -------------------------------------------------------------- isomorphism
@@ -535,8 +536,16 @@ def find_isomorphism(r1: FusionRing, r2: FusionRing) -> tuple[int, ...] | None:
     s1, s2 = product_support(r1), product_support(r2)
     sigma, inverse = [-1] * rank, [-1] * rank
     trail: list[int] = []  # assigned elements, in assignment order
-    chosen = [False] * rank  # elements branched on, forced or not
-    free = Counter(c2)  # images per colour not taken by a chosen element
+    # Branch on the element with the fewest unbranched elements left in its
+    # colour class, lowest index first, forced or not, as a search without
+    # propagation would; so both return the same first map. The rule reads
+    # no image, so its order is fixed: a class once picked has the smallest
+    # count until used up, giving the non-unit classes by (size, smallest
+    # member), each in increasing index.
+    classes: dict[int, list[int]] = {}
+    for i in range(1, rank):
+        classes.setdefault(c1[i], []).append(i)
+    order = [i for cls in sorted(classes.values(), key=lambda m: (len(m), m[0])) for i in cls]
 
     def agrees(a: int, b: int, forced: list[tuple[int, int]]) -> bool:
         # a*b against s(a)*s(b): the same number of constituents, and equal
@@ -584,36 +593,25 @@ def find_isomorphism(r1: FusionRing, r2: FusionRing) -> tuple[int, ...] | None:
             sigma[i] = -1
         del trail[mark:]
 
-    def search() -> bool:
+    def search(depth: int) -> bool:
+        # A complete map commutes with duality: assign queues (dual(i),
+        # dual(p)) with each i -> p and succeeds only on an empty queue. The
+        # tensor is still compared, as each pair met only the images fixed then.
         if len(trail) == rank:
             perm = np.array(sigma)
-            return (np.array_equal(r1.n, r2.n[np.ix_(perm, perm, perm)])
-                    and all(sigma[r1.dual[i]] == r2.dual[sigma[i]] for i in range(rank)))
-        # Branch on the element with the fewest images left in its colour,
-        # lowest index first, counting only chosen elements and not forced
-        # ones, so the search meets the isomorphisms in the same order as
-        # one without propagation and returns the same first map. A forced
-        # element has one image left to try.
-        _, i = min((free[c1[i]], i) for i in range(rank) if not chosen[i])
-        chosen[i] = True
-        free[c1[i]] -= 1
+            return np.array_equal(r1.n, r2.n[np.ix_(perm, perm, perm)])
+        i = order[depth]
         if sigma[i] >= 0:
-            if search():
+            return search(depth + 1)
+        for p in cands[i]:
+            if inverse[p] >= 0:
+                continue
+            mark = len(trail)
+            if assign(i, p) and search(depth + 1):
                 return True
-        else:
-            for p in cands[i]:
-                if inverse[p] >= 0:
-                    continue
-                mark = len(trail)
-                if assign(i, p) and search():
-                    return True
-                undo(mark)
-        chosen[i] = False
-        free[c1[i]] += 1
+            undo(mark)
         return False
 
-    chosen[0] = True
-    free[c1[0]] -= 1
-    if not (assign(0, 0) and search()):
+    if not (assign(0, 0) and search(0)):
         return None
     return tuple(sigma)

@@ -12,7 +12,7 @@ from typing import Iterable
 
 from .groups import FiniteGroup
 from .numerics import dimension_classes
-from .ring import (FusionRing, StructuralError, Subring, _components, closed_subsets, closure,
+from .ring import (FusionRing, StructuralError, Subring, _orbits, closed_subsets, closure,
                    make_subring, per_object_cache, product_support)
 
 
@@ -79,15 +79,17 @@ def universal_grading(ring: FusionRing) -> Grading:
     """Finest group grading: components are orbits under the adjoint action.
 
     Two indices land in one component when either appears in the product of
-    an adjoint member with the other. The component products must then be
-    single components forming a group; that is checked exhaustively and a
-    StructuralError flags any inconsistency.
+    an adjoint member with the other. So the walk from i over the
+    constituents of a * i, a adjoint, finds the whole component: j is in
+    a * i exactly when i is in dual(a) * j (reciprocity), and dual(a) is
+    adjoint too. The component products must then be single components
+    forming a group; that is checked exhaustively and a StructuralError
+    flags any inconsistency.
     """
     rank = ring.rank
     support = product_support(ring)
     ad = adjoint_subring(ring).members
-    components = _components(range(rank), ((i, j) for a in ad for i in range(rank)
-                                           for j in support[a][i]))
+    components = _orbits(range(rank), lambda i: (j for a in ad for j in support[a][i]))
     comp_of = [0] * rank
     for cid, comp in enumerate(components):
         for i in comp:
@@ -157,8 +159,7 @@ def is_transitive_on_noninvertibles(ring: FusionRing) -> tuple[bool, list[tuple[
     """Whether left multiplication by invertibles has one orbit of non-invertibles."""
     _, emb = invertibles(ring)
     noninv = [i for i in range(ring.rank) if not ring.invertible[i]]
-    orbits = list(_components(noninv, ((x, _action_image(ring, g, x))
-                                       for x in noninv for g in emb)))
+    orbits = list(_orbits(noninv, lambda x: (_action_image(ring, g, x) for g in emb)))
     return len(orbits) <= 1, orbits
 
 

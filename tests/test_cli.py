@@ -106,6 +106,20 @@ def test_verify_json(capsys, broken_ring_file):
                                "violations": []}
 
 
+def test_verify_reports_a_duality_that_is_not_an_involution(capsys, tmp_path):
+    # a permutation of the basis, but 1 -> 2 -> 3 -> 1
+    ring = fr.FusionRing(4, (0, 2, 3, 1), cat.pointed("Z4").n)
+    assert [(v.axiom, v.at) for v in fr.verify_axioms(ring)[:3]] == \
+        [("dual-involution", (i,)) for i in (1, 2, 3)]
+    path = tmp_path / "cycle.json"
+    path.write_text(serialize_ring(ring))
+    code, out, _ = cli(capsys, "verify", path, "--json")
+    assert code == 1
+    check_schema(out)
+    assert json.loads(out)["violations"][:3] == \
+        [{"axiom": "dual-involution", "at": [i]} for i in (1, 2, 3)]
+
+
 def test_other_commands_refuse_invalid_rings(capsys, broken_ring_file):
     for cmd in ("analyze", "classify", "subrings"):
         code, out, err = cli(capsys, cmd, broken_ring_file)

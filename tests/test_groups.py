@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from fusionring import groups as gr
@@ -63,6 +64,18 @@ def test_dihedral_and_quaternion():
     assert not gr.are_isomorphic(d4, q8)
 
 
+def test_quaternion8_matches_complex_matrices():
+    # index 2u + s is (-1)**s times unit u of 1, i, j, k
+    one = np.eye(2, dtype=complex)
+    i = np.diag([1j, -1j])
+    j = np.array([[0, 1], [-1, 0]], dtype=complex)
+    units = [one, i, j, i @ j]
+    mats = [(-1) ** s * units[u] for u in range(4) for s in (0, 1)]
+    reference = tuple(tuple(next(c for c in range(8) if np.allclose(a @ b, mats[c]))
+                            for b in mats) for a in mats)
+    assert gr.quaternion8().table == reference
+
+
 def test_symmetric3_is_dihedral3():
     assert gr.are_isomorphic(gr.symmetric3(), gr.dihedral(3))
     assert not gr.symmetric3().is_abelian()
@@ -109,6 +122,27 @@ def test_generated_subgroup():
     assert gr.generated_subgroup(z12, []) == frozenset({0})
     s3 = gr.symmetric3()
     assert gr.generated_subgroup(s3, range(6)) == frozenset(range(6))
+
+
+def brute_force_generated(group, seed):
+    """Oracle: add all products of members until nothing new appears."""
+    members = {0} | set(seed)
+    while True:
+        grown = members | {group.table[a][b] for a in members for b in members}
+        if grown == members:
+            return frozenset(members)
+        members = grown
+
+
+def test_generated_subgroup_matches_closure_under_products():
+    seeds = 0
+    for m in range(1, 9):
+        for group in gr.groups_of_order(m):
+            for size in range(5):
+                for seed in itertools.combinations(range(m), size):
+                    assert gr.generated_subgroup(group, seed) == brute_force_generated(group, seed)
+                    seeds += 1
+    assert seeds == 1105
 
 
 @pytest.mark.parametrize("name,count", [

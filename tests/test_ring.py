@@ -18,6 +18,7 @@ from fusionring.ring import (
     FusionRing,
     StructuralError,
     _generating_set,
+    _orbits,
     _residue_primes,
     _span_prime,
     colour_classes,
@@ -640,3 +641,29 @@ def test_closure_matches_fixed_point_reference(data):
     sub = fr.closure(ring, seed)
     assert sub.members == closure_reference(ring, seed)
     assert sub.pointed == all(ring.invertible[i] for i in sub.members)
+
+
+def union_find_orbits(items, edges):
+    """Reference: connected components by union-find, sorted by smallest member."""
+    parent = {x: x for x in items}
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for x, y in edges:
+        parent[max(find(x), find(y))] = min(find(x), find(y))
+    buckets = {}
+    for x in items:
+        buckets.setdefault(find(x), []).append(x)
+    return tuple(sorted(tuple(sorted(b)) for b in buckets.values()))
+
+
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_orbits_match_union_find(data):
+    n = data.draw(st.integers(1, 30))
+    perms = data.draw(st.lists(st.permutations(range(n)), max_size=3))
+    orbits = _orbits(range(n), lambda x: (p[x] for p in perms))
+    assert orbits == union_find_orbits(range(n), [(x, p[x]) for p in perms for x in range(n)])
