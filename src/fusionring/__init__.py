@@ -8,6 +8,11 @@ rank 2 rings.
 """
 
 from .ring import (
+    AXIOM_ASSOCIATIVITY,
+    AXIOM_DUAL,
+    AXIOM_DUALITY,
+    AXIOM_FROBENIUS,
+    AXIOM_UNIT,
     AxiomViolation,
     FusionRing,
     RingElement,

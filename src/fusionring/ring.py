@@ -468,20 +468,35 @@ def colour_classes(ring: FusionRing) -> tuple[int, ...]:
     a hash collision can only merge classes, never split them.
     """
     r, n = ring.rank, ring.n
-    slots = (n, n.transpose(1, 0, 2), n.transpose(2, 0, 1))
-    # seed, the index profile: invertible, self-dual, n[i,i,i] and the
-    # sorted entries of each slot
-    entries = [np.sort(t.reshape(r, -1), axis=1).tolist() for t in slots]
+    # seed, the index profile: invertible, self-dual, n[i,i,i] and, for each
+    # slot, the (value, count) pairs of the r*r entries with i in that slot
+    profiles = []
+    for t in (n, n.transpose(1, 0, 2), n.transpose(2, 0, 1)):
+        rows = np.sort(t.reshape(r, -1), axis=1)
+        starts = np.ones(rows.shape, dtype=bool)  # first entry of each run of equal values
+        np.not_equal(rows[:, 1:], rows[:, :-1], out=starts[:, 1:])
+        at = np.flatnonzero(starts)
+        pairs = list(zip(rows.ravel()[at].tolist(), np.diff(at, append=rows.size).tolist()))
+        bounds = np.searchsorted(at, np.arange(r + 1) * r * r).tolist()
+        profiles.append([tuple(pairs[bounds[i]:bounds[i + 1]]) for i in range(r)])
     colours = [hash((bool(ring.invertible[i]), ring.dual[i] == i, int(n[i, i, i]),
-                     tuple(entries[0][i]), tuple(entries[1][i]), tuple(entries[2][i])))
+                     profiles[0][i], profiles[1][i], profiles[2][i]))
                for i in range(r)]
+    # Every count below is a sum of non-negative entries, at most r*r*max(N).
+    # Under 2**53 each partial sum is an exact float64 whatever the summation
+    # order, so the BLAS products give the exact counts; above it, rounding
+    # could depend on the order and split isomorphic rings, so int64 is kept.
+    exact = r * r * int(n.max()) < 2 ** 53
+    m = n.astype(np.float64) if exact else n
+    slots = (m, m.transpose(1, 0, 2), m.transpose(2, 0, 1))
     while True:
         index = {c: a for a, c in enumerate(sorted(set(colours)))}
-        onehot = np.zeros((r, len(index)), dtype=np.int64)
+        onehot = np.zeros((r, len(index)), dtype=m.dtype)
         onehot[np.arange(r), [index[c] for c in colours]] = 1
         # counts[s][i][a * classes + b]: total multiplicity with i in slot s and
         # colours a, b in the other two slots
-        counts = [(onehot.T @ (t @ onehot)).reshape(r, -1).tolist() for t in slots]
+        counts = [(onehot.T @ (t @ onehot)).astype(np.int64, copy=False).reshape(r, -1).tolist()
+                  for t in slots]
         refined = [hash((colours[i], colours[ring.dual[i]],
                          tuple(counts[0][i]), tuple(counts[1][i]), tuple(counts[2][i])))
                    for i in range(r)]

@@ -46,10 +46,28 @@ def parse_ring(text: str) -> FusionRing:
         ) from None
     except RecursionError:
         raise RingFormatError("not valid JSON: nested too deeply") from None
-    return ring_from_document(doc)
+    rank, dual, labels = _header(doc)
+    # One numpy call reads a well-formed table. Anything else (ragged rows,
+    # floats, strings, null, objects, entries >= 2**63: another dtype) takes
+    # the walk, which names the first bad entry. JSON booleans would pass as
+    # int64 1 and 0, so text holding either token takes the walk too.
+    try:
+        table = np.array(doc["N"])
+    except ValueError:  # ragged rows
+        table = None
+    if not (table is not None and table.dtype == np.int64 and table.shape == (rank,) * 3
+            and table.min() >= 0 and "true" not in text and "false" not in text):
+        table = _walk_table(doc["N"], rank)
+    return _ring(rank, dual, table, labels)
 
 
 def ring_from_document(doc: Any) -> FusionRing:
+    rank, dual, labels = _header(doc)
+    return _ring(rank, dual, _walk_table(doc["N"], rank), labels)
+
+
+def _header(doc: Any) -> tuple[int, tuple[int, ...], tuple[str, ...] | None]:
+    """rank, duality and labels of a document whose fields are all checked but N's entries."""
     if not isinstance(doc, dict):
         raise RingFormatError("top level must be a JSON object")
     unknown = sorted(set(doc) - _FIELDS)
@@ -77,8 +95,10 @@ def ring_from_document(doc: Any) -> FusionRing:
             if not isinstance(item, str):
                 raise RingFormatError(f"labels[{i}]: expected a string, got {item!r}")
         labels = tuple(raw)
+    return rank, dual, labels
 
-    table = doc["N"]
+
+def _walk_table(table: Any, rank: int) -> np.ndarray:
     if not isinstance(table, list) or len(table) != rank:
         raise RingFormatError(f"N must be a {rank}x{rank}x{rank} nested list")
     for i, plane in enumerate(table):
@@ -97,9 +117,13 @@ def ring_from_document(doc: Any) -> FusionRing:
                 if entry >= _ENTRY_LIMIT:
                     raise RingFormatError(
                         f"N[{i}][{j}][{k}] is too large: {entry} (at most 2**63 - 1)")
+    return np.array(table, dtype=np.int64)
 
+
+def _ring(rank: int, dual: tuple[int, ...], table: np.ndarray,
+          labels: tuple[str, ...] | None) -> FusionRing:
     try:
-        return FusionRing(rank, dual, np.array(table, dtype=np.int64), labels)
+        return FusionRing(rank, dual, table, labels)
     except ValueError as exc:
         raise RingFormatError(str(exc)) from None
 

@@ -323,3 +323,45 @@ def test_module_entry_point_runs_from_a_checkout():
                           capture_output=True, text=True, env=env, cwd=HERE.parent)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("ok: all fusion-ring axioms hold")
+
+
+def fresh_process(*argv, hash_seed="0"):
+    """(exit code, stdout, stderr) of python with argv in a new process on the checkout."""
+    env = dict(os.environ, PYTHONPATH=str(HERE.parent / "src"), PYTHONHASHSEED=hash_seed)
+    proc = subprocess.run([sys.executable, *map(str, argv)],
+                          capture_output=True, text=True, env=env, cwd=HERE.parent)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_reused_parser_answers_as_a_fresh_process(capsys):
+    # run builds its parser once per process; a usage error on it must not
+    # change what later calls print
+    calls = [("verify",), ("verify", DATA / "ising.json", "--json"),
+             ("iso", DATA / "ylext_z3.json", DATA / "ylext_z3.json", "--json"),
+             ("iso", DATA / "ising.json", DATA / "yang_lee.json", "--json")]
+    in_process = [cli(capsys, *argv) for argv in calls]
+    assert [code for code, _, _ in in_process] == [2, 0, 0, 1]
+    assert in_process == [fresh_process("-m", "fusionring", *argv) for argv in calls]
+
+
+def test_iso_map_does_not_depend_on_the_hash_seed(tmp_path):
+    ring = cat.deligne_product(cat.yl_extension("S3"), cat.pointed("Z2"))
+    p = [0] + list(np.random.default_rng(24).permutation(np.arange(1, 24)))
+    n = np.zeros_like(ring.n)
+    n[np.ix_(p, p, p)] = ring.n
+    dual = [0] * 24
+    for i in range(24):
+        dual[p[i]] = p[ring.dual[i]]
+    paths = tmp_path / "a.json", tmp_path / "b.json"
+    paths[0].write_text(serialize_ring(ring))
+    paths[1].write_text(serialize_ring(fr.FusionRing(24, tuple(dual), n)))
+    runs = [fresh_process("-m", "fusionring", "iso", *paths, "--json", hash_seed=seed)
+            for seed in ("0", "12345")]
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 0 and json.loads(runs[0][1])["isomorphic"]
+    # the colours themselves, not only the map they lead to, are the same
+    script = ("import sys; from fusionring.ring import colour_classes; "
+              "from fusionring.ringfile import parse_ring; "
+              "print(colour_classes(parse_ring(open(sys.argv[1]).read())))")
+    colours = [fresh_process("-c", script, paths[1], hash_seed=seed) for seed in ("0", "12345")]
+    assert colours[0] == colours[1] and colours[0][0] == 0

@@ -125,6 +125,16 @@ def test_violations_are_ordered_by_family():
     assert ranks == sorted(ranks)
 
 
+def test_package_exports_the_axiom_names():
+    n = writable(cat.ising())
+    n[0, 1, 1] = 0
+    n[2, 2, 1] = 0
+    found = fr.verify_axioms(FusionRing(3, (0, 2, 1), n)) \
+        + fr.verify_axioms(FusionRing(2, (1, 0), writable(cat.yang_lee())))
+    assert {x.axiom for x in found} == {fr.AXIOM_DUAL, fr.AXIOM_UNIT, fr.AXIOM_DUALITY,
+                                        fr.AXIOM_FROBENIUS, fr.AXIOM_ASSOCIATIVITY}
+
+
 @pytest.mark.parametrize("q,b", [
     (3, (3 - pow(3, -1, 2 ** 64)) % 2 ** 64),  # 1 + 3b == 9 modulo 2**64
     (2 ** 30, 2 ** 30),                         # 1 + q*b == q*q in float64
@@ -616,6 +626,89 @@ def test_iso_of_relabelled_rank64_product():
     other = relabelled(ring, p)
     sigma = fr.find_isomorphism(ring, other)
     assert sigma is not None and is_isomorphism(ring, other, sigma)
+
+
+def sorted_entry_colours(ring):
+    """Reference: colour refinement seeded by the sorted r*r entries of each slot, in int64."""
+    r, n = ring.rank, ring.n
+    slots = (n, n.transpose(1, 0, 2), n.transpose(2, 0, 1))
+    entries = [np.sort(t.reshape(r, -1), axis=1).tolist() for t in slots]
+    colours = [hash((bool(ring.invertible[i]), ring.dual[i] == i, int(n[i, i, i]),
+                     tuple(entries[0][i]), tuple(entries[1][i]), tuple(entries[2][i])))
+               for i in range(r)]
+    while True:
+        index = {c: a for a, c in enumerate(sorted(set(colours)))}
+        onehot = np.zeros((r, len(index)), dtype=np.int64)
+        onehot[np.arange(r), [index[c] for c in colours]] = 1
+        counts = [(onehot.T @ (t @ onehot)).reshape(r, -1).tolist() for t in slots]
+        refined = [hash((colours[i], colours[ring.dual[i]],
+                         tuple(counts[0][i]), tuple(counts[1][i]), tuple(counts[2][i])))
+                   for i in range(r)]
+        if len(set(refined)) <= len(index):
+            return tuple(colours)
+        colours = refined
+
+
+def partition(colours):
+    """Each element's class, named by the first element of that class."""
+    first = {}
+    return tuple(first.setdefault(c, i) for i, c in enumerate(colours))
+
+
+def x_squared_is_1_plus_bx(b):
+    """The rank-2 fusion ring with x*x = 1 + b*x."""
+    n = np.zeros((2, 2, 2), dtype=np.int64)
+    n[0] = np.eye(2, dtype=np.int64)
+    n[1, 0, 1] = n[1, 1, 0] = 1
+    n[1, 1, 1] = b
+    return FusionRing(2, (0, 1), n)
+
+
+def test_colour_classes_partition_matches_sorted_entry_seed(enumerated_le8):
+    rings = SMALL_RINGS + CLOSURE_RINGS + enumerated_le8 + [
+        cat.deligne_product(cat.yl_extension("S3"), cat.pointed("Z2")),
+        cat.deligne_product(x_squared_is_1_plus_bx(2 ** 60 - 1), cat.pointed("D4"))]
+    rng = np.random.default_rng(14)
+    for ring in rings:
+        for other in (ring, relabelled(ring, [0] + list(rng.permutation(np.arange(1, ring.rank))))):
+            assert partition(colour_classes(other)) == partition(sorted_entry_colours(other))
+
+
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_colour_classes_partition_matches_sorted_entry_seed_on_arbitrary_tensors(data):
+    # A random tensor summed over the powers of a permutation s that fixes 0
+    # keeps s as a symmetry, so its colour classes are not all singletons.
+    r = data.draw(st.integers(1, 7))
+    s = [0] + data.draw(st.permutations(list(range(1, r))))
+    base = np.array(data.draw(st.lists(st.integers(0, 2), min_size=r ** 3, max_size=r ** 3)),
+                    dtype=np.int64).reshape(r, r, r)
+    n, p = base.copy(), s
+    while p != list(range(r)):
+        n[np.ix_(p, p, p)] += base
+        p = [s[x] for x in p]
+    ring = FusionRing(r, tuple(range(r)), n)
+    assert partition(colour_classes(ring)) == partition(sorted_entry_colours(ring))
+
+
+@pytest.mark.parametrize("partner", ["pointed:Z2xZ4", "yl:S3", "pointed:D4"])
+def test_iso_of_relabelled_rings_with_entries_near_the_float_bound(partner):
+    # colour_classes counts in float64 only while r*r*max(N) < 2**53; the
+    # entries b straddle that bound and reach 2**60.
+    kind, _, group = partner.partition(":")
+    right = {"pointed": cat.pointed, "yl": cat.yl_extension}[kind](group)
+    r = 2 * right.rank
+    below = (2 ** 53 - 1) // (r * r)
+    rng = np.random.default_rng(r)
+    for b in (below, below + 1, 2 ** 50 - 1, 2 ** 50 + 1, 2 ** 53 + 1, 2 ** 60 - 1):
+        ring = cat.deligne_product(x_squared_is_1_plus_bx(b), right)
+        assert int(ring.n.max()) == b
+        p = [0] + list(rng.permutation(np.arange(1, r)))
+        other = relabelled(ring, p)
+        c1, c2 = colour_classes(ring), colour_classes(other)
+        assert all(c2[p[i]] == c1[i] for i in range(r))
+        sigma = fr.find_isomorphism(ring, other)
+        assert sigma is not None and is_isomorphism(ring, other, sigma)
 
 
 def closure_reference(ring, seed):

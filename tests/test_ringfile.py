@@ -1,10 +1,14 @@
+import contextlib
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fusionring as fr
 from fusionring import catalog as cat
+from fusionring import ringfile
 from fusionring.ringfile import (RingFormatError, parse_ring, ring_from_document,
                                  ring_to_document, serialize_ring)
 
@@ -149,3 +153,65 @@ def test_parseable_but_axiom_invalid_ring():
     doc["duality"] = [0, 2, 1]
     ring = ring_from_document(doc)
     assert fr.verify_axioms(ring) != []
+
+
+# ------------------------------------------- parse_ring against the walk
+
+PARITY_RINGS = [cat.ising(), cat.yang_lee(), cat.pointed("Z3"), cat.yl_extension("Z2"),
+                fr.FusionRing(1, (0,), np.ones((1, 1, 1), dtype=np.int64))]
+ODD_ENTRIES = [True, False, 1.5, 2.0, -1, -(2 ** 63) - 1, None, 2 ** 63 - 1, 2 ** 63, 2 ** 64,
+               {"n": 1}, [1], "1", float("inf")]
+
+
+def outcome(read):
+    try:
+        ring = read()
+    except RingFormatError as exc:
+        return "error", str(exc)
+    return ring.rank, ring.dual, ring.labels, ring.n.dtype, ring.n.tolist()
+
+
+@settings(deadline=None, max_examples=300)
+@given(data=st.data())
+def test_parse_ring_matches_the_walk(data):
+    doc = ring_to_document(data.draw(st.sampled_from(PARITY_RINGS)))
+    r = doc["rank"]
+    cell = st.integers(0, r - 1)
+    # one odd entry, then up to two more mutations of any kind
+    kinds = ["entry"] + data.draw(st.lists(st.sampled_from(
+        ["entry", "short row", "long row", "short plane", "nested", "label"]), max_size=2))
+    for kind in kinds:
+        i, j, k = data.draw(cell), data.draw(cell), data.draw(cell)
+        with contextlib.suppress(IndexError):  # a cell an earlier mutation removed
+            mutate(doc, kind, (i, j, k), data)
+    text = json.dumps(doc, indent=data.draw(st.sampled_from([None, 2])))
+    assert outcome(lambda: parse_ring(text)) == outcome(
+        lambda: ring_from_document(json.loads(text)))
+
+
+def mutate(doc, kind, at, data):
+    i, j, k = at
+    if kind == "entry":
+        doc["N"][i][j][k] = data.draw(st.sampled_from(ODD_ENTRIES))
+    elif kind == "short row":
+        doc["N"][i][j] = doc["N"][i][j][:-1]
+    elif kind == "long row":
+        doc["N"][i][j] = doc["N"][i][j] + [0]
+    elif kind == "short plane":
+        doc["N"][i] = doc["N"][i][:-1]
+    elif kind == "nested":
+        doc["N"][i][j] = [[v] for v in doc["N"][i][j]]
+    else:
+        doc["labels"] = [data.draw(st.sampled_from(["true", "x-true", "false", "a"]))
+                         for _ in range(doc["rank"])]
+
+
+@pytest.mark.parametrize("labels,walked", [(None, False), (["e", "g"], False),
+                                           (["e", "true"], True)])
+def test_parse_ring_walks_the_table_only_when_it_must(monkeypatch, labels, walked):
+    calls = []
+    walk = ringfile._walk_table
+    monkeypatch.setattr(ringfile, "_walk_table", lambda *a: calls.append(a) or walk(*a))
+    ring = fr.FusionRing(2, (0, 1), cat.pointed("Z2").n, labels and tuple(labels))
+    assert np.array_equal(parse_ring(serialize_ring(ring)).n, ring.n)
+    assert bool(calls) == walked
