@@ -7,6 +7,7 @@ backtracking search on generator images.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product as iter_product
@@ -258,11 +259,19 @@ def _generating_sequence(group: FiniteGroup) -> list[int]:
     return gens
 
 
+@per_object_cache
+def _square_root_counts(group: FiniteGroup) -> tuple[int, ...]:
+    """The sorted numbers |{y : y*y = s}| over the squares s, an isomorphism invariant."""
+    return tuple(sorted(Counter(group.table[y][y] for y in range(group.order)).values()))
+
+
 def iter_isomorphisms(g1: FiniteGroup, g2: FiniteGroup):
     """Yield every isomorphism g1 -> g2 as a tuple indexed by g1 elements."""
     if g1.order != g2.order:
         return
     if sorted(g1.element_orders) != sorted(g2.element_orders):
+        return
+    if _square_root_counts(g1) != _square_root_counts(g2):
         return
     gens = _generating_sequence(g1)
     if not gens:

@@ -216,17 +216,19 @@ def verify_axioms(ring: FusionRing) -> list[AxiomViolation]:
     for idx in np.argwhere(mism):
         out.append(AxiomViolation(AXIOM_FROBENIUS, tuple(int(x) for x in idx)))
 
-    # (i*j)*k against i*(j*k) as float64 matrix products, a block of left
+    # (i*j)*k against i*(j*k) as float matrix products, a block of left
     # factors i at a time so that memory stays near rank**3. Every sum is an
-    # integer of at most bound = r * max(n)**2. Under 2**53 float64 holds it
-    # exactly. Above, the products run on n mod p for primes p with
-    # r * p**2 < 2**53, whose product exceeds the bound: two sums are equal
-    # when they agree modulo every such prime (Chinese remainder theorem).
-    # The single modulus 0 stands for no reduction.
+    # integer of at most bound = r * max(n)**2, and so is every partial sum,
+    # whatever the summation order. Under 2**24 float32 holds each exactly,
+    # under 2**53 float64 does. Above, the products run in float64 on n mod p
+    # for primes p with r * p**2 < 2**53, whose product exceeds the bound: two
+    # sums are equal when they agree modulo every such prime (Chinese
+    # remainder theorem). The single modulus 0 stands for no reduction.
     top = int(n.max())
     bound = r * top * top
     primes = _residue_primes(r, bound) if bound >= 2 ** 53 else [0]
-    residues = [(n % p if p else n).astype(np.float64) for p in primes]
+    dtype = np.float32 if bound < 2 ** 24 else np.float64
+    residues = [(n % p if p else n).astype(dtype) for p in primes]
     step = max(1, 2 ** 16 // r ** 3)
     # With every other axiom in place, associativity of the left factors in
     # _generating_set proves it for all of them. Only when the full check
@@ -239,16 +241,17 @@ def verify_axioms(ring: FusionRing) -> list[AxiomViolation]:
             return out
     for start in range(0, r, step):
         differ = _associators_differ(primes, residues, slice(start, start + step))
-        for i, j, k, l in np.argwhere(differ):
-            out.append(AxiomViolation(AXIOM_ASSOCIATIVITY,
-                                      (start + int(i), int(j), int(k), int(l))))
+        # flat indices come in C order, which is lexicographic
+        at = np.unravel_index(np.flatnonzero(differ), differ.shape)
+        for i, j, k, l in zip(*(x.tolist() for x in at)):
+            out.append(AxiomViolation(AXIOM_ASSOCIATIVITY, (start + i, j, k, l)))
     return out
 
 
 def _associators_differ(primes: list[int], residues: list[np.ndarray], rows) -> np.ndarray:
     """differ[a, j, k, l]: (i*j)*k and i*(j*k) differ in basis element l, i = rows[a].
 
-    residues[t] is the tensor modulo primes[t] as float64 (0: unreduced).
+    residues[t] is the tensor modulo primes[t] as floats (0: unreduced).
     """
     differ = None
     for p, a in zip(primes, residues):
@@ -485,9 +488,11 @@ def colour_classes(ring: FusionRing) -> tuple[int, ...]:
     # Every count below is a sum of non-negative entries, at most r*r*max(N).
     # Under 2**53 each partial sum is an exact float64 whatever the summation
     # order, so the BLAS products give the exact counts; above it, rounding
-    # could depend on the order and split isomorphic rings, so int64 is kept.
+    # could depend on the order and split isomorphic rings, and int64 sums
+    # could wrap past 2**63, so the counts are Python ints.
     exact = r * r * int(n.max()) < 2 ** 53
-    m = n.astype(np.float64) if exact else n
+    m = n.astype(np.float64 if exact else object)
+    count_type = np.int64 if exact else object
     slots = (m, m.transpose(1, 0, 2), m.transpose(2, 0, 1))
     while True:
         index = {c: a for a, c in enumerate(sorted(set(colours)))}
@@ -495,7 +500,7 @@ def colour_classes(ring: FusionRing) -> tuple[int, ...]:
         onehot[np.arange(r), [index[c] for c in colours]] = 1
         # counts[s][i][a * classes + b]: total multiplicity with i in slot s and
         # colours a, b in the other two slots
-        counts = [(onehot.T @ (t @ onehot)).astype(np.int64, copy=False).reshape(r, -1).tolist()
+        counts = [(onehot.T @ (t @ onehot)).astype(count_type, copy=False).reshape(r, -1).tolist()
                   for t in slots]
         refined = [hash((colours[i], colours[ring.dual[i]],
                          tuple(counts[0][i]), tuple(counts[1][i]), tuple(counts[2][i])))

@@ -229,6 +229,22 @@ def test_are_isomorphic():
                                  gr.named_group("Q8"))
 
 
+def test_square_root_counts_reject_before_the_search(monkeypatch):
+    # The two non-abelian extensions of Q8 by Z2 have the same element orders;
+    # 4, 4 and 8 elements square to their three squares in one, 4 and 12 to
+    # the two of the other. No search may be needed to tell them apart.
+    a, b = [h for h in gr.central_extensions_by_z2(gr.quaternion8()) if not h.is_abelian()]
+    assert sorted(a.element_orders) == sorted(b.element_orders)
+    assert {gr._square_root_counts(a), gr._square_root_counts(b)} == {(4, 4, 8), (4, 12)}
+
+    def no_search(group):
+        raise AssertionError("iter_isomorphisms searched")
+
+    monkeypatch.setattr(gr, "_generating_sequence", no_search)
+    assert not gr.are_isomorphic(a, b)
+    assert list(gr.iter_isomorphisms(b, a)) == []
+
+
 @pytest.mark.parametrize("name,expected", [
     ("Z1", {"Z2"}),
     ("Z2", {"Z4", "Z2xZ2"}),

@@ -1,5 +1,8 @@
+import hashlib
 import itertools
+import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -24,6 +27,8 @@ from fusionring.ring import (
     colour_classes,
     square_profiles,
 )
+from fusionring.cli import run
+from fusionring.ringfile import serialize_ring
 
 
 def writable(ring):
@@ -138,12 +143,15 @@ def test_package_exports_the_axiom_names():
 @pytest.mark.parametrize("q,b", [
     (3, (3 - pow(3, -1, 2 ** 64)) % 2 ** 64),  # 1 + 3b == 9 modulo 2**64
     (2 ** 30, 2 ** 30),                         # 1 + q*b == q*q in float64
+    (2 ** 12 + 2, 2 ** 12 + 2),                 # 1 + q*b == q*q in float32
     (2 ** 29, 2 ** 29),                         # 3 * max**2 in [2**53, 2**63): int64
-], ids=["int64-wrap", "float64-rounding", "int64-exact"])
+], ids=["int64-wrap", "float64-rounding", "float32-rounding", "int64-exact"])
 def test_associativity_is_exact(q, b):
     # x*x = 1 + q*y, x*y = y*x = q*x, y*y = 1 + b*y. Then (x*x)*y has 1 + q*b
     # copies of y and x*(x*y) has q*q; they differ, but not after the wrap
-    # or the rounding named above.
+    # or the rounding named above. In float32, 1 + q*q lies halfway between
+    # q*q and the next float32, q*q + 2, and ties round to q*q, whose last
+    # bit is even; so it rounds to q*q in any summation order, fused or not.
     assert b < 2 ** 63 and 1 + q * b != q * q
     n = np.zeros((3, 3, 3), dtype=np.int64)
     n[0] = np.eye(3, dtype=np.int64)
@@ -373,6 +381,102 @@ def test_associativity_memory_stays_near_rank_cubed():
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2 ** 20
+
+
+def verify_reference(ring):
+    """verify_axioms as (axiom, at) pairs, from loops over Python ints.
+
+    The associator is the full rank**4 object einsum of associativity_reference.
+    """
+    r, d, n = ring.rank, ring.dual, ring.n.tolist()
+    cells = list(itertools.product(range(r), repeat=2))
+    return ([(AXIOM_DUAL, (i,)) for i in range(r) if d[d[i]] != i or (i == 0 and d[0] != 0)]
+            + [(AXIOM_UNIT, (0, j, k)) for j, k in cells if n[0][j][k] != (j == k)]
+            + [(AXIOM_UNIT, (i, 0, k)) for i, k in cells if i and n[i][0][k] != (i == k)]
+            + [(AXIOM_DUALITY, (i, j, 0)) for i, j in cells if n[i][j][0] != (j == d[i])]
+            + [(AXIOM_FROBENIUS, at) for at in reciprocity_reference(ring)]
+            + [(AXIOM_ASSOCIATIVITY, at) for at in associativity_reference(ring)])
+
+
+def found_pairs(ring):
+    return [(x.axiom, x.at) for x in fr.verify_axioms(ring)]
+
+
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_verify_matches_reference_on_random_tensors(data):
+    r = data.draw(st.integers(1, 5))
+    n = np.array(data.draw(st.lists(st.integers(0, 3), min_size=r ** 3, max_size=r ** 3)),
+                 dtype=np.int64).reshape(r, r, r)
+    if data.draw(st.booleans()):
+        # unit rows in place, so the later families carry the violations
+        n[0] = n[:, 0] = np.eye(r, dtype=np.int64)
+    ring = FusionRing(r, tuple(data.draw(st.permutations(range(r)))), n)
+    assert found_pairs(ring) == verify_reference(ring)
+
+
+def corrupted(ring):
+    """One constituent of the first product x*y without the unit moved, as the benchmark does.
+
+    Unit and duality rows stay intact; reciprocity and associativity break.
+    """
+    n = writable(ring)
+    for i, j in itertools.product(range(1, ring.rank), repeat=2):
+        row = n[i, j]
+        if not row[0]:
+            old = int(np.flatnonzero(row)[0])
+            new = next(k for k in range(1, ring.rank) if row[k] == 0)
+            row[old] -= 1
+            row[new] += 1
+            return FusionRing(ring.rank, ring.dual, n, ring.labels)
+    raise ValueError("ring has no product to corrupt")
+
+
+# ranks 3 to 32; rank 24 and 32 run the full check in several blocks
+CORRUPTIBLE_RINGS = [cat.ising(), cat.yl_extension("S3"), cat.yl_extension("Q8"),
+                     cat.deligne_product(cat.yl_extension("Z3"), cat.pointed("Z4")),
+                     cat.yl_extension(gr.dihedral(8))]
+
+
+@settings(deadline=None, max_examples=10)
+@given(data=st.data())
+def test_verify_matches_reference_on_corrupted_rings(data):
+    ring = draw_relabelling(data, corrupted(data.draw(st.sampled_from(CORRUPTIBLE_RINGS))))
+    found = found_pairs(ring)
+    assert {AXIOM_FROBENIUS, AXIOM_ASSOCIATIVITY} <= {axiom for axiom, _ in found}
+    assert found == verify_reference(ring)
+
+
+@settings(deadline=None, max_examples=40)
+@given(data=st.data())
+def test_verify_matches_reference_across_the_float_bounds(data):
+    # x*x = 1 + b*x times pointed(G) has max(N) = b, so b picks the tier:
+    # float32 while r*b*b < 2**24, float64 while it is < 2**53, primes above
+    right = cat.pointed(data.draw(st.sampled_from(["Z2", "Z4", "S3", "D4"])))
+    r = 2 * right.rank
+    b24, b53 = math.isqrt((2 ** 24 - 1) // r), math.isqrt((2 ** 53 - 1) // r)
+    b = data.draw(st.sampled_from([b24, b24 + 1, b53, b53 + 1, 2 ** 40, 2 ** 62]))
+    ring = cat.deligne_product(x_squared_is_1_plus_bx(b), right)
+    assert found_pairs(ring) == []
+    if data.draw(st.booleans()):
+        ring = perturbed(data, ring, st.integers(0, b))
+    else:
+        ring = orbit_perturbed(data, ring, lambda v: v + 1)
+    assert found_pairs(ring) == verify_reference(ring)
+
+
+# sha256 of `verify --json` on the corrupted rank-48 and rank-64 products, as
+# the float64 check with argwhere listing printed them
+@pytest.mark.parametrize("left,digest", [
+    ("S3", "87c0c1ef6b1571389a95272e71b9fa41ae5cdd4fe1c1f4b02be1e19d8dadc323"),
+    ("Z2xZ2xZ2", "7e7bcaa076a56fa2cba74d79592bc678f5b47ebaaa4ce93e50406bc62c33bddd"),
+], ids=["rank48", "rank64"])
+def test_verify_json_of_corrupted_rings_is_pinned(left, digest, tmp_path, capsys):
+    ring = corrupted(cat.deligne_product(cat.yl_extension(left), cat.pointed("Z4")))
+    path = tmp_path / "ring.json"
+    path.write_text(serialize_ring(ring), encoding="utf-8")
+    assert run(["verify", str(path), "--json"]) == 1
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 # ------------------------------------------------------------------ algebra
@@ -672,6 +776,39 @@ def test_colour_classes_partition_matches_sorted_entry_seed(enumerated_le8):
     for ring in rings:
         for other in (ring, relabelled(ring, [0] + list(rng.permutation(np.arange(1, ring.rank))))):
             assert partition(colour_classes(other)) == partition(sorted_entry_colours(other))
+
+
+def exact_colours(ring):
+    """colour_classes with every count a Python int, from loops over the tensor."""
+    r, n = ring.rank, ring.n.tolist()
+    slots = [[[n[i][j][k] for j in range(r) for k in range(r)] for i in range(r)],
+             [[n[j][i][k] for j in range(r) for k in range(r)] for i in range(r)],
+             [[n[j][k][i] for j in range(r) for k in range(r)] for i in range(r)]]
+    colours = [hash((bool(ring.invertible[i]), ring.dual[i] == i, n[i][i][i],
+                     *(tuple(sorted(Counter(t[i]).items())) for t in slots)))
+               for i in range(r)]
+    while True:
+        index = {c: a for a, c in enumerate(sorted(set(colours)))}
+        classes = len(index)
+        counts = [[[0] * classes * classes for _ in range(r)] for _ in slots]
+        for s, t in enumerate(slots):
+            for i in range(r):
+                for (j, k), v in zip(itertools.product(range(r), repeat=2), t[i]):
+                    counts[s][i][index[colours[j]] * classes + index[colours[k]]] += v
+        refined = [hash((colours[i], colours[ring.dual[i]],
+                         tuple(counts[0][i]), tuple(counts[1][i]), tuple(counts[2][i])))
+                   for i in range(r)]
+        if len(set(refined)) <= classes:
+            return tuple(colours)
+        colours = refined
+
+
+@pytest.mark.parametrize("b", [2, 2 ** 40, 2 ** 60 - 1, 2 ** 61, 2 ** 62])
+def test_colour_values_are_exact_counts(b):
+    # r*r*b >= 2**53 from 2**45 on, and the counts, up to r*r*b = 2**70,
+    # pass 2**63 at 2**61
+    ring = cat.deligne_product(x_squared_is_1_plus_bx(b), cat.pointed("D4"))
+    assert colour_classes(ring) == exact_colours(ring)
 
 
 @settings(deadline=None, max_examples=60)
