@@ -56,7 +56,13 @@ def ising() -> FusionRing:
 
 
 def deligne_product(r1: FusionRing, r2: FusionRing) -> FusionRing:
-    """Product ring on pairs of basis elements, multiplied slotwise."""
+    """Product ring on pairs of basis elements, multiplied slotwise.
+
+    Each entry is the product of one entry of each factor, so products of
+    2**63 or more raise OverflowError instead of wrapping in int64.
+    """
+    if int(r1.n.max()) * int(r2.n.max()) >= 2 ** 63:
+        raise OverflowError("product structure constants exceed the int64 range")
     n = np.einsum("ijk,abc->iajbkc", r1.n, r2.n).reshape(
         r1.rank * r2.rank, r1.rank * r2.rank, r1.rank * r2.rank)
     dual = tuple(r1.dual[i] * r2.rank + r2.dual[a]

@@ -234,16 +234,14 @@ def quotient_group(group: FiniteGroup, kernel) -> tuple[FiniteGroup, tuple[int, 
         for x in k:
             if t[t[g][x]][inv[g]] not in k:
                 raise GroupError("kernel is not normal")
-    coset_of = [-1] * group.order
-    reps: list[int] = []
-    for a in range(group.order):
-        if coset_of[a] < 0:
-            cid = len(reps)
-            reps.append(a)
-            for x in k:
-                coset_of[t[a][x]] = cid
-    table = tuple(tuple(coset_of[t[reps[a]][reps[b]]] for b in range(len(reps)))
-                  for a in range(len(reps)))
+    # the cosets aK, numbered by smallest member
+    cosets = _orbits(range(group.order), lambda a: (t[a][x] for x in k))
+    coset_of = [0] * group.order
+    for cid, coset in enumerate(cosets):
+        for a in coset:
+            coset_of[a] = cid
+    reps = [coset[0] for coset in cosets]
+    table = tuple(tuple(coset_of[t[a][b]] for b in reps) for a in reps)
     return FiniteGroup(len(reps), table), tuple(coset_of)
 
 

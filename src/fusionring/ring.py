@@ -5,10 +5,10 @@ n[i][j][k] counts how often basis element k appears in the product i * j.
 Index 0 is always the unit and duality is a permutation of the basis.
 
 Validation happens in two layers. Shape and typing problems (wrong tensor
-dimensions, non-permutation duality, negative entries) raise StructuralError
-at construction time. The ring axioms themselves (dual involution, unit
-rows, duality pairing, reciprocity, associativity) are checked by
-verify_axioms, which reports every violation instead of raising.
+dimensions, non-permutation duality, entries outside [0, 2**63)) raise
+StructuralError at construction time. The ring axioms themselves (dual
+involution, unit rows, duality pairing, reciprocity, associativity) are
+checked by verify_axioms, which reports every violation instead of raising.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ AXIOM_ASSOCIATIVITY = "associativity"
 
 
 class StructuralError(ValueError):
-    """Malformed ring data: wrong shapes, bad dual permutation, negative entries."""
+    """Malformed ring data: wrong shapes, bad dual permutation, entries outside [0, 2**63)."""
 
 
 _T = TypeVar("_T")
@@ -74,6 +74,9 @@ class FusionRing:
         if arr.size and arr.min() < 0:
             i, j, k = (int(x) for x in np.argwhere(arr < 0)[0])
             raise StructuralError(f"negative structure constant at ({i},{j},{k})")
+        if arr.dtype.kind == "u" and arr.size and arr.max() >= 2 ** 63:
+            i, j, k = (int(x) for x in np.argwhere(arr >= 2 ** 63)[0])
+            raise StructuralError(f"structure constant at ({i},{j},{k}) exceeds the int64 range")
         dual = tuple(int(x) for x in self.dual)
         if len(dual) != r or sorted(dual) != list(range(r)):
             raise StructuralError("duality must be a permutation of the basis")
@@ -99,7 +102,7 @@ class FusionRing:
         flags = []
         for i in range(self.rank):
             row = self.n[i, self.dual[i]]
-            flags.append(row[0] == 1 and int(row.sum()) == 1)
+            flags.append(row[0] == 1 and not row[1:].any())
         return tuple(flags)
 
     def is_commutative(self) -> bool:
@@ -350,46 +353,37 @@ def _residue_primes(r: int, bound: int) -> list[int]:
 def product_support(ring: FusionRing) -> tuple[tuple[dict[int, int], ...], ...]:
     """The sparse product table: support[i][j] = {k: n[i,j,k]} over n[i,j,k] > 0.
 
-    Keys come in increasing k. Equal products share one dict, which keeps
-    the table small. Held by per_object_cache; do not mutate.
+    Keys come in increasing k. Held by per_object_cache; do not mutate.
     """
     r = ring.rank
     cells: list[list[list[tuple[int, int]]]] = [[[] for _ in range(r)] for _ in range(r)]
     nz = np.nonzero(ring.n)
     for i, j, k, m in zip(*(x.tolist() for x in nz), ring.n[nz].tolist()):
         cells[i][j].append((k, m))
-    shared: dict[tuple[tuple[int, int], ...], dict[int, int]] = {}
-    return tuple(tuple(shared.setdefault(tuple(cell), dict(cell)) for cell in row)
-                 for row in cells)
+    return tuple(tuple(dict(cell) for cell in row) for row in cells)
 
 
 def closure(ring: FusionRing, seed: Iterable[int]) -> Subring:
-    """Smallest closed subset containing the unit and the seed.
+    """Smallest closed subset containing the unit and the seed, on a valid ring.
 
-    A worklist: each new member is expanded once, against itself and the
-    members expanded before it, so every pair of members is multiplied once.
+    The ring must pass verify_axioms; every caller in structure, classify
+    and the CLI passes such a ring. The closure is then the walk from the
+    unit by right multiplication with the seed and its duals: the set W of
+    constituents of words in those generators. W holds the seed (1*g = g)
+    and lies in every closed set holding it. It is closed under products:
+    if a is a constituent of the word u and b of v, the entries are
+    non-negative, so each constituent of a*b is one of u*v, which is a word
+    by associativity. It is closed under duals: by reciprocity the dual of a
+    constituent of g1*...*gk is one of the word dual(gk)*...*dual(g1).
     """
-    members = {0}
+    gens: set[int] = set()
     for i in seed:
         if not 0 <= int(i) < ring.rank:
             raise StructuralError(f"seed index {i} out of range")
-        members.add(int(i))
+        gens |= {int(i), ring.dual[int(i)]}
     support = product_support(ring)
-    todo, done = sorted(members), []
-    while todo:
-        i = todo.pop()
-        done.append(i)
-        found = [ring.dual[i]]
-        for j in done:
-            found.extend(support[i][j])
-            found.extend(support[j][i])
-        for k in found:
-            if k not in members:
-                members.add(k)
-                todo.append(k)
-    mem = tuple(sorted(members))
-    pointed = all(ring.invertible[i] for i in mem)
-    return Subring(mem, pointed)
+    mem = tuple(sorted(_walk(0, lambda x: (k for g in gens for k in support[x][g]))))
+    return Subring(mem, all(ring.invertible[i] for i in mem))
 
 
 def is_closed_subset(ring: FusionRing, members: Iterable[int]) -> bool:

@@ -68,6 +68,19 @@ def test_deligne_product_shape_and_total():
     assert d.labels[0] == "1*1"
 
 
+def test_deligne_product_refuses_entries_past_int64():
+    # x*x = 1 + b*x squared: the entry b*b = 2**64 + 2**33 + 1 would wrap to 2**33 + 1
+    b = 2 ** 32 + 1
+    n = np.zeros((2, 2, 2), dtype=np.int64)
+    n[0] = np.eye(2, dtype=np.int64)
+    n[1, 0, 1] = n[1, 1, 0] = 1
+    n[1, 1, 1] = b
+    ring = fr.FusionRing(2, (0, 1), n)
+    with pytest.raises(OverflowError):
+        cat.deligne_product(ring, ring)
+    assert int(cat.deligne_product(ring, cat.pointed("Z2")).n.max()) == b
+
+
 def test_deligne_product_unit_factor_is_identity():
     d = cat.deligne_product(cat.ising(), cat.pointed("Z1"))
     assert fr.find_isomorphism(d, cat.ising()) is not None

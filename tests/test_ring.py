@@ -54,6 +54,17 @@ def test_structural_checks():
     assert "(1,2,0)" in str(err.value)
 
 
+def test_unsigned_entries_past_int64_are_rejected():
+    # an int64 cast would store 2**64 - 1 as -1
+    n = np.zeros((1, 1, 1), dtype=np.uint64)
+    n[0, 0, 0] = 2 ** 64 - 1
+    with pytest.raises(StructuralError) as err:
+        FusionRing(1, (0,), n)
+    assert "(0,0,0)" in str(err.value)
+    n[0, 0, 0] = 2 ** 63 - 1
+    assert int(FusionRing(1, (0,), n).n[0, 0, 0]) == 2 ** 63 - 1
+
+
 def test_tensor_is_frozen():
     r = cat.ising()
     with pytest.raises(ValueError):
@@ -72,6 +83,14 @@ def test_labels_and_invertibles():
     assert r.invertible == (True, True, False)
     assert cat.yang_lee().invertible == (True, False)
     assert all(cat.pointed("Z6").invertible)
+
+
+def test_invertible_ignores_int64_wrap_of_the_row_sum():
+    # 1*1 = 1 + 2*x1 + (2**63 - 1)(x2 + x3): the int64 row sum wraps to 1
+    n = np.zeros((4, 4, 4), dtype=np.int64)
+    n[0] = n[:, 0] = np.eye(4, dtype=np.int64)
+    n[1, 1] = (1, 2, 2 ** 63 - 1, 2 ** 63 - 1)
+    assert FusionRing(4, (0, 1, 2, 3), n).invertible == (True, False, False, False)
 
 
 # ------------------------------------------------------------------ axioms
@@ -536,6 +555,13 @@ def test_closure_examples():
     assert fr.closure(r, (1,)).pointed is True
 
 
+def test_closure_rejects_a_seed_out_of_range():
+    r = cat.ising()
+    for seed in ((3,), (1, -1)):
+        with pytest.raises(StructuralError):
+            fr.closure(r, seed)
+
+
 def test_closure_under_duals():
     r = cat.pointed("Z4")
     assert fr.closure(r, (1,)).members == (0, 1, 2, 3)
@@ -703,6 +729,33 @@ def test_iso_agrees_with_brute_force_on_arbitrary_tensors(data):
     assert sigma is None or is_isomorphism(r1, r2, sigma)
 
 
+def digit_tensor(digits):
+    """The r x r x r tensor whose entries, in C order, are the given decimal digits."""
+    r = round(len(digits) ** (1 / 3))
+    return np.array([int(c) for c in digits], dtype=np.int64).reshape(r, r, r)
+
+
+# Isomorphic pairs on which colour classes hold every non-unit element, so
+# the search tries wrong images before the right one.
+@pytest.mark.parametrize("left,right", [
+    # a wrong image gives a product with another number of constituents
+    ("4555544661464164614641664234453332433023333554451424354353533234"
+     "3414453233024534303324544133432335352544344154355333320334233",
+     "4555544661464164614641664234453323433535332034415424354303323334"
+     "2454413335524534355334144532433323302544344514330233535334323"),
+    # every product has one constituent, and a wrong image forces it with
+    # another multiplicity
+    ("1000100010001000020001000010002000200002001000010002010002000001",
+     "1000100010001000020001000002000100200100001002000002002000100001"),
+])
+def test_iso_rejects_wrong_images_by_their_products(left, right):
+    r1, r2 = (FusionRing(len(t), tuple(range(len(t))), t) for t in map(digit_tensor, (left, right)))
+    assert len(set(colour_classes(r1)[1:])) == 1
+    sigma = fr.find_isomorphism(r1, r2)
+    assert (sigma is not None) == brute_force_isomorphic(r1, r2)
+    assert sigma is None or is_isomorphism(r1, r2, sigma)
+
+
 @pytest.fixture(scope="module")
 def enumerated_le8():
     return [r for m in range(1, 9) for g in gr.groups_of_order(m)
@@ -860,7 +913,9 @@ def closure_reference(ring, seed):
 
 
 CLOSURE_RINGS = [cat.yl_extension("Q8"), cat.deligne_product(cat.ising(), cat.pointed("Q8")),
-                 cat.deligne_product(cat.yl_extension("S3"), cat.pointed("Z4"))]
+                 cat.deligne_product(cat.yl_extension("S3"), cat.pointed("Z4"))] + [
+    ring for group in ("D4", "Q8") for ring in cat.enumerate_extensions("pointed-z2", group)
+    if not all(ring.invertible)]  # the near-group rings
 
 
 @settings(deadline=None, max_examples=40)
