@@ -102,15 +102,14 @@ def _has_dim_sqrt2(ring: FusionRing, x: int) -> bool:
 def classify(ring: FusionRing) -> Classification:
     """Family membership flags plus supporting evidence."""
     sig = type_signature(ring)
-    group, emb = st.invertibles(ring)
+    group = st.invertibles(ring)[0]
     grading = st.universal_grading(ring)
     adjoint = st.adjoint_subring(ring)
 
     pointed = all(ring.invertible)
     yang_lee = (ring.rank == 2 and not pointed
                 and _is_yang_lee_pair(ring, 0, 1))
-    products_pointed, counterexample = _noninvertible_products_pointed(ring)
-    generalized_ty = not pointed and products_pointed
+    generalized_ty = not pointed and _noninvertible_products_pointed(ring)[0]
     rank2_ext = not pointed and all(_has_dim_sqrt2(ring, i) for i in range(ring.rank)
                                     if not ring.invertible[i])
     # Rank 3 with dimensions {1, sqrt(2)} forces the Ising rules: X·X* = 1 + g
@@ -184,51 +183,39 @@ def find_ising_subring(ring: FusionRing) -> IsingDetection:
 
 # ------------------------------------------------------------------ claims
 
-def _ctx(ring: FusionRing) -> dict:
-    cls = classify(ring)
-    group, emb = st.invertibles(ring)
-    return {
-        "cls": cls,
-        "rank": ring.rank,
-        "grading": st.universal_grading(ring),
-        "group": group,
-        "emb": emb,
-        "adjoint": st.adjoint_subring(ring),
-        "sig": cls.signature,
-    }
-
-
-def _claim_gty_products(ring, ctx):
+def _claim_gty_products(ring):
     ok, bad = _noninvertible_products_pointed(ring)
     detail = {} if ok else {"counterexample": list(bad)}
     return ok, detail
 
 
-def _claim_gty_type(ring, ctx):
-    two_n = ctx["group"].order
-    ok = 2 * (ctx["rank"] - two_n) == two_n
-    return ok, {"invertibles": two_n, "type": ctx["sig"].text()}
+def _claim_gty_type(ring):
+    two_n = st.invertibles(ring)[0].order
+    ok = 2 * (ring.rank - two_n) == two_n
+    return ok, {"invertibles": two_n, "type": classify(ring).signature.text()}
 
 
-def _claim_gty_adjoint(ring, ctx):
-    ad = ctx["adjoint"]
-    ok = ad.rank == 2 and ad.pointed and ad.members == ctx["grading"].components[0]
+def _claim_gty_adjoint(ring):
+    ad = st.adjoint_subring(ring)
+    ok = (ad.rank == 2 and ad.pointed
+          and ad.members == st.universal_grading(ring).components[0])
     return ok, {"adjoint": list(ad.members)}
 
 
-def _claim_gty_grading_order(ring, ctx):
-    ok = ctx["grading"].group.order == ctx["group"].order
-    return ok, {"grading_order": ctx["grading"].group.order}
+def _claim_gty_grading_order(ring):
+    grading_order = st.universal_grading(ring).group.order
+    ok = grading_order == st.invertibles(ring)[0].order
+    return ok, {"grading_order": grading_order}
 
 
-def _claim_gty_transitive(ring, ctx):
+def _claim_gty_transitive(ring):
     transitive, orbits = st.is_transitive_on_noninvertibles(ring)
     return transitive, {"orbits": [list(o) for o in orbits]}
 
 
-def _claim_gty_normal(ring, ctx):
-    ad = ctx["adjoint"]
-    group, emb = ctx["group"], ctx["emb"]
+def _claim_gty_normal(ring):
+    ad = st.adjoint_subring(ring)
+    group, emb = st.invertibles(ring)
     pos = {b: a for a, b in enumerate(emb)}
     dpos = pos[ad.members[1]]
     core = {0, dpos}
@@ -237,56 +224,58 @@ def _claim_gty_normal(ring, ctx):
     return ok, {"delta": ad.members[1]}
 
 
-def _claim_gty_ising_subring(ring, ctx):
+def _claim_gty_ising_subring(ring):
     det = find_ising_subring_unchecked(ring)
     ok = det.subring is not None
     return ok, {"subring": list(det.subring.members) if det.subring else None}
 
 
-def _claim_gty_detectors(ring, ctx):
+def _claim_gty_detectors(ring):
     det = find_ising_subring_unchecked(ring)
     flags = (det.closure_is_ising, det.rank1_component_at_involution,
              det.self_dual_noninvertible)
     return len(set(flags)) == 1, {"detectors": list(flags)}
 
 
-def _claim_faithful_iff_cyclic(ring, ctx):
+def _claim_faithful_iff_cyclic(ring):
     faithful, cyclic = st.faithful_simples(ring)
     return (len(faithful) > 0) == cyclic, {"faithful": list(faithful), "cyclic": cyclic}
 
 
-def _claim_ylext_type(ring, ctx):
-    n = ctx["group"].order
-    ok = ctx["rank"] == 2 * n
-    return ok, {"invertibles": n, "type": ctx["sig"].text()}
+def _claim_ylext_type(ring):
+    n = st.invertibles(ring)[0].order
+    ok = ring.rank == 2 * n
+    return ok, {"invertibles": n, "type": classify(ring).signature.text()}
 
 
-def _claim_ylext_components(ring, ctx):
-    for comp in ctx["grading"].components:
+def _claim_ylext_components(ring):
+    components = st.universal_grading(ring).components
+    for comp in components:
         if len(comp) != 2 or sum(ring.invertible[i] for i in comp) != 1:
             return False, {"component": list(comp)}
-    return True, {"components": len(ctx["grading"].components)}
+    return True, {"components": len(components)}
 
 
-def _claim_ylext_adjoint(ring, ctx):
-    ad = ctx["adjoint"]
+def _claim_ylext_adjoint(ring):
+    ad = st.adjoint_subring(ring)
     ok = (ad.rank == 2 and not ad.pointed
           and _is_yang_lee_pair(ring, ad.members[0], ad.members[1]))
     return ok, {"adjoint": list(ad.members)}
 
 
-def _claim_ylext_grading_group(ring, ctx):
-    ok = gr.are_isomorphic(ctx["grading"].group, ctx["group"])
-    return ok, {"grading_name": gr.identify_group(ctx["grading"].group)}
+def _claim_ylext_grading_group(ring):
+    grading_group = st.universal_grading(ring).group
+    ok = gr.are_isomorphic(grading_group, st.invertibles(ring)[0])
+    return ok, {"grading_name": gr.identify_group(grading_group)}
 
 
-def _claim_ylext_canonical(ring, ctx):
+def _claim_ylext_canonical(ring):
     # classify found this map when it set the yl-extension flag
-    return True, {"map": list(ctx["cls"].evidence["canonical_map"])}
+    return True, {"map": list(classify(ring).evidence["canonical_map"])}
 
 
-def _claim_ylext_subrings(ring, ctx):
-    grading = ctx["grading"]
+def _claim_ylext_subrings(ring):
+    grading = st.universal_grading(ring)
     subs = [s for s in st.all_subrings(ring) if not s.pointed]
     supports = set()
     for s in subs:
@@ -299,36 +288,37 @@ def _claim_ylext_subrings(ring, ctx):
     return ok, {"nonpointed_subrings": len(subs), "subgroups": n_groups}
 
 
-def _claim_ylext_commutative(ring, ctx):
-    ok = ring.is_commutative() == ctx["group"].is_abelian()
-    return ok, {"commutative": ring.is_commutative(),
-                "abelian": ctx["group"].is_abelian()}
+def _claim_ylext_commutative(ring):
+    abelian = st.invertibles(ring)[0].is_abelian()
+    ok = ring.is_commutative() == abelian
+    return ok, {"commutative": ring.is_commutative(), "abelian": abelian}
 
 
-def _claim_ylext_splits(ring, ctx):
-    target = catalog.deligne_product(catalog.yang_lee(), catalog.pointed(ctx["group"]))
+def _claim_ylext_splits(ring):
+    group = st.invertibles(ring)[0]
+    target = catalog.deligne_product(catalog.yang_lee(), catalog.pointed(group))
     perm = find_isomorphism(ring, target)
     return perm is not None, {"map": list(perm) if perm else None}
 
 
-def _gty(ctx) -> bool:
-    return ctx["cls"].rank2_pointed_extension
+def _gty(ring) -> bool:
+    return classify(ring).rank2_pointed_extension
 
 
-def _gty_odd(ctx) -> bool:
-    return _gty(ctx) and ctx["group"].order % 4 == 2
+def _gty_odd(ring) -> bool:
+    return _gty(ring) and st.invertibles(ring)[0].order % 4 == 2
 
 
-def _gty_elem2(ctx) -> bool:
-    return _gty(ctx) and ctx["grading"].group.is_elementary_abelian_2()
+def _gty_elem2(ring) -> bool:
+    return _gty(ring) and st.universal_grading(ring).group.is_elementary_abelian_2()
 
 
-def _ylext(ctx) -> bool:
-    return ctx["cls"].yl_extension
+def _ylext(ring) -> bool:
+    return classify(ring).yl_extension
 
 
-def _ylext_small(ctx) -> bool:
-    return _ylext(ctx) and ctx["rank"] <= 24
+def _ylext_small(ring) -> bool:
+    return _ylext(ring) and ring.rank <= 24
 
 
 _CLAIMS: tuple[tuple[str, str, object, object], ...] = (
@@ -356,16 +346,15 @@ _CLAIMS: tuple[tuple[str, str, object, object], ...] = (
 
 def verify_claims(ring: FusionRing) -> list[ClaimReport]:
     """Check every registered structural claim against the ring."""
-    ctx = _ctx(ring)
     out: list[ClaimReport] = []
     for claim, scope, applicable, check in _CLAIMS:
         if check is None:
             out.append(ClaimReport(claim, "inapplicable", scope,
                                    {"note": "needs associator data absent from a fusion ring"}))
             continue
-        if not applicable(ctx):
+        if not applicable(ring):
             out.append(ClaimReport(claim, "inapplicable", scope))
             continue
-        ok, detail = check(ring, ctx)
+        ok, detail = check(ring)
         out.append(ClaimReport(claim, "verified" if ok else "refuted", scope, detail))
     return out

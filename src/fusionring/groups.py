@@ -36,6 +36,13 @@ class FiniteGroup:
             raise GroupError("order must be positive")
         if len(self.table) != m or any(len(row) != m for row in self.table):
             raise GroupError(f"table must be {m}x{m}")
+        for a, row in enumerate(self.table):
+            for b, x in enumerate(row):
+                # entries index numpy arrays later, where a bool acts as a mask
+                # and a float raises; a plain int passes the first test alone
+                if type(x) is not int and (isinstance(x, bool)
+                                           or not isinstance(x, np.integer)):
+                    raise GroupError(f"table entry ({a},{b}) is {x!r}, not an integer")
         arr = np.asarray(self.table, dtype=np.int64)
         if arr.min() < 0 or arr.max() >= m:
             raise GroupError("table entries out of range")
@@ -52,9 +59,6 @@ class FiniteGroup:
         if not np.array_equal(left, right):
             a, b, c = (int(x) for x in np.argwhere(left != right)[0])
             raise GroupError(f"not associative at ({a},{b},{c})")
-
-    def mul(self, a: int, b: int) -> int:
-        return self.table[a][b]
 
     @cached_property
     def inverse(self) -> tuple[int, ...]:
@@ -272,9 +276,6 @@ def iter_isomorphisms(g1: FiniteGroup, g2: FiniteGroup):
     if _square_root_counts(g1) != _square_root_counts(g2):
         return
     gens = _generating_sequence(g1)
-    if not gens:
-        yield (0,)
-        return
     pools = [[h for h in range(g2.order) if g2.element_orders[h] == g1.element_orders[g]]
              for g in gens]
 
