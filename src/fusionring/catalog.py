@@ -13,7 +13,7 @@ import numpy as np
 
 from . import groups as gr
 from .groups import FiniteGroup, GroupError
-from .ring import FusionRing, _orbits
+from .ring import FusionRing, _orbits, per_object_cache
 
 
 def _as_group(g) -> FiniteGroup:
@@ -232,37 +232,63 @@ def _near_group_rings(u: FiniteGroup) -> list[FusionRing]:
     - _spec_sort_key lists those negated tuples in row-major order, each of
       fixed length, so it compares as n.tobytes() does, equal exactly when
       the tensors are.
+    The full key is built only where it decides. Its first block, the cells
+    (a, X_x), is the head: the tuple over a of row[q(a)], one row of |U|/2
+    entries per w in U0, computed once per U0. The head is a prefix of
+    _spec_sort_key made of equal-length blocks, so (head, full key, s)
+    orders as (full key, s): each orbit takes its least head, and only
+    the members that tie there get the full key.
     The pointed rings of enumerate_extensions need no search either:
     central_extensions_by_z2 returns pairwise non-isomorphic groups, and
     their rings have rank 2|U| against 3|U|/2 here.
     """
     gs = gr.groups_of_order(u.order)
+    alphas = gr.automorphism_generators(u)
+    betas = [gr.automorphism_generators(g) for g in gs]
     specs: dict[tuple[int, int, tuple[int, ...]], int] = {}
-    built: list[GTYSpec] = []
-    quotients = [(gi, g, delta, *gr.quotient_group(g, gr.generated_subgroup(g, (delta,))))
-                 for gi, g in enumerate(gs) for delta in gr.central_elements_of_order2(g)]
+    heads: list[tuple[tuple[int, ...], ...]] = []
     for u0 in gr.index2_subgroups(u):
         u0_group, embed = gr.subgroup_group(u, u0)
-        for gi, g, delta, quot, proj in quotients:
-            for phi in gr.iter_isomorphisms(quot, u0_group):
-                qmap = tuple(embed[phi[proj[a]]] for a in range(g.order))
-                specs[(gi, delta, qmap)] = len(built)
-                built.append(GTYSpec(u, u0, g, delta, qmap))
+        coset = [x for x in range(u.order) if x not in set(u0)]
+        xpos = {x: u.order + i for i, x in enumerate(coset)}
+        # row[w] is the block of _spec_sort_key that an a with q(a) = w adds
+        row = {w: tuple(-xpos[u.table[w][x]] for x in coset) for w in u0}
+        for gi, g in enumerate(gs):
+            for delta, quot, proj in _central_quotients(g):
+                for phi in gr.iter_isomorphisms(quot, u0_group):
+                    qmap = tuple(embed[phi[proj[a]]] for a in range(g.order))
+                    specs[(gi, delta, qmap)] = len(heads)
+                    heads.append(tuple(row[w] for w in qmap))
     spec_keys = list(specs)  # in build order: no spec is built twice
 
     def step(s: int) -> Iterable[int]:
         gi, delta, q = spec_keys[s]
-        for alpha in gr.automorphism_generators(u):
+        for alpha in alphas:
             yield specs[(gi, delta, tuple(alpha[x] for x in q))]
-        for beta in gr.automorphism_generators(gs[gi]):
+        for beta in betas[gi]:
             moved = [0] * len(q)
             for a, x in enumerate(q):
                 moved[beta[a]] = x
             yield specs[(gi, beta[delta], tuple(moved))]
 
-    keys = [_spec_sort_key(spec) for spec in built]
-    return [generalized_ty(built[min(orbit, key=lambda s: (keys[s], s))])
-            for orbit in _orbits(range(len(built)), step)]
+    def spec(s: int) -> GTYSpec:
+        gi, delta, q = spec_keys[s]
+        return GTYSpec(u, tuple(sorted(set(q))), gs[gi], delta, q)
+
+    rings = []
+    for orbit in _orbits(range(len(heads)), step):
+        head = min(heads[s] for s in orbit)
+        tied = [s for s in orbit if heads[s] == head]
+        best = tied[0] if len(tied) == 1 else \
+            min(tied, key=lambda s: (_spec_sort_key(spec(s)), s))
+        rings.append(generalized_ty(spec(best)))
+    return rings
+
+
+@per_object_cache
+def _central_quotients(g: FiniteGroup) -> list[tuple[int, FiniteGroup, tuple[int, ...]]]:
+    """(delta, G/{e, delta}, projection) for each central delta of order 2 in g."""
+    return [(delta, *gr.quotient_group(g, (0, delta))) for delta in gr.central_elements_of_order2(g)]
 
 
 def enumerate_extensions(base: str, u) -> list[FusionRing]:

@@ -11,7 +11,6 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product as iter_product
-from typing import Iterable
 
 import numpy as np
 
@@ -267,6 +266,38 @@ def _square_root_counts(group: FiniteGroup) -> tuple[int, ...]:
     return tuple(sorted(Counter(group.table[y][y] for y in range(group.order)).values()))
 
 
+def _extend(g1: FiniteGroup, g2: FiniteGroup, gens: list[int], images) -> tuple[int, ...] | None:
+    """The isomorphism g1 -> g2 sending gens[i] to images[i], or None if there is none."""
+    f = {0: 0}
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for gen, img in zip(gens, images):
+                y = g1.table[x][gen]
+                fy = g2.table[f[x]][img]
+                if y in f:
+                    if f[y] != fy:
+                        return None
+                else:
+                    f[y] = fy
+                    nxt.append(y)
+        frontier = nxt
+    if len(f) != g1.order or len(set(f.values())) != g1.order:
+        return None
+    # f is a homomorphism: the walk checked f(x*gen) = f(x)*img for every
+    # x and generator, and f(gen) = f(e)*img = img. Every b is a word in
+    # the generators (inverses are powers in a finite group), so
+    # f(a*b) = f(a)*f(b) follows by induction on the length of b.
+    return tuple(f[a] for a in range(g1.order))
+
+
+def _image_pools(g1: FiniteGroup, g2: FiniteGroup, gens: list[int]) -> list[list[int]]:
+    """For each generator, the elements of g2 of its order: its possible images."""
+    return [[h for h in range(g2.order) if g2.element_orders[h] == g1.element_orders[g]]
+            for g in gens]
+
+
 def iter_isomorphisms(g1: FiniteGroup, g2: FiniteGroup):
     """Yield every isomorphism g1 -> g2 as a tuple indexed by g1 elements."""
     if g1.order != g2.order:
@@ -276,55 +307,43 @@ def iter_isomorphisms(g1: FiniteGroup, g2: FiniteGroup):
     if _square_root_counts(g1) != _square_root_counts(g2):
         return
     gens = _generating_sequence(g1)
-    pools = [[h for h in range(g2.order) if g2.element_orders[h] == g1.element_orders[g]]
-             for g in gens]
-
-    def extend(images):
-        f = {0: 0}
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for gen, img in zip(gens, images):
-                    y = g1.table[x][gen]
-                    fy = g2.table[f[x]][img]
-                    if y in f:
-                        if f[y] != fy:
-                            return None
-                    else:
-                        f[y] = fy
-                        nxt.append(y)
-            frontier = nxt
-        if len(f) != g1.order or len(set(f.values())) != g1.order:
-            return None
-        # f is a homomorphism: the walk checked f(x*gen) = f(x)*img for every
-        # x and generator, and f(gen) = f(e)*img = img. Every b is a word in
-        # the generators (inverses are powers in a finite group), so
-        # f(a*b) = f(a)*f(b) follows by induction on the length of b.
-        return tuple(f[a] for a in range(g1.order))
-
-    for images in iter_product(*pools):
-        m = extend(images)
+    for images in iter_product(*_image_pools(g1, g2, gens)):
+        m = _extend(g1, g2, gens, images)
         if m is not None:
             yield m
 
 
 @per_object_cache
 def automorphism_generators(group: FiniteGroup) -> tuple[tuple[int, ...], ...]:
-    """A generating set of Aut(group), picked greedily from iter_isomorphisms.
+    """A generating set of Aut(group), read off a stabilizer chain (Schreier-Sims).
 
-    An automorphism joins the set when those before it do not generate it,
-    so orbit computations need only a few images per point instead of one
-    per automorphism (Aut(Z2^3) has 168 elements and gets 5 generators).
+    With gens = _generating_sequence(group) = (g_0, ..., g_(k-1)), let A_i be
+    the automorphisms fixing g_0, ..., g_(i-1); A_k is trivial, as an
+    automorphism is fixed by its generator images, and A_0 = Aut(group).
+    From i = k-1 down to 0, the set S generates A_(i+1); each image h of g_i
+    of the right order that is not yet in the orbit of g_i under <S> is
+    tried, and the first automorphism fixing g_0, ..., g_(i-1) and sending
+    g_i to h (searched over the images of the later generators) joins S.
+    Then <S> lies in A_i, contains A_(i+1) = the stabilizer of g_i in A_i,
+    and moves g_i over its whole A_i-orbit, so |<S>| = |A_i| and <S> = A_i.
+    No automorphism is listed: Aut(Z2^3) has 168 elements and gets 5
+    generators from 22 trial maps.
     """
-    identity = tuple(range(group.order))
-    gens: list[tuple[int, ...]] = []
-    span = {identity}
-    for auto in iter_isomorphisms(group, group):
-        if auto not in span:
-            gens.append(auto)
-            span = _walk(identity, lambda f: (tuple(g[x] for x in f) for g in gens))
-    return tuple(gens)
+    gens = _generating_sequence(group)
+    pools = _image_pools(group, group, gens)
+    found: list[tuple[int, ...]] = []
+    for i in reversed(range(len(gens))):
+        orbit = {gens[i]}  # the maps found so far fix g_i
+        for h in pools[i]:
+            if h in orbit:
+                continue
+            for rest in iter_product(*pools[i + 1:]):
+                auto = _extend(group, group, gens, (*gens[:i], h, *rest))
+                if auto is not None:
+                    found.append(auto)
+                    orbit = _walk(gens[i], lambda x: (f[x] for f in found))
+                    break
+    return tuple(found)
 
 
 def are_isomorphic(g1: FiniteGroup, g2: FiniteGroup) -> bool:
@@ -427,13 +446,37 @@ def _gf2_reduce(vec: int, echelon: dict[int, int]) -> int:
     return vec
 
 
+def _subset_sums(vectors: list[int]) -> list[int]:
+    """The XOR of every subset of the vectors; bit i of the index picks vectors[i]."""
+    sums = [0]
+    for v in vectors:
+        sums += [x ^ v for x in sums]
+    return sums
+
+
 def _cocycle_orbits(group: FiniteGroup) -> tuple[dict[tuple[int, int], int], list[list[int]]]:
     """The cohomology classes of normalized Z2-valued 2-cocycles, grouped by Aut(group)-orbit.
 
     Returns (vidx, orbits): bit vidx[(g, h)] of a cocycle mask holds c(g, h)
-    for g, h != e. Each class appears as the first of its cocycles in the
-    enumeration over the nullspace basis. An orbit lists its classes in that
-    order, and the orbits are ordered by their first class.
+    for g, h != e. A selector sel stands for the sum of basis[i] over the
+    bits i of sel, basis being the nullspace basis of the cocycle equations,
+    and each class appears as its cocycle of least sel. An orbit lists its
+    classes by least sel, and the orbits are ordered by their first class.
+
+    No cocycle is walked. The class of sel is its residue modulo the
+    coboundaries, and sel -> residue is linear, so the pairs
+    (residue, sel) of the basis vectors, with the residue in the high bits,
+    are brought to reduced echelon form. The rows led by a residue bit have
+    independent residues spanning the classes (2**dim H^2 of them, bounded
+    here instead of the cocycle space), and the rows led by a sel bit
+    (residue 0) are the kernel's reduced echelon. The least sel in a kernel
+    coset is the one with every pivot bit clear: two such sels would differ
+    by a kernel element with no pivot bit, which is 0, and any other sel of
+    the coset has the highest pivot bit of its difference set. A residue
+    row holds no kernel pivot bit, and neither does a sum of them, so the
+    subset sums of the residue rows are exactly each class with its least
+    sel. An automorphism acts linearly on residues too, so its action on
+    the classes follows from its images of the residue rows.
     """
     m = group.order
     t = group.table
@@ -454,8 +497,6 @@ def _cocycle_orbits(group: FiniteGroup) -> tuple[dict[tuple[int, int], int], lis
                 if mask:
                     rows.append(mask)
     basis = _gf2_nullspace(rows, len(pairs))
-    if len(basis) > 14:
-        raise GroupError("cocycle space too large to enumerate")
     # Classes are keyed by their residue modulo the coboundaries d(1_x), x != e.
     coboundaries = []
     for x in range(1, m):
@@ -465,29 +506,43 @@ def _cocycle_orbits(group: FiniteGroup) -> tuple[dict[tuple[int, int], int], lis
                 mask |= 1 << v
         coboundaries.append(mask)
     echelon = _gf2_echelon(coboundaries)
-    classes: dict[int, int] = {}
-    for sel in range(1 << len(basis)):
+    # (residue, sel) pairs as residue << d | sel, in reduced echelon form
+    d = len(basis)
+    spanning = [row for lead, row in _gf2_echelon(
+        [_gf2_reduce(b, echelon) << d | 1 << i for i, b in enumerate(basis)]).items() if lead >= d]
+    if len(spanning) > 14:
+        raise GroupError("too many cohomology classes to enumerate")
+    spanning_residues = [row >> d for row in spanning]
+    residues = _subset_sums(spanning_residues)
+    least = sorted(zip(_subset_sums([row & ((1 << d) - 1) for row in spanning]), residues))
+    index = {r: i for i, (_, r) in enumerate(least)}
+    # beta acts linearly on residues: by bit (g, h) -> (beta(g), beta(h)),
+    # then reduction; odd orders have one class and need no automorphisms
+    moves = []
+    for beta in (automorphism_generators(group) if len(least) > 1 else ()):
+        moved = [vidx[(beta[g], beta[h])] for g, h in pairs]
+        image = []
+        for res in spanning_residues:
+            vec = 0
+            for v, w in enumerate(moved):
+                if (res >> v) & 1:
+                    vec |= 1 << w
+            image.append(_gf2_reduce(vec, echelon))
+        move = [0] * len(least)
+        for r, x in zip(residues, _subset_sums(image)):
+            move[index[r]] = index[x]
+        moves.append(move)
+
+    def first_cocycle(sel: int) -> int:
         vec = 0
         for i, b in enumerate(basis):
             if (sel >> i) & 1:
                 vec ^= b
-        classes.setdefault(_gf2_reduce(vec, echelon), vec)
-    residues = list(classes)
-    index = {r: i for i, r in enumerate(residues)}
-    # odd orders have one class: no automorphisms needed
-    moves = [[vidx[(beta[g], beta[h])] for g, h in pairs]
-             for beta in (automorphism_generators(group) if len(residues) > 1 else ())]
+        return vec
 
-    def step(i: int) -> Iterable[int]:
-        for moved in moves:
-            image = 0
-            for v, w in enumerate(moved):
-                if (residues[i] >> v) & 1:
-                    image |= 1 << w
-            yield index[_gf2_reduce(image, echelon)]
-
-    firsts = list(classes.values())
-    return vidx, [[firsts[i] for i in orbit] for orbit in _orbits(range(len(residues)), step)]
+    firsts = [first_cocycle(sel) for sel, _ in least]
+    orbits = _orbits(range(len(least)), lambda i: (move[i] for move in moves))
+    return vidx, [[firsts[i] for i in orbit] for orbit in orbits]
 
 
 def central_extensions_by_z2(group: FiniteGroup) -> list[FiniteGroup]:

@@ -249,7 +249,8 @@ def test_spec_sort_key_orders_specs_as_their_rings(name, variant):
 
 
 def test_enumeration_builds_one_ring_per_spec_orbit(monkeypatch):
-    calls = {"generalized_ty": 0, "are_isomorphic": 0}
+    names = ("generalized_ty", "_spec_sort_key", "are_isomorphic", "quotient_group")
+    calls = dict.fromkeys(names, 0)
 
     def count(module, name):
         original = getattr(module, name)
@@ -260,14 +261,21 @@ def test_enumeration_builds_one_ring_per_spec_orbit(monkeypatch):
         monkeypatch.setattr(module, name, counted)
 
     count(cat, "generalized_ty")
+    count(cat, "_spec_sort_key")
     count(gr, "are_isomorphic")
-    for m in range(1, 9):
-        for group in gr.groups_of_order(m):
-            cat.enumerate_extensions("pointed-z2", group)
-    # one near-group ring per orbit of the 663 specs; are_isomorphic only
-    # across the 37 orbits of the 106 cohomology classes
+    count(gr, "quotient_group")
+    for _ in range(2):   # counted on the second pass, with the catalogued groups warm
+        calls.update(dict.fromkeys(names, 0))
+        for m in range(1, 9):
+            for group in gr.groups_of_order(m):
+                cat.enumerate_extensions("pointed-z2", group)
+    # one near-group ring per orbit of the 663 specs, full sort keys only for
+    # the members that tie on the first block; are_isomorphic only across the
+    # 37 orbits of the 106 cohomology classes
     assert calls["generalized_ty"] == 31
+    assert calls["_spec_sort_key"] <= 52
     assert calls["are_isomorphic"] <= 52
+    assert calls["quotient_group"] == 0
 
 
 def test_enumerate_yang_lee_base():

@@ -1,9 +1,11 @@
 import itertools
+import random
 
 import numpy as np
 import pytest
 
 from fusionring import groups as gr
+from fusionring.ring import _walk
 
 
 def brute_force_subgroups(group):
@@ -231,6 +233,44 @@ def test_isomorphisms_are_homomorphisms(g):
                 assert phi[g.table[a][b]] == g.table[phi[a]][phi[b]]
 
 
+def relabelled(group, variant):
+    """The group with its non-identity elements shuffled by a seeded permutation."""
+    m = group.order
+    rest = list(range(1, m))
+    random.Random(f"{group.name}/{variant}").shuffle(rest)
+    p = [0] + rest
+    table = [[0] * m for _ in range(m)]
+    for a in range(m):
+        for b in range(m):
+            table[p[a]][p[b]] = p[group.table[a][b]]
+    return gr.FiniteGroup(m, tuple(tuple(row) for row in table))
+
+
+# the 14 groups of order <= 8, each as built and under two seeded relabellings
+SMALL_TABLES = [pytest.param(g, v, id=f"{g.name}-{v}")
+                for m in range(1, 9) for g in gr.groups_of_order(m) for v in range(3)]
+
+
+def span(gens, order):
+    """Every composite of the maps, walked from the identity."""
+    return _walk(tuple(range(order)), lambda f: (tuple(g[x] for x in f) for g in gens))
+
+
+@pytest.mark.parametrize("group,variant", SMALL_TABLES)
+def test_automorphism_generators_span_aut(group, variant):
+    g = relabelled(group, variant) if variant else gr.FiniteGroup(group.order, group.table)
+    assert span(gr.automorphism_generators(g), g.order) == set(gr.iter_isomorphisms(g, g))
+
+
+def test_automorphism_generators_list_no_automorphisms(monkeypatch):
+    def no_listing(g1, g2):
+        raise AssertionError("iter_isomorphisms listed every automorphism")
+
+    monkeypatch.setattr(gr, "iter_isomorphisms", no_listing)
+    g = gr.named_group("Z2xZ2xZ2")   # a fresh table, no cached generators
+    assert len(span(gr.automorphism_generators(g), g.order)) == 168
+
+
 def test_are_isomorphic():
     assert gr.are_isomorphic(gr.product_of_cyclics([2, 4]),
                              gr.named_group("Z2xZ4"))
@@ -288,7 +328,65 @@ def extension_group(group, cocycle):
     return gr.FiniteGroup(2 * m, tuple(tuple(row) for row in table))
 
 
-@pytest.mark.parametrize("name,classes", [("Z2", 2), ("Z4", 2), ("Z2xZ2", 8), ("D4", 8)])
+def test_central_extensions_of_z16():
+    # 15 cocycle dimensions but only two classes: the bound is on the classes
+    exts = gr.central_extensions_by_z2(gr.cyclic(16))
+    assert sorted(sorted(h.element_orders) for h in exts) == sorted(
+        sorted(g.element_orders) for g in (gr.cyclic(32), gr.product_of_cyclics([2, 16])))
+
+
+def oracle_cocycle_orbits(group):
+    """_cocycle_orbits by walking every cocycle of the nullspace basis, in sel order."""
+    m = group.order
+    t = group.table
+    pairs = [(g, h) for g in range(1, m) for h in range(1, m)]
+    vidx = {p: i for i, p in enumerate(pairs)}
+    rows = []
+    for g, h, k in itertools.product(range(1, m), repeat=3):
+        mask = 1 << vidx[(g, h)]
+        if t[g][h]:
+            mask ^= 1 << vidx[(t[g][h], k)]
+        mask ^= 1 << vidx[(h, k)]
+        if t[h][k]:
+            mask ^= 1 << vidx[(g, t[h][k])]
+        if mask:
+            rows.append(mask)
+    basis = gr._gf2_nullspace(rows, len(pairs))
+    coboundaries = []
+    for x in range(1, m):
+        coboundaries.append(sum(1 << v for (g, h), v in vidx.items()
+                                if (g == x) ^ (h == x) ^ (t[g][h] == x)))
+    echelon = gr._gf2_echelon(coboundaries)
+    classes = {}
+    for sel in range(1 << len(basis)):
+        vec = 0
+        for i, b in enumerate(basis):
+            if (sel >> i) & 1:
+                vec ^= b
+        classes.setdefault(gr._gf2_reduce(vec, echelon), vec)
+    residues = list(classes)
+    index = {r: i for i, r in enumerate(residues)}
+    autos = list(gr.iter_isomorphisms(group, group))
+
+    def step(i):
+        for beta in autos:
+            image = sum(1 << vidx[(beta[g], beta[h])] for (g, h), v in vidx.items()
+                        if (residues[i] >> v) & 1)
+            yield index[gr._gf2_reduce(image, echelon)]
+
+    firsts = list(classes.values())
+    orbits = gr._orbits(range(len(residues)), step)
+    return vidx, [[firsts[i] for i in orbit] for orbit in orbits]
+
+
+@pytest.mark.parametrize("group,variant", SMALL_TABLES)
+def test_cocycle_orbits_match_the_walk_over_every_cocycle(group, variant):
+    g = relabelled(group, variant) if variant else group
+    assert gr._cocycle_orbits(g) == oracle_cocycle_orbits(g)
+
+
+@pytest.mark.parametrize("name,classes", [("Z2", 2), ("Z4", 2), ("Z2xZ2", 8), ("D4", 8),
+                                          ("Z2xZ2xZ2", 64)])
 def test_cocycle_classes_in_one_orbit_give_isomorphic_groups(name, classes):
     group = gr.named_group(name)
     m, t = group.order, group.table
