@@ -29,9 +29,8 @@ def pointed(g) -> FusionRing:
     group = _as_group(g)
     m = group.order
     n = np.zeros((m, m, m), dtype=np.int64)
-    for a in range(m):
-        for b in range(m):
-            n[a, b, group.table[a][b]] = 1
+    a = np.arange(m)
+    n[a[:, None], a, group.table] = 1
     labels = tuple(group.element_name(a) for a in range(m))
     return FusionRing(m, group.inverse, n, labels)
 
@@ -147,54 +146,36 @@ def generalized_ty(spec: GTYSpec) -> FusionRing:
     if {a for a in range(m) if q[a] == 0} != {0, spec.delta}:
         raise GroupError("quotient map kernel must be exactly {e, delta}")
 
-    coset = [x for x in range(u.order) if x not in set(u0)]
-    half = len(coset)
-    rank = m + half
-    xpos = {x: m + a for a, x in enumerate(coset)}
-    fibers = {w: [a for a in range(m) if q[a] == w] for w in u0}
-    n = np.zeros((rank, rank, rank), dtype=np.int64)
-    for a in range(m):
-        for b in range(m):
-            n[a, b, g.table[a][b]] = 1
-    for a in range(m):
-        for x in coset:
-            n[a, xpos[x], xpos[u.table[q[a]][x]]] = 1
-            n[xpos[x], a, xpos[u.table[x][q[a]]]] = 1
-    for x in coset:
-        for y in coset:
-            w = u.table[x][y]
-            for a in fibers[w]:
-                n[xpos[x], xpos[y], a] = 1
-    dual = tuple(g.inverse[a] for a in range(m)) + \
-        tuple(xpos[u.inverse[x]] for x in coset)
+    n = _near_group_tensor(u, g, q)
+    dual = n[:, :, 0].argmax(axis=1)  # the j with N_ij^e = 1
     labels = tuple(g.element_name(a) for a in range(m)) + \
-        tuple(f"X[{x}]" for x in coset)
-    return FusionRing(rank, dual, n, labels)
+        tuple(f"X[{x}]" for x in range(u.order) if x not in u0)
+    return FusionRing(len(n), dual, n, labels)
+
+
+def _near_group_tensor(u: FiniteGroup, g: FiniteGroup, q: tuple[int, ...]) -> np.ndarray:
+    """The structure constants of generalized_ty for a spec with these U, G and q.
+
+    G comes first, then X_x for x in U - set(q) in increasing order.
+    """
+    m, ut, qa = g.order, np.array(u.table), np.array(q)
+    coset = np.flatnonzero(np.bincount(qa, minlength=u.order) == 0)
+    xpos = np.zeros(u.order, dtype=np.intp)
+    xpos[coset] = x = np.arange(m, m + len(coset))
+    a = np.arange(m)
+    n = np.zeros((m + len(coset),) * 3, dtype=np.int64)
+    n[a[:, None], a, g.table] = 1                                 # a*b = ab
+    n[a[:, None], x, xpos[ut[qa[:, None], coset]]] = 1            # a*X_x = X_{q(a)x}
+    n[x[:, None], a, xpos[ut[coset[:, None], qa]]] = 1            # X_x*a = X_{x q(a)}
+    n[m:, m:, :m] = ut[coset[:, None], coset][:, :, None] == qa   # X_x*X_y = q^-1(xy)
+    return n
 
 
 def _ring_sort_key(ring: FusionRing):
-    # No dimensions needed: in one pointed-z2 enumeration the rank fixes
-    # them (near-group rings have rank 3|U|/2, pointed ones rank 2|U|).
-    return (ring.rank, sum(ring.invertible), ring.n.tobytes())
-
-
-def _spec_sort_key(spec: GTYSpec) -> tuple[int, ...]:
-    """A key that orders specs with equal U and G as _ring_sort_key orders their rings.
-
-    The negated sorted constituents of every cell of generalized_ty(spec)
-    outside the G x G block, in row-major order: see _near_group_rings.
-    """
-    u, q = spec.grading_group, spec.quotient_map
-    m, u0 = len(q), set(q)
-    coset = [x for x in range(u.order) if x not in u0]
-    xpos = {x: m + i for i, x in enumerate(coset)}
-    fibres = {w: [-a for a in range(m) if q[a] == w] for w in u0}
-    key = [-xpos[u.table[q[a]][x]] for a in range(m) for x in coset]
-    for x in coset:
-        key.extend(-xpos[u.table[x][q[b]]] for b in range(m))
-        for y in coset:
-            key.extend(fibres[u.table[x][y]])
-    return tuple(key)
+    # No dimensions or invertible counts needed: in one pointed-z2
+    # enumeration the rank fixes them (near-group rings have rank 3|U|/2
+    # and |U| invertibles, pointed ones rank 2|U| and 2|U|).
+    return (ring.rank, ring.n.tobytes())
 
 
 def _near_group_rings(u: FiniteGroup) -> list[FusionRing]:
@@ -215,29 +196,18 @@ def _near_group_rings(u: FiniteGroup) -> list[FusionRing]:
     - s maps {e, delta} onto {e, delta'} and the fibre of q over w onto that
       of q' over alpha(w), so (delta', q') = (beta(delta), alpha.q.beta^-1)
       lies in the orbit of (delta, q).
-    So the orbits are the isomorphism classes. Each orbit keeps the ring of
-    its smallest spec in _spec_sort_key order, the first built on ties, and
-    only that ring is built. It is the smallest ring of the orbit in
-    _ring_sort_key order, the first built on ties:
-    - specs with equal U and G give rings of one rank m + |U|/2 with m
-      invertibles, so _ring_sort_key compares them by n.tobytes() alone;
-    - every entry of n is 0 or 1, and a little-endian int64 0 or 1 compares
-      as bytes as it does as a number, so n.tobytes() order is the
-      lexicographic order of the cells n[i, j, :] in row-major (i, j) order;
-    - the G x G cells are G's table, the same for all these specs. The
-      cells (a, X_x) and (X_x, b) hold one constituent, the cells
-      (X_x, X_y) two (a fibre of q). Between 0/1 cells with equally many
-      ones, the larger is the one whose first one comes first, that is,
-      whose sorted constituents, negated, form the larger tuple;
-    - _spec_sort_key lists those negated tuples in row-major order, each of
-      fixed length, so it compares as n.tobytes() does, equal exactly when
-      the tensors are.
-    The full key is built only where it decides. Its first block, the cells
-    (a, X_x), is the head: the tuple over a of row[q(a)], one row of |U|/2
-    entries per w in U0, computed once per U0. The head is a prefix of
-    _spec_sort_key made of equal-length blocks, so (head, full key, s)
-    orders as (full key, s): each orbit takes its least head, and only
-    the members that tie there get the full key.
+    So the orbits are the isomorphism classes. Each orbit keeps its least
+    ring in _ring_sort_key order, the first built on ties, and only that
+    ring is built. Rings of one orbit share their rank, so the key compares
+    them by n.tobytes(), and ties on the head below are broken on those very
+    bytes, built by _near_group_tensor as generalized_ty builds them. The
+    head is the cells (a, X_x): they follow the G x G cells of row a, which
+    are G's table for every spec, and come before the rows X_x. Each holds
+    one 0/1 constituent, and a little-endian int64 0 or 1 compares as bytes
+    as it does as a number, so the cell whose one comes first is the larger.
+    The head, the tuple over a of the negated positions row[q(a)], thus
+    orders as these cells do in n.tobytes(): each orbit takes its least
+    head, and only the members that tie there build their tensors.
     The pointed rings of enumerate_extensions need no search either:
     central_extensions_by_z2 returns pairwise non-isomorphic groups, and
     their rings have rank 2|U| against 3|U|/2 here.
@@ -251,7 +221,7 @@ def _near_group_rings(u: FiniteGroup) -> list[FusionRing]:
         u0_group, embed = gr.subgroup_group(u, u0)
         coset = [x for x in range(u.order) if x not in set(u0)]
         xpos = {x: u.order + i for i, x in enumerate(coset)}
-        # row[w] is the block of _spec_sort_key that an a with q(a) = w adds
+        # row[w] holds the negated positions of a*X_x, x in coset, for q(a) = w
         row = {w: tuple(-xpos[u.table[w][x]] for x in coset) for w in u0}
         for gi, g in enumerate(gs):
             for delta, quot, proj in _central_quotients(g):
@@ -271,17 +241,14 @@ def _near_group_rings(u: FiniteGroup) -> list[FusionRing]:
                 moved[beta[a]] = x
             yield specs[(gi, beta[delta], tuple(moved))]
 
-    def spec(s: int) -> GTYSpec:
-        gi, delta, q = spec_keys[s]
-        return GTYSpec(u, tuple(sorted(set(q))), gs[gi], delta, q)
-
     rings = []
     for orbit in _orbits(range(len(heads)), step):
         head = min(heads[s] for s in orbit)
-        tied = [s for s in orbit if heads[s] == head]
-        best = tied[0] if len(tied) == 1 else \
-            min(tied, key=lambda s: (_spec_sort_key(spec(s)), s))
-        rings.append(generalized_ty(spec(best)))
+        tied = [spec_keys[s] for s in orbit if heads[s] == head]
+        # orbits are sorted, so min keeps the first built on ties
+        gi, delta, q = tied[0] if len(tied) == 1 else \
+            min(tied, key=lambda k: _near_group_tensor(u, gs[k[0]], k[2]).tobytes())
+        rings.append(generalized_ty(GTYSpec(u, tuple(sorted(set(q))), gs[gi], delta, q)))
     return rings
 
 

@@ -300,7 +300,7 @@ def _image_pools(g1: FiniteGroup, g2: FiniteGroup, gens: list[int]) -> list[list
 
 def iter_isomorphisms(g1: FiniteGroup, g2: FiniteGroup):
     """Yield every isomorphism g1 -> g2 as a tuple indexed by g1 elements."""
-    if g1.order != g2.order:
+    if g1.order != g2.order or len(g1.center) != len(g2.center):
         return
     if sorted(g1.element_orders) != sorted(g2.element_orders):
         return

@@ -177,12 +177,36 @@ def all_specs(u):
                     yield GTYSpec(u, u0, g, delta, qmap)
 
 
+def generalized_ty_by_loops(spec):
+    """(n, dual) of generalized_ty from its rules, cell by cell."""
+    u, g, q = spec.grading_group, spec.invertibles, spec.quotient_map
+    m = g.order
+    coset = [x for x in range(u.order) if x not in set(q)]
+    xpos = {x: m + i for i, x in enumerate(coset)}
+    n = np.zeros((m + len(coset),) * 3, dtype=np.int64)
+    for a in range(m):
+        for b in range(m):
+            n[a, b, g.table[a][b]] = 1
+        for x in coset:
+            n[a, xpos[x], xpos[u.table[q[a]][x]]] = 1
+            n[xpos[x], a, xpos[u.table[x][q[a]]]] = 1
+    for x in coset:
+        for y in coset:
+            for a in range(m):
+                if q[a] == u.table[x][y]:
+                    n[xpos[x], xpos[y], a] = 1
+    return n, g.inverse + tuple(xpos[u.inverse[x]] for x in coset)
+
+
 def test_generalized_ty_gives_valid_rings_without_checking():
     count = 0
     for m in range(2, 9, 2):
         for u in gr.groups_of_order(m):
             for spec in all_specs(u):
-                assert fr.verify_axioms(cat.generalized_ty(spec)) == []
+                ring = cat.generalized_ty(spec)
+                assert fr.verify_axioms(ring) == []
+                n, dual = generalized_ty_by_loops(spec)
+                assert np.array_equal(ring.n, n) and ring.dual == dual
                 count += 1
     assert count == 663
 
@@ -232,24 +256,29 @@ def test_specs_in_one_orbit_give_isomorphic_rings(name):
 EVEN_ORDER_GROUPS = [g.name for m in range(2, 9, 2) for g in gr.groups_of_order(m)]
 
 
+def ring_fields(ring):
+    return ring.n.tobytes(), ring.dual, ring.labels
+
+
 @pytest.mark.parametrize("name", EVEN_ORDER_GROUPS)
 @pytest.mark.parametrize("variant", [0, 1, 2, 3])
 def test_spec_sort_key_orders_specs_as_their_rings(name, variant):
-    # variant 0 is the table as built, the others seeded relabellings of it
+    # Each orbit's spec is picked by its ring's own sort key: the oracle
+    # builds the ring of every spec and keeps each orbit's least under
+    # _ring_sort_key, the first in build order on ties. Variant 0 is the
+    # table as built, the others seeded relabellings of it.
     u = gr.named_group(name) if variant == 0 else relabelled_group(name, variant)
-    by_group = {}
-    for spec in all_specs(u):
-        by_group.setdefault(spec.invertibles.name, []).append(spec)
-    for specs in by_group.values():
-        spec_keys = [cat._spec_sort_key(spec) for spec in specs]
-        ring_keys = [cat._ring_sort_key(cat.generalized_ty(spec)) for spec in specs]
-        # the same rank for every spec under both keys, ties included
-        assert [sorted(set(spec_keys)).index(k) for k in spec_keys] == \
-            [sorted(set(ring_keys)).index(k) for k in ring_keys]
+    order = {(s.invertibles.name, s.delta, s.quotient_map): i for i, s in enumerate(all_specs(u))}
+    expected = []
+    for orbit in spec_orbits(u):
+        orbit.sort(key=lambda s: order[(s.invertibles.name, s.delta, s.quotient_map)])
+        rings = [cat.generalized_ty(spec) for spec in orbit]
+        expected.append(ring_fields(min(rings, key=cat._ring_sort_key)))
+    assert sorted(map(ring_fields, cat._near_group_rings(u))) == sorted(expected)
 
 
 def test_enumeration_builds_one_ring_per_spec_orbit(monkeypatch):
-    names = ("generalized_ty", "_spec_sort_key", "are_isomorphic", "quotient_group")
+    names = ("generalized_ty", "_near_group_tensor", "are_isomorphic", "quotient_group")
     calls = dict.fromkeys(names, 0)
 
     def count(module, name):
@@ -261,7 +290,7 @@ def test_enumeration_builds_one_ring_per_spec_orbit(monkeypatch):
         monkeypatch.setattr(module, name, counted)
 
     count(cat, "generalized_ty")
-    count(cat, "_spec_sort_key")
+    count(cat, "_near_group_tensor")
     count(gr, "are_isomorphic")
     count(gr, "quotient_group")
     for _ in range(2):   # counted on the second pass, with the catalogued groups warm
@@ -269,11 +298,11 @@ def test_enumeration_builds_one_ring_per_spec_orbit(monkeypatch):
         for m in range(1, 9):
             for group in gr.groups_of_order(m):
                 cat.enumerate_extensions("pointed-z2", group)
-    # one near-group ring per orbit of the 663 specs, full sort keys only for
-    # the members that tie on the first block; are_isomorphic only across the
-    # 37 orbits of the 106 cohomology classes
+    # one near-group ring per orbit of the 663 specs, and tensors beyond those
+    # 31 only for the members that tie on the first block; are_isomorphic
+    # only across the 37 orbits of the 106 cohomology classes
     assert calls["generalized_ty"] == 31
-    assert calls["_spec_sort_key"] <= 52
+    assert calls["_near_group_tensor"] <= 31 + 52
     assert calls["are_isomorphic"] <= 52
     assert calls["quotient_group"] == 0
 
@@ -459,6 +488,18 @@ RELABELLED_DIGESTS = {
 def test_enumeration_output_is_pinned_on_relabelled_tables(name, variant):
     group = relabelled_group(name, variant)
     assert enumeration_digests(group) == RELABELLED_DIGESTS[(name, variant)]
+
+
+@pytest.mark.parametrize("name,variant",
+                         [(name, 0) for name in ENUMERATION_DIGESTS] + list(RELABELLED_DIGESTS))
+def test_rank_fixes_the_invertible_count(name, variant):
+    # _ring_sort_key leaves the invertible count out: within one enumeration
+    # near-group rings have rank 3|U|/2 and |U| invertibles, pointed ones 2|U|
+    group = gr.named_group(name) if variant == 0 else relabelled_group(name, variant)
+    m = group.order
+    for ring in cat.enumerate_extensions("pointed-z2", group):
+        count = sum(ring.invertible)
+        assert (2 * ring.rank, count) == (3 * m, m) or ring.rank == count == 2 * m
 
 
 def test_dedup_and_isomorphism_read_no_dimensions(monkeypatch):

@@ -335,6 +335,22 @@ def test_central_extensions_of_z16():
         sorted(g.element_orders) for g in (gr.cyclic(32), gr.product_of_cyclics([2, 16])))
 
 
+def test_central_extensions_of_z2xq8_search_little(monkeypatch):
+    # iter_isomorphisms returns before its search when the centres differ in
+    # order, as they do for most pairs of these order-32 extensions
+    calls = 0
+    extend = gr._extend
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return extend(*args)
+    monkeypatch.setattr(gr, "_extend", counted)
+    exts = gr.central_extensions_by_z2(gr.product_group(gr.cyclic(2), gr.quaternion8()))
+    assert len(exts) == 6
+    assert calls <= 2000
+
+
 def oracle_cocycle_orbits(group):
     """_cocycle_orbits by walking every cocycle of the nullspace basis, in sel order."""
     m = group.order
