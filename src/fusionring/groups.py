@@ -45,14 +45,12 @@ class FiniteGroup:
         arr = np.asarray(self.table, dtype=np.int64)
         if arr.min() < 0 or arr.max() >= m:
             raise GroupError("table entries out of range")
-        full = frozenset(range(m))
-        for a in range(m):
-            if frozenset(self.table[a]) != full:
-                raise GroupError(f"row {a} is not a permutation")
-            if frozenset(row[a] for row in self.table) != full:
-                raise GroupError(f"column {a} is not a permutation")
         if any(self.table[0][a] != a or self.table[a][0] != a for a in range(m)):
             raise GroupError("index 0 must act as the identity")
+        # with the identity and associativity, right inverses are two-sided
+        # (ab = e = bc gives a = (ab)c = c): a group, so rows are permutations
+        if not all(0 in row for row in self.table):
+            raise GroupError("some row has no inverse")
         left = arr[arr, :]      # left[a,b,c] = (a*b)*c
         right = arr[:, arr]     # right[a,b,c] = a*(b*c)
         if not np.array_equal(left, right):
@@ -114,14 +112,13 @@ def product_group(g: FiniteGroup, h: FiniteGroup, name: str | None = None) -> Fi
 
 
 def product_of_cyclics(orders) -> FiniteGroup:
-    orders = list(orders)
-    if not orders:
-        return cyclic(1)
+    orders = list(orders) or [1]
     out = cyclic(orders[0])
-    for n in orders[1:]:
+    for n in orders[1:-1]:
         out = product_group(out, cyclic(n))
-    name = "x".join(f"Z{n}" for n in orders)
-    return FiniteGroup(out.order, out.table, name=name)
+    if len(orders) == 1:
+        return out
+    return product_group(out, cyclic(orders[-1]), name="x".join(f"Z{n}" for n in orders))
 
 
 def dihedral(n: int) -> FiniteGroup:
@@ -213,17 +210,16 @@ def central_elements_of_order2(group: FiniteGroup) -> list[int]:
     return [g for g in group.center if group.element_orders[g] == 2]
 
 
-def subgroup_group(group: FiniteGroup, members, name: str | None = None) -> tuple[FiniteGroup, tuple[int, ...]]:
+def subgroup_group(group: FiniteGroup, members) -> tuple[FiniteGroup, tuple[int, ...]]:
     """Reindex a subgroup as its own FiniteGroup; returns (group, embedding)."""
     mem = sorted(set(members))
     pos = {g: i for i, g in enumerate(mem)}
-    if 0 not in pos:
-        raise GroupError("subgroup must contain the identity")
+    # a closed member set holds e (powers reach it) unless it is empty, which FiniteGroup rejects
     try:
         table = tuple(tuple(pos[group.table[a][b]] for b in mem) for a in mem)
     except KeyError:
         raise GroupError("member set is not closed under multiplication") from None
-    return FiniteGroup(len(mem), table, name=name), tuple(mem)
+    return FiniteGroup(len(mem), table), tuple(mem)
 
 
 def quotient_group(group: FiniteGroup, kernel) -> tuple[FiniteGroup, tuple[int, ...]]:
@@ -266,8 +262,8 @@ def _square_root_counts(group: FiniteGroup) -> tuple[int, ...]:
     return tuple(sorted(Counter(group.table[y][y] for y in range(group.order)).values()))
 
 
-def _extend(g1: FiniteGroup, g2: FiniteGroup, gens: list[int], images) -> tuple[int, ...] | None:
-    """The isomorphism g1 -> g2 sending gens[i] to images[i], or None if there is none."""
+def _extend(g1: FiniteGroup, g2: FiniteGroup, gens: list[int], images) -> dict[int, int] | None:
+    """The injective homomorphism from <gens> in g1 to g2 sending gens[i] to images[i], or None."""
     f = {0: 0}
     frontier = [0]
     while frontier:
@@ -283,34 +279,44 @@ def _extend(g1: FiniteGroup, g2: FiniteGroup, gens: list[int], images) -> tuple[
                     f[y] = fy
                     nxt.append(y)
         frontier = nxt
-    if len(f) != g1.order or len(set(f.values())) != g1.order:
+    if len(set(f.values())) != len(f):
         return None
     # f is a homomorphism: the walk checked f(x*gen) = f(x)*img for every
     # x and generator, and f(gen) = f(e)*img = img. Every b is a word in
     # the generators (inverses are powers in a finite group), so
     # f(a*b) = f(a)*f(b) follows by induction on the length of b.
-    return tuple(f[a] for a in range(g1.order))
+    return f
 
 
-def _image_pools(g1: FiniteGroup, g2: FiniteGroup, gens: list[int]) -> list[list[int]]:
-    """For each generator, the elements of g2 of its order: its possible images."""
-    return [[h for h in range(g2.order) if g2.element_orders[h] == g1.element_orders[g]]
-            for g in gens]
+def _isomorphisms(g1: FiniteGroup, g2: FiniteGroup, gens: list[int], images: tuple[int, ...]):
+    """Yield every isomorphism g1 -> g2 sending gens[i] to images[i] for i < len(images).
+
+    The later generators take each image of their order, depth first, so the
+    maps come in lexicographic order of their images. An isomorphism restricts
+    to an injective homomorphism on <prefix>, so a prefix _extend refuses is
+    cut with all its completions. On all of gens, <gens> = g1, and an
+    injective homomorphism into g2, of the same order, is an isomorphism.
+    """
+    f = _extend(g1, g2, gens[:len(images)], images)
+    if f is None:
+        return
+    if len(images) == len(gens):
+        yield tuple(f[a] for a in range(g1.order))
+        return
+    order = g1.element_orders[gens[len(images)]]
+    for h in range(g2.order):
+        if g2.element_orders[h] == order:
+            yield from _isomorphisms(g1, g2, gens, (*images, h))
 
 
 def iter_isomorphisms(g1: FiniteGroup, g2: FiniteGroup):
     """Yield every isomorphism g1 -> g2 as a tuple indexed by g1 elements."""
-    if g1.order != g2.order or len(g1.center) != len(g2.center):
-        return
-    if sorted(g1.element_orders) != sorted(g2.element_orders):
+    # equal element orders imply equal group orders
+    if len(g1.center) != len(g2.center) or sorted(g1.element_orders) != sorted(g2.element_orders):
         return
     if _square_root_counts(g1) != _square_root_counts(g2):
         return
-    gens = _generating_sequence(g1)
-    for images in iter_product(*_image_pools(g1, g2, gens)):
-        m = _extend(g1, g2, gens, images)
-        if m is not None:
-            yield m
+    yield from _isomorphisms(g1, g2, _generating_sequence(g1), ())
 
 
 @per_object_cache
@@ -327,31 +333,23 @@ def automorphism_generators(group: FiniteGroup) -> tuple[tuple[int, ...], ...]:
     Then <S> lies in A_i, contains A_(i+1) = the stabilizer of g_i in A_i,
     and moves g_i over its whole A_i-orbit, so |<S>| = |A_i| and <S> = A_i.
     No automorphism is listed: Aut(Z2^3) has 168 elements and gets 5
-    generators from 22 trial maps.
+    generators from 20 trial maps.
     """
     gens = _generating_sequence(group)
-    pools = _image_pools(group, group, gens)
     found: list[tuple[int, ...]] = []
     for i in reversed(range(len(gens))):
         orbit = {gens[i]}  # the maps found so far fix g_i
-        for h in pools[i]:
-            if h in orbit:
+        for h in range(group.order):
+            if h in orbit or group.element_orders[h] != group.element_orders[gens[i]]:
                 continue
-            for rest in iter_product(*pools[i + 1:]):
-                auto = _extend(group, group, gens, (*gens[:i], h, *rest))
-                if auto is not None:
-                    found.append(auto)
-                    orbit = _walk(gens[i], lambda x: (f[x] for f in found))
-                    break
+            auto = next(_isomorphisms(group, group, gens, (*gens[:i], h)), None)
+            if auto is not None:
+                found.append(auto)
+                orbit = _walk(gens[i], lambda x: (f[x] for f in found))
     return tuple(found)
 
 
 def are_isomorphic(g1: FiniteGroup, g2: FiniteGroup) -> bool:
-    if g1.is_abelian() != g2.is_abelian():
-        return False
-    if g1.is_abelian():
-        # abelian groups are determined by their element order statistics
-        return sorted(g1.element_orders) == sorted(g2.element_orders)
     return next(iter_isomorphisms(g1, g2), None) is not None
 
 

@@ -96,7 +96,7 @@ _CLOSED_FORMS: tuple[tuple[float, str], ...] = (
     + tuple((2.0 * math.cos(math.pi / k), f"2cos(pi/{k})") for k in range(3, 31)))
 
 
-def recognize(value: float, tol: float = DIM_TOL) -> str | None:
+def recognize(value: float) -> str | None:
     """Closed-form tag for a dimension value, or None.
 
     Candidates in preference order: integers up to 64, square roots of
@@ -104,7 +104,7 @@ def recognize(value: float, tol: float = DIM_TOL) -> str | None:
     k up to 30.
     """
     for candidate, tag in _CLOSED_FORMS:
-        if abs(value - candidate) <= tol:
+        if abs(value - candidate) <= DIM_TOL:
             return tag
     return None
 

@@ -163,6 +163,8 @@ def test_generalized_ty_spec_validation():
         cat.generalized_ty(GTYSpec(z4, (0, 2), z4, 2, (0, 0, 2, 2)))
     with pytest.raises(gr.GroupError):  # kernel too large
         cat.generalized_ty(GTYSpec(z4, (0, 2), z4, 2, (0, 0, 0, 0)))
+    with pytest.raises(gr.GroupError):  # index2_subgroup not a subgroup, though q covers it
+        cat.generalized_ty(GTYSpec(z4, (0, 1), z4, 2, (0, 1, 0, 1)))
 
 
 def all_specs(u):

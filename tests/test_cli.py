@@ -329,14 +329,14 @@ def test_closed_stdout_exits_with_a_message():
     # the report (about 0.7 MB) outgrows the pipe buffer, so the write after
     # the reader closes its end fails
     env = dict(os.environ, PYTHONPATH=str(HERE.parent / "src"))
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "fusionring", "enumerate", "--base", "pointed-z2",
-         "--group", "Z2xZ4", "--json"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, cwd=HERE.parent)
-    assert len(proc.stdout.read(10)) == 10
-    proc.stdout.close()
-    err = proc.stderr.read().decode()
-    assert proc.wait() == 1
+    with subprocess.Popen(
+            [sys.executable, "-m", "fusionring", "enumerate", "--base", "pointed-z2",
+             "--group", "Z2xZ4", "--json"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, cwd=HERE.parent) as proc:
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait() == 1
     assert err.startswith("error:") and err.count("\n") == 1
     assert "Traceback" not in err
 

@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fusionring import groups as gr
 from fusionring.ring import _walk
@@ -44,6 +46,50 @@ def test_table_must_be_associative():
     )
     with pytest.raises(gr.GroupError):
         gr.FiniteGroup(5, table)
+
+
+def is_group_table(table):
+    """Oracle: rows and columns are permutations, 0 is the identity, and the product associates."""
+    m = len(table)
+    full = set(range(m))
+    return (all(set(row) == full for row in table)
+            and all({row[a] for row in table} == full for a in range(m))
+            and all(table[0][a] == a == table[a][0] for a in range(m))
+            and all(table[table[a][b]][c] == table[a][table[b][c]]
+                    for a, b, c in itertools.product(range(m), repeat=3)))
+
+
+TABLES_UP_TO_5 = [g.table for m in range(1, 6) for g in gr.groups_of_order(m)]
+
+
+@st.composite
+def small_tables(draw):
+    """A catalogued table with one entry redrawn, or a random one, of order <= 5."""
+    if draw(st.booleans()):
+        table = [list(row) for row in draw(st.sampled_from(TABLES_UP_TO_5))]
+        m = len(table)
+        a, b = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+        table[a][b] = draw(st.integers(0, m - 1))
+    else:
+        m = draw(st.integers(1, 5))
+        table = [[draw(st.integers(0, m - 1)) for _ in range(m)] for _ in range(m)]
+        if draw(st.booleans()):  # 0 acts as the identity, so the later checks run
+            table[0] = list(range(m))
+            for a in range(m):
+                table[a][0] = a
+    return tuple(tuple(row) for row in table)
+
+
+@settings(deadline=None, max_examples=300)
+@given(table=small_tables())
+def test_tables_are_accepted_exactly_when_they_are_groups(table):
+    try:
+        gr.FiniteGroup(len(table), table)
+    except gr.GroupError:
+        accepted = False
+    else:
+        accepted = True
+    assert accepted == is_group_table(table)
 
 
 @pytest.mark.parametrize("entry", [True, np.bool_(True), 1.0, np.float64(1.0)],
@@ -194,6 +240,8 @@ def test_subgroup_group_and_quotient():
     z4 = gr.named_group("Z4")
     sub, embed = gr.subgroup_group(z4, (0, 2))
     assert sub.order == 2 and embed == (0, 2)
+    with pytest.raises(gr.GroupError):
+        gr.subgroup_group(z4, ())
 
     quot, proj = gr.quotient_group(z4, (0, 2))
     assert quot.order == 2
@@ -260,6 +308,74 @@ def span(gens, order):
 def test_automorphism_generators_span_aut(group, variant):
     g = relabelled(group, variant) if variant else gr.FiniteGroup(group.order, group.table)
     assert span(gr.automorphism_generators(g), g.order) == set(gr.iter_isomorphisms(g, g))
+
+
+def image_pools(g1, g2, gens):
+    """For each generator, the elements of g2 of its order."""
+    return [[h for h in range(g2.order) if g2.element_orders[h] == g1.element_orders[g]]
+            for g in gens]
+
+
+def product_isomorphisms(g1, g2):
+    """Oracle: iter_isomorphisms without pruning, _extend on each full tuple of the image pools."""
+    if g1.order != g2.order or len(g1.center) != len(g2.center):
+        return
+    if sorted(g1.element_orders) != sorted(g2.element_orders):
+        return
+    if gr._square_root_counts(g1) != gr._square_root_counts(g2):
+        return
+    gens = gr._generating_sequence(g1)
+    for images in itertools.product(*image_pools(g1, g2, gens)):
+        f = gr._extend(g1, g2, gens, images)
+        if f is not None:
+            yield tuple(f[a] for a in range(g1.order))
+
+
+def product_automorphism_generators(group):
+    """Oracle: automorphism_generators with each trial completed over the full product."""
+    gens = gr._generating_sequence(group)
+    pools = image_pools(group, group, gens)
+    found = []
+    for i in reversed(range(len(gens))):
+        orbit = {gens[i]}
+        for h in pools[i]:
+            if h in orbit:
+                continue
+            for rest in itertools.product(*pools[i + 1:]):
+                f = gr._extend(group, group, gens, (*gens[:i], h, *rest))
+                if f is not None:
+                    found.append(tuple(f[a] for a in range(group.order)))
+                    orbit = _walk(gens[i], lambda x: (g[x] for g in found))
+                    break
+    return tuple(found)
+
+
+CATALOGUED = [g for m in range(1, 9) for g in gr.groups_of_order(m)]
+
+
+def test_pruned_search_yields_the_maps_of_the_full_product():
+    pool = CATALOGUED + [h for g in CATALOGUED for h in gr.central_extensions_by_z2(g)]
+    pairs = [(a, b) for a in pool for b in pool if a.order == b.order]
+    assert len(pairs) == 613
+    for a, b in pairs:
+        assert list(gr.iter_isomorphisms(a, b)) == list(product_isomorphisms(a, b))
+
+
+AUT_GROUPS = {g.name: g for g in CATALOGUED} | {
+    "Z2xD4": gr.product_group(gr.cyclic(2), gr.dihedral(4)),
+    "Z2xQ8": gr.product_group(gr.cyclic(2), gr.quaternion8()),
+    "Z4xZ4": gr.product_of_cyclics([4, 4]),
+    "Z2xZ8": gr.product_of_cyclics([2, 8]),
+    "D8": gr.dihedral(8),
+    "Z16": gr.cyclic(16),
+    "Z2^4": gr.product_of_cyclics([2, 2, 2, 2]),
+    "Z4xZ2xZ2": gr.product_of_cyclics([4, 2, 2]),
+}
+
+
+@pytest.mark.parametrize("group", AUT_GROUPS.values(), ids=AUT_GROUPS)
+def test_automorphism_generators_match_the_full_product_chain(group):
+    assert gr.automorphism_generators(group) == product_automorphism_generators(group)
 
 
 def test_automorphism_generators_list_no_automorphisms(monkeypatch):
@@ -335,20 +451,34 @@ def test_central_extensions_of_z16():
         sorted(g.element_orders) for g in (gr.cyclic(32), gr.product_of_cyclics([2, 16])))
 
 
-def test_central_extensions_of_z2xq8_search_little(monkeypatch):
-    # iter_isomorphisms returns before its search when the centres differ in
-    # order, as they do for most pairs of these order-32 extensions
-    calls = 0
+@pytest.fixture
+def extend_calls(monkeypatch):
+    """The list of _extend calls made while the test runs, one None each."""
+    calls = []
     extend = gr._extend
 
     def counted(*args):
-        nonlocal calls
-        calls += 1
+        calls.append(None)
         return extend(*args)
     monkeypatch.setattr(gr, "_extend", counted)
+    return calls
+
+
+def test_central_extensions_of_z2xq8_search_little(extend_calls):
+    # iter_isomorphisms returns before its search when the centres differ in
+    # order, as they do for most pairs of these order-32 extensions
     exts = gr.central_extensions_by_z2(gr.product_group(gr.cyclic(2), gr.quaternion8()))
     assert len(exts) == 6
-    assert calls <= 2000
+    assert len(extend_calls) <= 2000
+
+
+def test_central_extensions_of_z2xd4_cut_failing_prefixes(extend_calls):
+    # non-isomorphic extensions here agree in centre order, element orders
+    # and square-root counts, so the search runs; it must cut each prefix of
+    # generator images that does not extend, not try its every completion
+    exts = gr.central_extensions_by_z2(gr.product_group(gr.cyclic(2), gr.dihedral(4)))
+    assert len(exts) == 17
+    assert len(extend_calls) <= 10_000
 
 
 def oracle_cocycle_orbits(group):
