@@ -13,7 +13,7 @@ import numpy as np
 
 from . import groups as gr
 from .groups import FiniteGroup, GroupError
-from .ring import FusionRing, _orbits, per_object_cache
+from .ring import FusionRing, _built_ring, _orbits, per_object_cache
 
 
 def _as_group(g) -> FiniteGroup:
@@ -25,14 +25,21 @@ def _as_group(g) -> FiniteGroup:
 
 
 def pointed(g) -> FusionRing:
-    """Group ring of g: every basis element is invertible."""
+    """Group ring of g: every basis element is invertible.
+
+    Built by _built_ring unchecked: n is an m x m x m tensor of zeros and
+    ones, and the duals, the group's inverses, are a permutation. It is a
+    fusion ring, as N_ab^c = 1 exactly when ab = c: e is the unit,
+    ab = e exactly when b = a^-1, the conditions ab = c, a^-1 c = b and
+    c b^-1 = a agree, and the product is the group's, so associative.
+    """
     group = _as_group(g)
     m = group.order
     n = np.zeros((m, m, m), dtype=np.int64)
     a = np.arange(m)
     n[a[:, None], a, group.table] = 1
     labels = tuple(group.element_name(a) for a in range(m))
-    return FusionRing(m, group.inverse, n, labels)
+    return _built_ring(n, group.inverse, labels)
 
 
 def yang_lee() -> FusionRing:
@@ -58,7 +65,10 @@ def deligne_product(r1: FusionRing, r2: FusionRing) -> FusionRing:
     """Product ring on pairs of basis elements, multiplied slotwise.
 
     Each entry is the product of one entry of each factor, so products of
-    2**63 or more raise OverflowError instead of wrapping in int64.
+    2**63 or more raise OverflowError instead of wrapping in int64. Built by
+    _built_ring unchecked past that check: the entries are products of
+    non-negative entries below 2**63, and the duals pair the factors'
+    dual permutations, so they form a permutation.
     """
     if int(r1.n.max()) * int(r2.n.max()) >= 2 ** 63:
         raise OverflowError("product structure constants exceed the int64 range")
@@ -68,7 +78,7 @@ def deligne_product(r1: FusionRing, r2: FusionRing) -> FusionRing:
                  for i in range(r1.rank) for a in range(r2.rank))
     labels = tuple(f"{r1.label(i)}*{r2.label(a)}"
                    for i in range(r1.rank) for a in range(r2.rank))
-    return FusionRing(r1.rank * r2.rank, dual, n, labels)
+    return _built_ring(n, dual, labels)
 
 
 def yl_extension(g) -> FusionRing:
@@ -76,12 +86,13 @@ def yl_extension(g) -> FusionRing:
 
     deligne_product(yang_lee(), pointed(g)) relabelled: d_g = 1*g
     (invertible) sits at index g and Y_g = Y*g at |G| + g, so d_g d_h = d_gh,
-    d_g Y_h = Y_gh, Y_h d_g = Y_hg and Y_g Y_h = d_gh + Y_gh.
+    d_g Y_h = Y_gh, Y_h d_g = Y_hg and Y_g Y_h = d_gh + Y_gh. Only the
+    labels change, so the ring goes to _built_ring unchecked.
     """
     group = _as_group(g)
     ring = deligne_product(yang_lee(), pointed(group))
     labels = tuple(f"{s}[{group.element_name(a)}]" for s in "dY" for a in range(group.order))
-    return FusionRing(ring.rank, ring.dual, ring.n, labels)
+    return _built_ring(ring.n, ring.dual, labels)
 
 
 @dataclass(frozen=True)
@@ -108,7 +119,9 @@ def generalized_ty(spec: GTYSpec) -> FusionRing:
     the image of a homomorphism, is a subgroup of at most len(U0) = |G|/2
     elements, so the kernel {e, delta} has two: delta has order 2, and is
     central as the kernel is normal. Data that passes these checks always
-    gives a fusion ring, so the axioms are not checked again. Write U1 for
+    gives a fusion ring, so it goes to _built_ring unchecked: n is 0/1 of
+    shape r x r x r, and the duals read off it are the permutation below,
+    an involution. Write U1 for
     the coset U - U0, X_x for x in U1, and deg a = q(a), deg X_x = x. The
     rules are a*b = ab, a*X_x = X_{q(a)x}, X_x*a = X_{x q(a)} and X_x*X_y =
     the sum of the two a with q(a) = xy (xy lies in U0 as U0 has index 2;
@@ -146,7 +159,7 @@ def generalized_ty(spec: GTYSpec) -> FusionRing:
     dual = n[:, :, 0].argmax(axis=1)  # the j with N_ij^e = 1
     labels = tuple(g.element_name(a) for a in range(m)) + \
         tuple(f"X[{x}]" for x in range(u.order) if x not in u0)
-    return FusionRing(len(n), dual, n, labels)
+    return _built_ring(n, dual, labels)
 
 
 def _near_group_tensor(u: FiniteGroup, g: FiniteGroup, q: tuple[int, ...]) -> np.ndarray:

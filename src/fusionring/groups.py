@@ -31,10 +31,7 @@ class FiniteGroup:
 
     def __post_init__(self) -> None:
         m = self.order
-        if m < 1:
-            raise GroupError("order must be positive")
-        if len(self.table) != m or any(len(row) != m for row in self.table):
-            raise GroupError(f"table must be {m}x{m}")
+        _check_shape(m, self.table)
         for a, row in enumerate(self.table):
             for b, x in enumerate(row):
                 # entries index numpy arrays later, where a bool acts as a mask
@@ -92,6 +89,26 @@ class FiniteGroup:
 
     def __repr__(self) -> str:
         return f"FiniteGroup(order={self.order}, name={self.name!r})"
+
+
+def _check_shape(order: int, table) -> None:
+    if order < 1:
+        raise GroupError("order must be positive")
+    if len(table) != order or any(len(row) != order for row in table):
+        raise GroupError(f"table must be {order}x{order}")
+
+
+def _built_group(order: int, table: tuple[tuple[int, ...], ...]) -> FiniteGroup:
+    """A FiniteGroup on a table its builder proved to be a group, identity at 0.
+
+    Only the shape is checked; the entry, identity, inverse and
+    associativity checks of the constructor are skipped. Only a builder
+    whose docstring gives that proof may call this.
+    """
+    _check_shape(order, table)
+    group = object.__new__(FiniteGroup)
+    group.__dict__.update(order=order, table=table, name=None)
+    return group
 
 
 # ---------------------------------------------------------------- constructors
@@ -211,19 +228,34 @@ def central_elements_of_order2(group: FiniteGroup) -> list[int]:
 
 
 def subgroup_group(group: FiniteGroup, members) -> tuple[FiniteGroup, tuple[int, ...]]:
-    """Reindex a subgroup as its own FiniteGroup; returns (group, embedding)."""
+    """Reindex a subgroup as its own FiniteGroup; returns (group, embedding).
+
+    The table goes to _built_group unchecked. The members are elements of
+    the group, and the KeyError below checks that they are closed under
+    the product. A closed non-empty subset of a finite group is a subgroup:
+    it holds the powers of each member, so e and the inverses, and the
+    product is the group's, so associative. e = 0 is the least member, so
+    it sits at index 0. The empty set fails _built_group's order check.
+    """
     mem = sorted(set(members))
+    if mem and (mem[0] < 0 or mem[-1] >= group.order):
+        raise GroupError("members must be elements of the group")
     pos = {g: i for i, g in enumerate(mem)}
-    # a closed member set holds e (powers reach it) unless it is empty, which FiniteGroup rejects
     try:
         table = tuple(tuple(pos[group.table[a][b]] for b in mem) for a in mem)
     except KeyError:
         raise GroupError("member set is not closed under multiplication") from None
-    return FiniteGroup(len(mem), table), tuple(mem)
+    return _built_group(len(mem), table), tuple(mem)
 
 
 def quotient_group(group: FiniteGroup, kernel) -> tuple[FiniteGroup, tuple[int, ...]]:
-    """Quotient by a normal subgroup; returns (quotient, projection)."""
+    """Quotient by a normal subgroup; returns (quotient, projection).
+
+    The table goes to _built_group unchecked. The kernel K is checked to be
+    a normal subgroup, so the cosets aK form the group G/K with
+    aK * bK = abK, whatever the representatives. The coset K of e holds the
+    least element, 0, so it is numbered 0.
+    """
     k = frozenset(kernel)
     if generated_subgroup(group, k) != k:
         raise GroupError("kernel is not a subgroup")
@@ -241,19 +273,20 @@ def quotient_group(group: FiniteGroup, kernel) -> tuple[FiniteGroup, tuple[int, 
             coset_of[a] = cid
     reps = [coset[0] for coset in cosets]
     table = tuple(tuple(coset_of[t[a][b]] for b in reps) for a in reps)
-    return FiniteGroup(len(reps), table), tuple(coset_of)
+    return _built_group(len(reps), table), tuple(coset_of)
 
 
 # ---------------------------------------------------------------- isomorphisms
 
-def _generating_sequence(group: FiniteGroup) -> list[int]:
+@per_object_cache
+def _generating_sequence(group: FiniteGroup) -> tuple[int, ...]:
     gens: list[int] = []
     closed = frozenset({0})
     for g in range(group.order):
         if g not in closed:
             gens.append(g)
             closed = generated_subgroup(group, gens)
-    return gens
+    return tuple(gens)
 
 
 @per_object_cache
@@ -262,7 +295,7 @@ def _square_root_counts(group: FiniteGroup) -> tuple[int, ...]:
     return tuple(sorted(Counter(group.table[y][y] for y in range(group.order)).values()))
 
 
-def _extend(g1: FiniteGroup, g2: FiniteGroup, gens: list[int], images) -> dict[int, int] | None:
+def _extend(g1: FiniteGroup, g2: FiniteGroup, gens: tuple[int, ...], images) -> dict[int, int] | None:
     """The injective homomorphism from <gens> in g1 to g2 sending gens[i] to images[i], or None."""
     f = {0: 0}
     frontier = [0]
@@ -288,22 +321,29 @@ def _extend(g1: FiniteGroup, g2: FiniteGroup, gens: list[int], images) -> dict[i
     return f
 
 
-def _isomorphisms(g1: FiniteGroup, g2: FiniteGroup, gens: list[int], images: tuple[int, ...]):
+def _isomorphisms(g1: FiniteGroup, g2: FiniteGroup, gens: tuple[int, ...],
+                  images: tuple[int, ...]):
     """Yield every isomorphism g1 -> g2 sending gens[i] to images[i] for i < len(images).
 
-    The later generators take each image of their order, depth first, so the
-    maps come in lexicographic order of their images. An isomorphism restricts
-    to an injective homomorphism on <prefix>, so a prefix _extend refuses is
-    cut with all its completions. On all of gens, <gens> = g1, and an
-    injective homomorphism into g2, of the same order, is an isomorphism.
+    Each image must have its generator's order. The later generators take
+    each image of their order, depth first, so the maps come in
+    lexicographic order of their images. An isomorphism restricts to an
+    injective homomorphism on <prefix>, so a prefix _extend refuses is cut
+    with all its completions. Prefixes of fewer than two images are not
+    tried: the empty one always extends, and so does one image h of the
+    order of g, by g^i -> h^i on the cyclic <g>. On all of gens,
+    <gens> = g1, and an injective homomorphism into g2, of the same order,
+    is an isomorphism.
     """
-    f = _extend(g1, g2, gens[:len(images)], images)
-    if f is None:
+    k = len(images)
+    if k == len(gens):
+        f = _extend(g1, g2, gens, images)
+        if f is not None:
+            yield tuple(f[a] for a in range(g1.order))
         return
-    if len(images) == len(gens):
-        yield tuple(f[a] for a in range(g1.order))
+    if k >= 2 and _extend(g1, g2, gens[:k], images) is None:
         return
-    order = g1.element_orders[gens[len(images)]]
+    order = g1.element_orders[gens[k]]
     for h in range(g2.order):
         if g2.element_orders[h] == order:
             yield from _isomorphisms(g1, g2, gens, (*images, h))
@@ -560,6 +600,13 @@ def central_extensions_by_z2(group: FiniteGroup) -> list[FiniteGroup]:
     across the orbit representatives, in order. Each isomorphism class is a
     union of orbits, so the group kept for it is its first class's, as if
     every class were built.
+
+    Each table goes to _built_group unchecked, as H_c is a group: c is
+    normalized, c(e, h) = c(g, e) = 0, so (e, 0) is the identity at index 0;
+    the cocycle identity c(g, h) + c(gh, k) = c(h, k) + c(g, hk), the
+    equations _cocycle_orbits solves for g, h, k != e (with e it follows
+    from normalization), makes both bracketings of (g, s)(h, u)(k, v) equal
+    (ghk, s + u + v + that sum); and (g, s)^-1 = (g^-1, s + c(g, g^-1)).
     """
     m = group.order
     t = group.table
@@ -567,14 +614,11 @@ def central_extensions_by_z2(group: FiniteGroup) -> list[FiniteGroup]:
     reps: list[FiniteGroup] = []
     for orbit in orbits:
         vec = orbit[0]
-        table = [[0] * (2 * m) for _ in range(2 * m)]
-        for g in range(m):
-            for s in (0, 1):
-                for h in range(m):
-                    for u in (0, 1):
-                        c = 0 if (g == 0 or h == 0) else (vec >> vidx[(g, h)]) & 1
-                        table[2 * g + s][2 * h + u] = 2 * t[g][h] + (s ^ u ^ c)
-        cand = FiniteGroup(2 * m, tuple(tuple(row) for row in table))
+        c = [[0] * m] + [[0, *((vec >> vidx[(g, h)]) & 1 for h in range(1, m))]
+                         for g in range(1, m)]
+        table = tuple(tuple(2 * t[g][h] + (s ^ u ^ c[g][h]) for h in range(m) for u in (0, 1))
+                      for g in range(m) for s in (0, 1))
+        cand = _built_group(2 * m, table)
         if not any(are_isomorphic(cand, r) for r in reps):
             reps.append(cand)
     return reps

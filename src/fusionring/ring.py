@@ -112,6 +112,22 @@ class FusionRing:
         return f"FusionRing(rank={self.rank})"
 
 
+def _built_ring(n: np.ndarray, dual, labels) -> FusionRing:
+    """A FusionRing on data its builder proved to pass the constructor's checks.
+
+    The proof must give n as an r x r x r tensor of non-negative integers
+    below 2**63, dual as a permutation of range(r) and r labels. None of
+    the checks run; the fields are normalized as the constructor normalizes
+    them. Only a builder whose docstring gives that proof may call this.
+    """
+    n = np.ascontiguousarray(n, dtype=np.int64)
+    n.setflags(write=False)
+    ring = object.__new__(FusionRing)
+    ring.__dict__.update(rank=len(n), dual=tuple(int(x) for x in dual), n=n,
+                         labels=tuple(str(x) for x in labels))
+    return ring
+
+
 @dataclass(frozen=True)
 class RingElement:
     """Nonnegative integer combination of basis elements."""

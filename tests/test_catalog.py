@@ -504,6 +504,24 @@ def test_rank_fixes_the_invertible_count(name, variant):
         assert (2 * ring.rank, count) == (3 * m, m) or ring.rank == count == 2 * m
 
 
+def test_built_rings_carry_the_public_constructors_fields():
+    # generalized_ty and pointed build without the constructor's checks but
+    # must normalize every field as it does
+    rings = [ring for name in ENUMERATION_DIGESTS
+             for ring in cat.enumerate_extensions("pointed-z2", name)]
+    assert len(rings) == 68
+    for ring in rings:
+        public = fr.FusionRing(ring.rank, ring.dual, ring.n, ring.labels)
+        for built in (ring, public):
+            assert type(built.rank) is int
+            assert built.n.dtype == np.int64 and built.n.flags.c_contiguous
+            assert not built.n.flags.writeable
+            assert type(built.dual) is tuple and all(type(x) is int for x in built.dual)
+            assert type(built.labels) is tuple and all(type(x) is str for x in built.labels)
+        assert (ring.rank, ring.dual, ring.labels) == (public.rank, public.dual, public.labels)
+        assert np.array_equal(ring.n, public.n)
+
+
 def test_dedup_and_isomorphism_read_no_dimensions(monkeypatch):
     def float_dimensions(ring):
         raise AssertionError("an identity decision read Perron-Frobenius dimensions")

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fusionring import catalog as cat
 from fusionring import groups as gr
-from fusionring.ring import _walk
+from fusionring.ring import FusionRing, _walk, verify_axioms
 
 
 def brute_force_subgroups(group):
@@ -242,6 +243,8 @@ def test_subgroup_group_and_quotient():
     assert sub.order == 2 and embed == (0, 2)
     with pytest.raises(gr.GroupError):
         gr.subgroup_group(z4, ())
+    with pytest.raises(gr.GroupError):
+        gr.subgroup_group(z4, (-1, 0, 2))   # -1 would index the table as 3
 
     quot, proj = gr.quotient_group(z4, (0, 2))
     assert quot.order == 2
@@ -251,6 +254,24 @@ def test_subgroup_group_and_quotient():
     reflection = next(i for i in range(6) if s3.element_orders[i] == 2)
     with pytest.raises(gr.GroupError):
         gr.quotient_group(s3, (0, reflection))  # not normal
+
+
+@pytest.mark.parametrize("group", [g for m in range(1, 9) for g in gr.groups_of_order(m)],
+                         ids=lambda g: g.name)
+def test_subgroup_group_accepts_exactly_the_subgroups(group):
+    # subgroup_group builds its table without the constructor's checks, so
+    # its own closure check must reject every other subset
+    subs = set(gr.subgroups(group))
+    for size in range(1, group.order + 1):
+        for members in itertools.combinations(range(group.order), size):
+            if members in subs:
+                sub, embed = gr.subgroup_group(group, members)
+                assert embed == members
+                assert all(embed[sub.table[a][b]] == group.table[embed[a]][embed[b]]
+                           for a in range(size) for b in range(size))
+            else:
+                with pytest.raises(gr.GroupError):
+                    gr.subgroup_group(group, members)
 
 
 def test_quotient_of_q8_by_center_is_klein():
@@ -453,15 +474,20 @@ def test_central_extensions_of_z16():
 
 @pytest.fixture
 def extend_calls(monkeypatch):
-    """The list of _extend calls made while the test runs, one None each."""
+    """The _extend calls made while the test runs, as (images, generators of g1) counts."""
     calls = []
     extend = gr._extend
 
-    def counted(*args):
-        calls.append(None)
-        return extend(*args)
+    def counted(g1, g2, gens, images):
+        calls.append((len(images), len(gr._generating_sequence(g1))))
+        return extend(g1, g2, gens, images)
     monkeypatch.setattr(gr, "_extend", counted)
     return calls
+
+
+def tries_only_prefixes_that_can_fail(calls):
+    # the empty prefix and one image of a generator's order always extend
+    return all(k >= 2 or k == n for k, n in calls)
 
 
 def test_central_extensions_of_z2xq8_search_little(extend_calls):
@@ -470,6 +496,19 @@ def test_central_extensions_of_z2xq8_search_little(extend_calls):
     exts = gr.central_extensions_by_z2(gr.product_group(gr.cyclic(2), gr.quaternion8()))
     assert len(exts) == 6
     assert len(extend_calls) <= 2000
+    assert tries_only_prefixes_that_can_fail(extend_calls)
+
+
+@pytest.mark.parametrize("group,variant", SMALL_TABLES)
+def test_search_tries_only_prefixes_that_can_fail(group, variant, extend_calls):
+    g = relabelled(group, variant) if variant else gr.FiniteGroup(group.order, group.table)
+    gr.automorphism_generators(g)
+    gr.central_extensions_by_z2(g)
+    for other in gr.groups_of_order(g.order):
+        list(gr.iter_isomorphisms(g, other))
+    cat.enumerate_extensions("pointed-z2", g)
+    assert extend_calls
+    assert tries_only_prefixes_that_can_fail(extend_calls)
 
 
 def test_central_extensions_of_z2xd4_cut_failing_prefixes(extend_calls):
@@ -479,6 +518,39 @@ def test_central_extensions_of_z2xd4_cut_failing_prefixes(extend_calls):
     exts = gr.central_extensions_by_z2(gr.product_group(gr.cyclic(2), gr.dihedral(4)))
     assert len(exts) == 17
     assert len(extend_calls) <= 10_000
+    assert tries_only_prefixes_that_can_fail(extend_calls)
+
+
+def normal_subgroups(group):
+    t, inv = group.table, group.inverse
+    return [s for s in gr.subgroups(group)
+            if all(t[t[a][x]][inv[a]] in s for a in range(group.order) for x in s)]
+
+
+def test_built_groups_and_rings_pass_the_public_checks(monkeypatch):
+    # every table and tensor the package builds without the constructors'
+    # checks, built through the public constructors instead
+    monkeypatch.setattr(gr, "_built_group", lambda order, table: gr.FiniteGroup(order, table))
+    monkeypatch.setattr(cat, "_built_ring",
+                        lambda n, dual, labels: FusionRing(len(n), dual, n, labels))
+    small = [relabelled(g, v) if v else gr.FiniteGroup(g.order, g.table)
+             for g, v in (param.values for param in SMALL_TABLES)]
+    big = [gr.FiniteGroup(g.order, g.table) for g in AUT_GROUPS.values() if g.order == 16]
+    assert (len(small), len(big)) == (42, 8)
+    rings = []
+    for g in small + big:
+        for members in gr.subgroups(g):
+            gr.subgroup_group(g, members)
+        for kernel in normal_subgroups(g):
+            gr.quotient_group(g, kernel)
+        gr.central_extensions_by_z2(g)
+        rings.append(cat.yl_extension(g))
+        if g.order <= 8:
+            rings.extend(cat.enumerate_extensions("pointed-z2", g))
+    rings.append(cat.deligne_product(cat.yl_extension("Q8"), cat.ising()))
+    rings.append(cat.deligne_product(cat.yl_extension("S3"), cat.pointed("Z4")))
+    for ring in rings:
+        assert verify_axioms(ring) == []
 
 
 def oracle_cocycle_orbits(group):
