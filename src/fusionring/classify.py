@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 
 from . import catalog, groups as gr, structure as st
 from .numerics import TypeSignature, type_signature
-from .ring import (FusionRing, Subring, closure, find_isomorphism, per_object_cache,
-                   product_support)
+from .ring import (FusionRing, Subring, _require_valid, closure, find_isomorphism,
+                   per_object_cache, product_support)
 
 FLAG_ORDER = ("pointed", "yang-lee", "ising", "generalized-ty",
               "yl-extension", "rank2-pointed-extension")
@@ -40,12 +40,6 @@ class Classification:
     rank2_pointed_extension: bool
     signature: TypeSignature
     evidence: dict = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.yang_lee and self.pointed:
-            raise AssertionError("a Yang-Lee ring cannot be pointed")
-        if self.ising and not self.generalized_ty:
-            raise AssertionError("an Ising ring is a near-group ring")
 
     def flags(self) -> tuple[str, ...]:
         values = (self.pointed, self.yang_lee, self.ising, self.generalized_ty,
@@ -100,7 +94,8 @@ def _has_dim_sqrt2(ring: FusionRing, x: int) -> bool:
 
 @per_object_cache
 def classify(ring: FusionRing) -> Classification:
-    """Family membership flags plus supporting evidence."""
+    """Family membership flags plus supporting evidence; StructuralError on an invalid ring."""
+    _require_valid(ring)
     sig = type_signature(ring)
     group = st.invertibles(ring)[0]
     grading = st.universal_grading(ring)
@@ -196,10 +191,9 @@ def _claim_gty_type(ring):
 
 
 def _claim_gty_adjoint(ring):
+    # the adjoint subring is the grading's identity component (universal_grading)
     ad = st.adjoint_subring(ring)
-    ok = (ad.rank == 2 and ad.pointed
-          and ad.members == st.universal_grading(ring).components[0])
-    return ok, {"adjoint": list(ad.members)}
+    return ad.rank == 2 and ad.pointed, {"adjoint": list(ad.members)}
 
 
 def _claim_gty_grading_order(ring):

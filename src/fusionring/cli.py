@@ -22,7 +22,7 @@ import numpy as np
 from . import catalog, groups as gr, structure as st
 from .classify import classify, verify_claims
 from .numerics import COS_TARGET, ConvergenceError, fp_dimensions, solve_cos_equation, type_signature
-from .ring import verify_axioms, find_isomorphism
+from .ring import StructuralError, _require_valid, find_isomorphism, verify_axioms
 from .ringfile import RingFormatError, parse_ring, ring_to_document, serialize_ring
 
 
@@ -76,11 +76,10 @@ def _load_ring(path: str):
 
 def _load_valid_ring(path: str):
     ring = _load_ring(path)
-    violations = verify_axioms(ring)
-    if violations:
-        head = "; ".join(str(v) for v in violations[:3])
-        raise CliError(
-            f"{path}: not a fusion ring ({len(violations)} axiom violation(s): {head})")
+    try:
+        _require_valid(ring)
+    except StructuralError as exc:
+        raise CliError(f"{path}: {exc}") from None
     return ring
 
 

@@ -34,10 +34,7 @@ class FiniteGroup:
         _check_shape(m, self.table)
         for a, row in enumerate(self.table):
             for b, x in enumerate(row):
-                # entries index numpy arrays later, where a bool acts as a mask
-                # and a float raises; a plain int passes the first test alone
-                if type(x) is not int and (isinstance(x, bool)
-                                           or not isinstance(x, np.integer)):
+                if not _is_integer(x):
                     raise GroupError(f"table entry ({a},{b}) is {x!r}, not an integer")
         arr = np.asarray(self.table, dtype=np.int64)
         if arr.min() < 0 or arr.max() >= m:
@@ -89,6 +86,19 @@ class FiniteGroup:
 
     def __repr__(self) -> str:
         return f"FiniteGroup(order={self.order}, name={self.name!r})"
+
+
+def _is_integer(x) -> bool:
+    # a bool indexes numpy arrays as a mask, and a float indexes nothing
+    return type(x) is int or isinstance(x, np.integer)
+
+
+def _elements(group: FiniteGroup, members) -> list[int]:
+    """The members as sorted distinct elements of the group, or GroupError."""
+    members = list(members)
+    if not all(_is_integer(x) and 0 <= x < group.order for x in members):
+        raise GroupError("members must be elements of the group")
+    return sorted({int(x) for x in members})
 
 
 def _check_shape(order: int, table) -> None:
@@ -237,9 +247,7 @@ def subgroup_group(group: FiniteGroup, members) -> tuple[FiniteGroup, tuple[int,
     product is the group's, so associative. e = 0 is the least member, so
     it sits at index 0. The empty set fails _built_group's order check.
     """
-    mem = sorted(set(members))
-    if mem and (mem[0] < 0 or mem[-1] >= group.order):
-        raise GroupError("members must be elements of the group")
+    mem = _elements(group, members)
     pos = {g: i for i, g in enumerate(mem)}
     try:
         table = tuple(tuple(pos[group.table[a][b]] for b in mem) for a in mem)
@@ -256,7 +264,7 @@ def quotient_group(group: FiniteGroup, kernel) -> tuple[FiniteGroup, tuple[int, 
     aK * bK = abK, whatever the representatives. The coset K of e holds the
     least element, 0, so it is numbered 0.
     """
-    k = frozenset(kernel)
+    k = frozenset(_elements(group, kernel))
     if generated_subgroup(group, k) != k:
         raise GroupError("kernel is not a subgroup")
     t = group.table
@@ -401,10 +409,8 @@ def identify_group(group: FiniteGroup) -> str:
         return f"Z{m}"
     if group.is_abelian():
         return "x".join(f"Z{n}" for n in _abelian_invariants(group))
-    if m == 8 and are_isomorphic(group, quaternion8()):
-        return "Q8"
-    if m == 6 and are_isomorphic(group, symmetric3()):
-        return "S3"
+    if m <= 8:
+        return next(g.name for g in groups_of_order(m) if are_isomorphic(group, g))
     if m % 2 == 0 and are_isomorphic(group, dihedral(m // 2)):
         return f"D{m // 2}"
     return f"grp{m}c{len(group.center)}"

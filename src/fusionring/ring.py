@@ -8,7 +8,7 @@ Validation happens in two layers. Shape and typing problems (wrong tensor
 dimensions, non-permutation duality, entries outside [0, 2**63)) raise
 StructuralError at construction time. The ring axioms themselves (dual
 involution, unit rows, duality pairing, reciprocity, associativity) are
-checked by verify_axioms, which reports every violation instead of raising.
+checked once per ring: verify_axioms lists every violation, _require_valid raises.
 """
 
 from __future__ import annotations
@@ -204,6 +204,20 @@ def verify_axioms(ring: FusionRing) -> list[AxiomViolation]:
     reciprocity, associativity; within a family the offending index tuples
     come out lexicographically. An empty list means the ring is valid.
     """
+    return list(_violations(ring))
+
+
+def _require_valid(ring: FusionRing) -> None:
+    """Raise StructuralError unless the ring passes verify_axioms: the one axiom gate."""
+    violations = _violations(ring)
+    if violations:
+        head = "; ".join(str(v) for v in violations[:3])
+        raise StructuralError(f"not a fusion ring ({len(violations)} axiom violation(s): {head})")
+
+
+@per_object_cache
+def _violations(ring: FusionRing) -> tuple[AxiomViolation, ...]:
+    """verify_axioms' list as a tuple, held by per_object_cache."""
     r, d, n = ring.rank, ring.dual, ring.n
     out: list[AxiomViolation] = []
 
@@ -257,14 +271,14 @@ def verify_axioms(ring: FusionRing) -> list[AxiomViolation]:
         gens = _generating_set(ring)
         if not any(_associators_differ(primes, residues, gens[t:t + step]).any()
                    for t in range(0, len(gens), step)):
-            return out
+            return ()
     for start in range(0, r, step):
         differ = _associators_differ(primes, residues, slice(start, start + step))
         # flat indices come in C order, which is lexicographic
         at = np.unravel_index(np.flatnonzero(differ), differ.shape)
         for i, j, k, l in zip(*(x.tolist() for x in at)):
             out.append(AxiomViolation(AXIOM_ASSOCIATIVITY, (start + i, j, k, l)))
-    return out
+    return tuple(out)
 
 
 def _associators_differ(primes: list[int], residues: list[np.ndarray], rows) -> np.ndarray:
@@ -380,10 +394,10 @@ def product_support(ring: FusionRing) -> tuple[tuple[dict[int, int], ...], ...]:
 
 
 def closure(ring: FusionRing, seed: Iterable[int]) -> Subring:
-    """Smallest closed subset containing the unit and the seed, on a valid ring.
+    """Smallest closed subset containing the unit and the seed.
 
-    The ring must pass verify_axioms; every caller in structure, classify
-    and the CLI passes such a ring. The closure is then the walk from the
+    The ring must pass verify_axioms, or StructuralError is raised
+    (_require_valid). The closure is then the walk from the
     unit by right multiplication with the seed and its duals: the set W of
     constituents of words in those generators. W holds the seed (1*g = g)
     and lies in every closed set holding it. It is closed under products:
@@ -392,6 +406,7 @@ def closure(ring: FusionRing, seed: Iterable[int]) -> Subring:
     by associativity. It is closed under duals: by reciprocity the dual of a
     constituent of g1*...*gk is one of the word dual(gk)*...*dual(g1).
     """
+    _require_valid(ring)
     gens: set[int] = set()
     for i in seed:
         if not 0 <= int(i) < ring.rank:
@@ -404,13 +419,13 @@ def closure(ring: FusionRing, seed: Iterable[int]) -> Subring:
 
 def is_closed_subset(ring: FusionRing, members: Iterable[int]) -> bool:
     mem = tuple(sorted(set(int(i) for i in members)))
-    return 0 in mem and closure(ring, mem).members == mem
+    return closure(ring, mem).members == mem
 
 
 def make_subring(ring: FusionRing, members: Iterable[int]) -> Subring:
     mem = tuple(sorted(set(int(i) for i in members)))
     sub = closure(ring, mem)
-    if 0 not in mem or sub.members != mem:
+    if sub.members != mem:
         raise StructuralError(f"members {mem} do not form a closed subset")
     return sub
 

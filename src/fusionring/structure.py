@@ -1,8 +1,7 @@
 """Structural features of a fusion ring: invertibles, gradings, subrings.
 
-All functions assume an axiom-valid ring; feeding an invalid one either
-raises StructuralError (when the inconsistency is detected) or produces
-meaningless output.
+Every function needs a ring that passes verify_axioms: past its argument checks it
+raises StructuralError on any other, by ring._require_valid or closure or invertibles.
 """
 
 from __future__ import annotations
@@ -10,10 +9,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .groups import FiniteGroup
+from .groups import FiniteGroup, _built_group
 from .numerics import dimension_classes
-from .ring import (FusionRing, StructuralError, Subring, _orbits, closed_subsets, closure,
-                   make_subring, per_object_cache, product_support)
+from .ring import (FusionRing, StructuralError, Subring, _orbits, _require_valid,
+                   closed_subsets, closure, make_subring, per_object_cache, product_support)
 
 
 @dataclass(frozen=True)
@@ -44,20 +43,21 @@ class PairingReport:
 
 @per_object_cache
 def invertibles(ring: FusionRing) -> tuple[FiniteGroup, tuple[int, ...]]:
-    """Group formed by the invertible basis elements, plus its embedding."""
-    members = [i for i in range(ring.rank) if ring.invertible[i]]
+    """Group formed by the invertible basis elements, plus its embedding.
+
+    On a valid ring (_require_valid) this is a group table with identity 0,
+    so it goes to _built_group. No x*y is 0, as (x*y)*y' = x*(y*y') holds x
+    (y' the dual). If g*g' = 1, x = (x*g)*g' sums the non-zero y*g' over the
+    constituents y of x*g, so x*g is one basis element, once; so g'*g, which
+    holds 1 (duality axiom), is 1, and g*x is one element. For invertible g
+    and h, k = g*h has k' = h'*g' (reciprocity) and k*k' = g*(h*h')*g' = 1:
+    the invertibles are closed under the associative product, inverses g'.
+    """
+    _require_valid(ring)
+    members = tuple(i for i in range(ring.rank) if ring.invertible[i])
     pos = {g: a for a, g in enumerate(members)}
-    table = []
-    for g in members:
-        row = []
-        for h in members:
-            prod = tuple(product_support(ring)[g][h].items())
-            if len(prod) != 1 or prod[0][1] != 1 or prod[0][0] not in pos:
-                raise StructuralError(
-                    "product of invertibles is not a single invertible; invalid ring")
-            row.append(pos[prod[0][0]])
-        table.append(tuple(row))
-    return FiniteGroup(len(members), tuple(table)), tuple(members)
+    table = tuple(tuple(pos[_action_image(ring, g, h)] for h in members) for g in members)
+    return _built_group(len(members), table), members
 
 
 def _adjoint_within(ring: FusionRing, members: Iterable[int]) -> Subring:
@@ -78,13 +78,18 @@ def adjoint_subring(ring: FusionRing) -> Subring:
 def universal_grading(ring: FusionRing) -> Grading:
     """Finest group grading: components are orbits under the adjoint action.
 
-    Two indices land in one component when either appears in the product of
-    an adjoint member with the other. So the walk from i over the
-    constituents of a * i, a adjoint, finds the whole component: j is in
-    a * i exactly when i is in dual(a) * j (reciprocity), and dual(a) is
-    adjoint too. The component products must then be single components
-    forming a group; that is checked exhaustively and a StructuralError
-    flags any inconsistency.
+    A is the adjoint subring, x' the dual of x (Gelaki & Nikshych, Nilpotent
+    fusion categories, 2008, section 3; Etingof, Nikshych & Ostrik, On fusion
+    categories, 2005, section 8). As A is closed, the walk C(i) from i over
+    the a*i, a in A, is the set of j in some a*i; then i is in a'*j, so the
+    C(i) partition the basis, and C(1) = A. On a valid ring (_require_valid,
+    in adjoint_subring) the constituents u, v of one i*x share a component:
+    x is in i'*u, so v is in (i*i')*u. For u in i*x, u*x' holds i, so all of
+    it lies in C(i); by induction on a product of terms x*x' holding a, so
+    does all of i*a. So i2*j2, for i2 in a*i and j2 in b*j, lies in
+    a*(i*b)*j, in the component of i*j, not 0 as (i*j)*j' holds i. The table
+    reads it off one constituent of rep(C)*rep(D): it associates, C(1) = 0
+    is the identity and C(i') inverts C(i), so it goes to _built_group.
     """
     rank = ring.rank
     support = product_support(ring)
@@ -94,28 +99,9 @@ def universal_grading(ring: FusionRing) -> Grading:
     for cid, comp in enumerate(components):
         for i in comp:
             comp_of[i] = cid
-    if components[0] != ad:
-        raise StructuralError("identity component differs from the adjoint subring")
-
-    k = len(components)
-    table = [[-1] * k for _ in range(k)]
-    for i in range(rank):
-        for j in range(rank):
-            ci, cj = comp_of[i], comp_of[j]
-            for t in support[i][j]:
-                ct = comp_of[t]
-                if table[ci][cj] == -1:
-                    table[ci][cj] = ct
-                elif table[ci][cj] != ct:
-                    raise StructuralError(
-                        f"component product ({ci},{cj}) is not a single component")
-    if any(entry == -1 for row in table for entry in row):
-        raise StructuralError("some component product is empty")
-    group = FiniteGroup(k, tuple(tuple(row) for row in table))
-    for i in range(rank):
-        if comp_of[ring.dual[i]] != group.inverse[comp_of[i]]:
-            raise StructuralError("duality does not invert the grading")
-    return Grading(group, tuple(comp_of), components)
+    reps = [comp[0] for comp in components]
+    table = tuple(tuple(comp_of[next(iter(support[a][b]))] for b in reps) for a in reps)
+    return Grading(_built_group(len(reps), table), tuple(comp_of), components)
 
 
 def pointed_part(ring: FusionRing) -> Subring:
@@ -141,10 +127,8 @@ def commutator(ring: FusionRing, sub: Subring) -> Subring:
 
 
 def _action_image(ring: FusionRing, g: int, x: int) -> int:
-    hits = tuple(product_support(ring)[g][x].items())
-    if len(hits) != 1 or hits[0][1] != 1:
-        raise StructuralError("invertible action is not a permutation; invalid ring")
-    return hits[0][0]
+    """g*x, one basis element for g invertible on a valid ring (see invertibles)."""
+    return next(iter(product_support(ring)[g][x]))
 
 
 def stabilizer(ring: FusionRing, x: int) -> tuple[int, ...]:
@@ -169,6 +153,7 @@ def even_rank_pairing(ring: FusionRing, delta: int) -> PairingReport:
     When delta fixes nothing, each class of equal-dimension indices splits
     into disjoint pairs {x, delta * x}, forcing even class sizes.
     """
+    _require_valid(ring)
     if not (0 < delta < ring.rank) or not ring.invertible[delta]:
         raise StructuralError("delta must be a nontrivial invertible index")
     if _action_image(ring, delta, delta) != 0:

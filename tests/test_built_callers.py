@@ -9,7 +9,8 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "fusionring"
 # the checks it skips, and names the helper there
 ALLOWED = {
     "_built_group": {"groups.subgroup_group", "groups.quotient_group",
-                     "groups.central_extensions_by_z2"},
+                     "groups.central_extensions_by_z2", "structure.invertibles",
+                     "structure.universal_grading"},
     "_built_ring": {"catalog.pointed", "catalog.generalized_ty", "catalog.deligne_product",
                     "catalog.yl_extension"},
 }

@@ -274,6 +274,15 @@ def test_subgroup_group_accepts_exactly_the_subgroups(group):
                     gr.subgroup_group(group, members)
 
 
+@pytest.mark.parametrize("member", [9, -1, 1.0, True])
+def test_subgroup_and_quotient_reject_members_outside_the_group(member):
+    z4 = gr.cyclic(4)
+    with pytest.raises(gr.GroupError):
+        gr.subgroup_group(z4, (0, member))
+    with pytest.raises(gr.GroupError):
+        gr.quotient_group(z4, (0, member))
+
+
 def test_quotient_of_q8_by_center_is_klein():
     q8 = gr.named_group("Q8")
     center = gr.central_elements_of_order2(q8)
@@ -654,3 +663,28 @@ def test_cocycle_classes_in_one_orbit_give_isomorphic_groups(name, classes):
         for j in orbit[1:]:
             other = extension_group(group, lambda g, h: value(reps[j], g, h))
             assert next(gr.iter_isomorphisms(first, other), None) is not None
+
+
+IDENTIFIED = [(g.name, g) for g in CATALOGUED] + [
+    (g.name, relabelled(g, v)) for g in CATALOGUED for v in (1, 2, 3)] + [
+    ("grp16c4", AUT_GROUPS["Z2xD4"]), ("grp16c4", AUT_GROUPS["Z2xQ8"]),
+    ("D8", AUT_GROUPS["D8"]), ("Z4xZ4", AUT_GROUPS["Z4xZ4"]),
+    ("D5", gr.dihedral(5)), ("D6", gr.dihedral(6)),
+]
+
+
+@pytest.mark.parametrize("name,group", IDENTIFIED,
+                         ids=[f"{name}-{i}" for i, (name, _) in enumerate(IDENTIFIED)])
+def test_identify_group_names_are_pinned(name, group):
+    assert gr.identify_group(group) == name
+
+
+def test_identify_group_builds_no_reference_group_up_to_order_8(monkeypatch):
+    # CATALOGUED came from groups_of_order, which holds its groups from then on
+    groups = [relabelled(g, 1) for g in CATALOGUED]
+    built = []
+    original = gr.FiniteGroup.__post_init__
+    monkeypatch.setattr(gr.FiniteGroup, "__post_init__",
+                        lambda self: built.append(self.order) or original(self))
+    assert [gr.identify_group(g) for g in groups] == [g.name for g in CATALOGUED]
+    assert built == []

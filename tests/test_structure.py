@@ -1,11 +1,17 @@
+import inspect
 import itertools
+import random
 
+import numpy as np
 import pytest
 
 import fusionring as fr
 from fusionring import catalog as cat
 from fusionring import groups as gr
+from fusionring import ring as rg
 from fusionring import structure as st
+from fusionring.cli import run
+from fusionring.ringfile import parse_ring, serialize_ring
 
 
 def brute_force_subrings(ring):
@@ -266,3 +272,149 @@ def test_nilpotency():
     assert st.nilpotency(cat.yang_lee()) is None
     assert st.nilpotency(cat.yl_extension("Z4")) is None
     assert st.nilpotency(cat.deligne_product(cat.ising(), cat.pointed("Z2"))) == 2
+
+
+# ------------------------------------------------ one gate, groups by proof
+
+def corrupted_ising():
+    """Ising with one constituent of sigma*sigma moved: 1 + sigma, not 1 + psi."""
+    n = cat.ising().n.copy()
+    n[2, 2, 1], n[2, 2, 2] = 0, 1
+    return fr.FusionRing(3, cat.ising().dual, n)
+
+
+GATED = {
+    "invertibles": st.invertibles,
+    "adjoint_subring": st.adjoint_subring,
+    "universal_grading": st.universal_grading,
+    "pointed_part": st.pointed_part,
+    "all_subrings": st.all_subrings,
+    "commutator": lambda r: st.commutator(r, fr.Subring((0,), True)),
+    "stabilizer": lambda r: st.stabilizer(r, 2),
+    "is_transitive_on_noninvertibles": st.is_transitive_on_noninvertibles,
+    "even_rank_pairing": lambda r: st.even_rank_pairing(r, 1),
+    "faithful_simples": st.faithful_simples,
+    "nilpotency": st.nilpotency,
+    "closure": lambda r: fr.closure(r, (2,)),
+    "make_subring": lambda r: fr.make_subring(r, (0, 1)),
+    "is_closed_subset": lambda r: fr.is_closed_subset(r, (0, 1)),
+    "classify": fr.classify,
+    "verify_claims": fr.verify_claims,
+}
+
+
+def test_every_structure_function_is_gated():
+    public = {name for name, fn in inspect.getmembers(st, inspect.isfunction)
+              if fn.__module__ == st.__name__ and not name.startswith("_")}
+    assert public <= set(GATED)
+
+
+@pytest.mark.parametrize("name", GATED)
+def test_invalid_ring_is_rejected_by_the_gate(name):
+    ring = corrupted_ising()
+    violations = fr.verify_axioms(ring)
+    assert violations
+    head = "; ".join(str(v) for v in violations[:3])
+    with pytest.raises(fr.StructuralError) as info:
+        GATED[name](ring)
+    assert str(info.value) == f"not a fusion ring ({len(violations)} axiom violation(s): {head})"
+
+
+def test_classify_verifies_the_axioms_once(monkeypatch, tmp_path, capsys):
+    ring = cat.yl_extension("Z9")
+    assert ring.rank > 16   # verify_axioms takes its generating-set path
+    path = tmp_path / "ylz9.json"
+    path.write_text(serialize_ring(ring))
+    calls = []
+    original = rg._associators_differ
+    monkeypatch.setattr(rg, "_associators_differ",
+                        lambda *args: calls.append(1) or original(*args))
+    assert fr.verify_axioms(parse_ring(path.read_text())) == []
+    once = len(calls)
+    assert once > 0
+    calls.clear()
+    assert run(["classify", str(path)]) == 0
+    capsys.readouterr()
+    assert len(calls) == once
+
+
+def reference_grading_table(ring):
+    """The component product by the exhaustive scan over every pair i, j.
+
+    Fails unless the identity component is the adjoint subring, each
+    component product lies in one component and is non-empty, and duality
+    inverts the grading.
+    """
+    grading = st.universal_grading(ring)
+    comp_of = grading.component_of
+    assert grading.components[0] == st.adjoint_subring(ring).members
+    k = len(grading.components)
+    table = [[-1] * k for _ in range(k)]
+    for i in range(ring.rank):
+        for j in range(ring.rank):
+            ci, cj = comp_of[i], comp_of[j]
+            for t in np.flatnonzero(ring.n[i, j]):
+                assert table[ci][cj] in (-1, comp_of[t])
+                table[ci][cj] = comp_of[t]
+    assert all(entry >= 0 for row in table for entry in row)
+    group = gr.FiniteGroup(k, tuple(tuple(row) for row in table))
+    for i in range(ring.rank):
+        assert comp_of[ring.dual[i]] == group.inverse[comp_of[i]]
+    return group.table
+
+
+def relabelled(ring, seed):
+    """The ring with its non-unit basis elements shuffled by a seeded permutation."""
+    rest = list(range(1, ring.rank))
+    random.Random(seed).shuffle(rest)
+    p = [0] + rest
+    n = np.zeros_like(ring.n)
+    n[np.ix_(p, p, p)] = ring.n
+    dual = [0] * ring.rank
+    for i in range(ring.rank):
+        dual[p[i]] = p[ring.dual[i]]
+    return fr.FusionRing(ring.rank, tuple(dual), n)
+
+
+def reference_rings():
+    groups = [g for m in range(1, 9) for g in gr.groups_of_order(m)]
+    rings = [cat.ising(), cat.yang_lee()]
+    rings += [cat.pointed(g) for g in groups] + [cat.yl_extension(g) for g in groups]
+    enumerated = [r for g in groups for r in cat.enumerate_extensions("pointed-z2", g)]
+    assert len(enumerated) == 68
+    rings += enumerated
+    rings += [cat.deligne_product(cat.ising(), cat.yang_lee()),
+              cat.deligne_product(cat.ising(), cat.ising()),
+              cat.deligne_product(cat.yl_extension("S3"), cat.pointed("Z2")),
+              cat.deligne_product(cat.ising(), cat.pointed("Q8"))]
+    return rings + [relabelled(r, f"{i}/{r.rank}") for i, r in enumerate(rings)]
+
+
+def test_grading_table_matches_the_exhaustive_scan():
+    for ring in reference_rings():
+        assert st.universal_grading(ring).group.table == reference_grading_table(ring)
+
+
+def reference_invertibles_table(ring):
+    """The invertibles' table, each product checked to be one invertible, once."""
+    members = [i for i in range(ring.rank) if ring.invertible[i]]
+    table = []
+    for g in members:
+        row = []
+        for h in members:
+            (k,) = np.flatnonzero(ring.n[g, h])
+            assert ring.n[g, h, k] == 1 and k in members
+            row.append(members.index(k))
+        table.append(tuple(row))
+    return tuple(table)
+
+
+def test_invertibles_table_matches_the_checked_products():
+    for ring in reference_rings():
+        assert st.invertibles(ring)[0].table == reference_invertibles_table(ring)
+
+
+def test_built_groups_pass_the_public_constructor():
+    for ring in reference_rings():
+        for group in (st.invertibles(ring)[0], st.universal_grading(ring).group):
+            assert gr.FiniteGroup(group.order, group.table).table == group.table
