@@ -71,7 +71,6 @@ from .structure import (
     universal_grading,
 )
 from .catalog import (
-    GTYSpec,
     deligne_product,
     enumerate_extensions,
     generalized_ty,

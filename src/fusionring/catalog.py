@@ -6,7 +6,6 @@ names (Z1..Z16, Z2xZ2, Z2xZ4, Z2xZ2xZ2, D4, Q8, S3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -95,37 +94,23 @@ def yl_extension(g) -> FusionRing:
     return _built_ring(ring.n, ring.dual, labels)
 
 
-@dataclass(frozen=True)
-class GTYSpec:
-    """Data for a near-group style extension of the rank 2 pointed ring.
+def generalized_ty(u, g, q) -> FusionRing:
+    """The near-group ring of a grading group U, invertibles G and quotient map q: G -> U.
 
-    grading_group U of order 2n, an index 2 subgroup of it, an invertibles
-    group G of order 2n with a chosen central order-2 element delta, and a
-    surjective map G -> U with image the subgroup and kernel {e, delta}.
-    """
-
-    grading_group: FiniteGroup
-    index2_subgroup: tuple[int, ...]
-    invertibles: FiniteGroup
-    delta: int
-    quotient_map: tuple[int, ...]
-
-
-def generalized_ty(spec: GTYSpec) -> FusionRing:
-    """Build the ring described by the spec.
-
-    Inconsistent spec data (quotient map not a homomorphism with kernel
-    {e, delta} onto the subgroup) raises GroupError; the rest follows. U0,
-    the image of a homomorphism, is a subgroup of at most len(U0) = |G|/2
-    elements, so the kernel {e, delta} has two: delta has order 2, and is
-    central as the kernel is normal. Data that passes these checks always
-    gives a fusion ring, so it goes to _built_ring unchecked: n is 0/1 of
-    shape r x r x r, and the duals read off it are the permutation below,
-    an involution. Write U1 for
-    the coset U - U0, X_x for x in U1, and deg a = q(a), deg X_x = x. The
-    rules are a*b = ab, a*X_x = X_{q(a)x}, X_x*a = X_{x q(a)} and X_x*X_y =
-    the sum of the two a with q(a) = xy (xy lies in U0 as U0 has index 2;
-    the fibre is a coset of ker q = {e, delta}).
+    q lists q(a) for each a in G. Data that is not a homomorphism with a
+    kernel of two elements raises GroupError; everything else follows. The
+    kernel of a homomorphism is a normal subgroup, so a kernel of two
+    elements is {e, delta} with delta of order 2, and delta is central, as
+    each conjugate of delta lies in the kernel and is not e. The image
+    U0 = set(q) is a subgroup isomorphic to G/{e, delta}, of |G|/2 = |U|/2
+    elements, so of index 2. Data that passes these checks always gives a
+    fusion ring, so it goes to _built_ring unchecked: n is 0/1 of shape
+    r x r x r, and the duals read off it are the permutation below, an
+    involution. Write U1 for the coset U - U0, X_x for x in U1, and
+    deg a = q(a), deg X_x = x. The rules are a*b = ab, a*X_x = X_{q(a)x},
+    X_x*a = X_{x q(a)} and X_x*X_y = the sum of the two a with q(a) = xy
+    (xy lies in U0 as U0 has index 2; the fibre is a coset of
+    ker q = {e, delta}).
     - Unit, duals, reciprocity: with duals a* = a^-1 and X_x* = X_{x^-1},
       N_ij^k is 1 exactly when deg i * deg j = deg k and, if i, j, k all lie
       in G, ij = k; else 0. Since deg i* = (deg i)^-1, the conditions for
@@ -138,32 +123,28 @@ def generalized_ty(spec: GTYSpec) -> FusionRing:
       multiplying by a in G moves the fibre over w onto the fibre over
       q(a)w or w q(a); with three, both sides are 2 X_{xyz}.
     """
-    u, g = spec.grading_group, spec.invertibles
-    u0 = tuple(sorted(spec.index2_subgroup))
-    q = spec.quotient_map
+    u, g, q = _as_group(u), _as_group(g), tuple(q)
     m = g.order
-    if u.order != m or 2 * len(u0) != u.order:
-        raise GroupError("grading group must have twice the subgroup's order, equal to |G|")
-    if len(q) != m or any(not 0 <= x < u.order for x in q):
+    if u.order != m:
+        raise GroupError("grading group and invertibles must have equal orders")
+    if len(q) != m or not all(gr._is_integer(x) and 0 <= x < m for x in q):
         raise GroupError("quotient map must assign a grading element to every invertible")
-    if set(q) != set(u0):
-        raise GroupError("quotient map must cover exactly the index 2 subgroup")
     for a in range(m):
         for b in range(m):
             if q[g.table[a][b]] != u.table[q[a]][q[b]]:
                 raise GroupError("quotient map is not a homomorphism")
-    if {a for a in range(m) if q[a] == 0} != {0, spec.delta}:
-        raise GroupError("quotient map kernel must be exactly {e, delta}")
+    if q.count(0) != 2:
+        raise GroupError("quotient map kernel must have exactly two elements")
 
     n = _near_group_tensor(u, g, q)
     dual = n[:, :, 0].argmax(axis=1)  # the j with N_ij^e = 1
     labels = tuple(g.element_name(a) for a in range(m)) + \
-        tuple(f"X[{x}]" for x in range(u.order) if x not in u0)
+        tuple(f"X[{x}]" for x in range(m) if x not in q)
     return _built_ring(n, dual, labels)
 
 
 def _near_group_tensor(u: FiniteGroup, g: FiniteGroup, q: tuple[int, ...]) -> np.ndarray:
-    """The structure constants of generalized_ty for a spec with these U, G and q.
+    """The structure constants of generalized_ty(u, g, q).
 
     G comes first, then X_x for x in U - set(q) in increasing order.
     """
@@ -190,21 +171,20 @@ def _ring_sort_key(ring: FusionRing):
 def _near_group_rings(u: FiniteGroup) -> list[FusionRing]:
     """One near-group ring per orbit of specs under Aut(U) x Aut(G).
 
-    A spec over U is indexed by (G's index in groups_of_order, delta, q);
-    the subgroup U0 is set(q). alpha in Aut(U) maps q to alpha.q, and beta
-    in Aut(G) maps (delta, q) to (beta(delta), q.beta^-1). Both relabel the
-    ring (X_x -> X_alpha(x), or a -> beta(a)), so the specs of one orbit
-    give isomorphic rings. Conversely, take an isomorphism s between the
-    rings of two specs over U:
+    A spec over U is indexed by (G's index in groups_of_order, q), the
+    arguments of generalized_ty; write ker q = {e, delta}. alpha in Aut(U)
+    maps q to alpha.q, and beta in Aut(G) maps q to q.beta^-1. Both relabel
+    the ring (X_x -> X_alpha(x), or a -> beta(a)), so the specs of one
+    orbit give isomorphic rings. Conversely, take an isomorphism s between
+    the rings of two specs over U:
     - s maps invertibles to invertibles (G, as X_x * X_{x^-1} = e + delta),
       so it gives beta in Aut(G) with the same index, because the groups of
       groups_of_order are pairwise non-isomorphic;
     - s preserves the universal grading: the adjoint subring is {e, delta},
       the components are the fibres of q and the singletons {X_x}, and the
       group is U, so s induces alpha in Aut(U);
-    - s maps {e, delta} onto {e, delta'} and the fibre of q over w onto that
-      of q' over alpha(w), so (delta', q') = (beta(delta), alpha.q.beta^-1)
-      lies in the orbit of (delta, q).
+    - s maps the fibre of q over w onto that of q' over alpha(w), so
+      q' = alpha.q.beta^-1 lies in the orbit of q.
     So the orbits are the isomorphism classes. Each orbit keeps its least
     ring in _ring_sort_key order, the first built on ties, and only that
     ring is built. Rings of one orbit share their rank, so the key compares
@@ -224,7 +204,7 @@ def _near_group_rings(u: FiniteGroup) -> list[FusionRing]:
     gs = gr.groups_of_order(u.order)
     alphas = gr.automorphism_generators(u)
     betas = [gr.automorphism_generators(g) for g in gs]
-    specs: dict[tuple[int, int, tuple[int, ...]], int] = {}
+    specs: dict[tuple[int, tuple[int, ...]], int] = {}
     heads: list[tuple[tuple[int, ...], ...]] = []
     for u0 in gr.index2_subgroups(u):
         u0_group, embed = gr.subgroup_group(u, u0)
@@ -233,38 +213,38 @@ def _near_group_rings(u: FiniteGroup) -> list[FusionRing]:
         # row[w] holds the negated positions of a*X_x, x in coset, for q(a) = w
         row = {w: tuple(-xpos[u.table[w][x]] for x in coset) for w in u0}
         for gi, g in enumerate(gs):
-            for delta, quot, proj in _central_quotients(g):
+            for quot, proj in _central_quotients(g):
                 for phi in gr.iter_isomorphisms(quot, u0_group):
                     qmap = tuple(embed[phi[proj[a]]] for a in range(g.order))
-                    specs[(gi, delta, qmap)] = len(heads)
+                    specs[(gi, qmap)] = len(heads)
                     heads.append(tuple(row[w] for w in qmap))
     spec_keys = list(specs)  # in build order: no spec is built twice
 
     def step(s: int) -> Iterable[int]:
-        gi, delta, q = spec_keys[s]
+        gi, q = spec_keys[s]
         for alpha in alphas:
-            yield specs[(gi, delta, tuple(alpha[x] for x in q))]
+            yield specs[(gi, tuple(alpha[x] for x in q))]
         for beta in betas[gi]:
             moved = [0] * len(q)
             for a, x in enumerate(q):
                 moved[beta[a]] = x
-            yield specs[(gi, beta[delta], tuple(moved))]
+            yield specs[(gi, tuple(moved))]
 
     rings = []
     for orbit in _orbits(range(len(heads)), step):
         head = min(heads[s] for s in orbit)
         tied = [spec_keys[s] for s in orbit if heads[s] == head]
         # orbits are sorted, so min keeps the first built on ties
-        gi, delta, q = tied[0] if len(tied) == 1 else \
-            min(tied, key=lambda k: _near_group_tensor(u, gs[k[0]], k[2]).tobytes())
-        rings.append(generalized_ty(GTYSpec(u, tuple(sorted(set(q))), gs[gi], delta, q)))
+        gi, q = tied[0] if len(tied) == 1 else \
+            min(tied, key=lambda k: _near_group_tensor(u, gs[k[0]], k[1]).tobytes())
+        rings.append(generalized_ty(u, gs[gi], q))
     return rings
 
 
 @per_object_cache
-def _central_quotients(g: FiniteGroup) -> list[tuple[int, FiniteGroup, tuple[int, ...]]]:
-    """(delta, G/{e, delta}, projection) for each central delta of order 2 in g."""
-    return [(delta, *gr.quotient_group(g, (0, delta))) for delta in gr.central_elements_of_order2(g)]
+def _central_quotients(g: FiniteGroup) -> list[tuple[FiniteGroup, tuple[int, ...]]]:
+    """(G/{e, delta}, projection) for each central delta of order 2 in g."""
+    return [gr.quotient_group(g, (0, delta)) for delta in gr.central_elements_of_order2(g)]
 
 
 def enumerate_extensions(base: str, u) -> list[FusionRing]:

@@ -403,7 +403,18 @@ def are_isomorphic(g1: FiniteGroup, g2: FiniteGroup) -> bool:
 
 @per_object_cache
 def identify_group(group: FiniteGroup) -> str:
-    """A display name for the isomorphism class, best effort for order > 16."""
+    """A display name for the isomorphism class, best effort for order > 16.
+
+    A non-abelian group of order m = 2k > 8 is named D_k, without building
+    D_k, exactly when it has an element r of order k and k + [k even]
+    elements of order 2. D_k has both: its rotation and its k reflections,
+    with the rotation of order 2 when k is even. Conversely, <r> has index
+    2 and holds [k even] elements of order 2, so the other k are the whole
+    coset outside <r>. Take s there: sr lies there too, so (sr)^2 = e, and
+    srs = r^-1 as s = s^-1. So r and s generate the group with
+    r^k = s^2 = e and srs^-1 = r^-1, the relations of D_k: the group is a
+    quotient of D_k of the same order 2k, so D_k itself.
+    """
     m = group.order
     if group.is_cyclic():
         return f"Z{m}"
@@ -411,8 +422,9 @@ def identify_group(group: FiniteGroup) -> str:
         return "x".join(f"Z{n}" for n in _abelian_invariants(group))
     if m <= 8:
         return next(g.name for g in groups_of_order(m) if are_isomorphic(group, g))
-    if m % 2 == 0 and are_isomorphic(group, dihedral(m // 2)):
-        return f"D{m // 2}"
+    k, orders = m // 2, group.element_orders
+    if m % 2 == 0 and k in orders and orders.count(2) == k + (k % 2 == 0):
+        return f"D{k}"
     return f"grp{m}c{len(group.center)}"
 
 

@@ -566,9 +566,10 @@ def find_isomorphism(r1: FusionRing, r2: FusionRing) -> tuple[int, ...] | None:
     needs equal square_profiles. Assigning i -> p checks only the products
     of i with the elements already assigned, on the sparse product tables
     (product_support), and propagates what the assignment forces:
-    dual(i) -> dual(p), and the sole constituent of every product that has
-    exactly one. A trail undoes the forced images on backtrack. No float is
-    read: every decision is on integer structure.
+    dual(i) -> dual(p), and for each unassigned constituent of a product
+    a*b the sole unassigned constituent of its colour class in s(a)*s(b),
+    if there is one. A trail undoes the forced images on backtrack. No
+    float is read: every decision is on integer structure.
     """
     if r1.rank != r2.rank:
         return None
@@ -598,23 +599,28 @@ def find_isomorphism(r1: FusionRing, r2: FusionRing) -> tuple[int, ...] | None:
         left, right = s1[a][b], s2[sigma[a]][sigma[b]]
         if len(left) != len(right):
             return False
-        fixed = 0
+        free = []
         for k, m in left.items():
             q = sigma[k]
-            if q >= 0:
-                if right.get(q) != m:
-                    return False
-                fixed += 1
-            elif len(left) == 1:
-                ((q, m2),) = right.items()
-                if m2 != m:
-                    return False
-                forced.append((k, q))
-        # no other constituent of s(a)*s(b) may have a fixed preimage
-        for q in right:
-            if inverse[q] >= 0:
-                fixed -= 1
-        return fixed == 0
+            if q < 0:
+                free.append(k)
+            elif right.get(q) != m:
+                return False
+        if not free:  # the images of left, all distinct, fill right
+            return True
+        # an isomorphism extending sigma maps the free constituents of a*b
+        # onto the rest of s(a)*s(b), colour to colour: each needs one there
+        # of its colour, and takes it when that one is alone
+        images = [q for q in right if inverse[q] < 0]
+        if len(images) != len(free):
+            return False
+        for k in free:
+            match = [q for q in images if c2[q] == c1[k]]
+            if not match or (len(match) == 1 and right[match[0]] != left[k]):
+                return False
+            if len(match) == 1:
+                forced.append((k, match[0]))
+        return True
 
     def assign(i: int, p: int) -> bool:
         queue = [(i, p)]

@@ -10,7 +10,6 @@ import fusionring as fr
 from fusionring import catalog as cat
 from fusionring import groups as gr
 from fusionring import structure as st
-from fusionring.catalog import GTYSpec
 from fusionring.numerics import fp_dimensions, type_signature
 
 numerics_module = importlib.import_module("fusionring.numerics")
@@ -35,6 +34,19 @@ def test_pointed_accepts_group_names():
     assert cat.pointed("Z4").rank == 4
     with pytest.raises(gr.GroupError):
         cat.pointed("F20")
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: cat.pointed(3), "expected a group or group name, got int"),
+    (lambda: cat.generalized_ty("Z2", "Z2", (0, 2)),
+     "quotient map must assign a grading element to every invertible"),
+    (lambda: cat.generalized_ty("Z2", "Z2", (0, 1.0)),
+     "quotient map must assign a grading element to every invertible"),
+], ids=["pointed-int", "q-out-of-range", "q-float"])
+def test_input_guards(call, message):
+    with pytest.raises(gr.GroupError) as info:
+        call()
+    assert str(info.value) == message
 
 
 def test_yang_lee_rules():
@@ -121,24 +133,15 @@ def test_yl_extension_labels_and_duality():
     assert r.dual == (0, 2, 1, 3, 5, 4)
 
 
-def ising_spec():
-    z2 = gr.cyclic(2)
-    return GTYSpec(grading_group=z2, index2_subgroup=(0,),
-                   invertibles=z2, delta=1, quotient_map=(0, 0))
-
-
 def test_generalized_ty_rebuilds_ising():
-    ring = cat.generalized_ty(ising_spec())
+    z2 = gr.cyclic(2)
+    ring = cat.generalized_ty(z2, z2, (0, 0))
     assert ring is not None
     assert fr.find_isomorphism(ring, cat.ising()) is not None
 
 
 def test_generalized_ty_rank6():
-    u = gr.named_group("Z2xZ2")
-    g = gr.named_group("Z4")
-    spec = GTYSpec(grading_group=u, index2_subgroup=(0, 1),
-                   invertibles=g, delta=2, quotient_map=(0, 1, 0, 1))
-    ring = cat.generalized_ty(spec)
+    ring = cat.generalized_ty("Z2xZ2", "Z4", (0, 1, 0, 1))
     assert ring is not None
     assert fr.verify_axioms(ring) == []
     assert type_signature(ring).text() == "(1,4; 1.41421356237,2)"
@@ -150,25 +153,26 @@ def test_generalized_ty_spec_validation():
     z2 = gr.cyclic(2)
     z4 = gr.cyclic(4)
     d4 = gr.dihedral(4)
-    with pytest.raises(gr.GroupError):  # delta not of order 2
-        cat.generalized_ty(GTYSpec(z2, (0,), z2, 0, (0, 0)))
-    with pytest.raises(gr.GroupError):  # sizes disagree
-        cat.generalized_ty(GTYSpec(z4, (0, 2), z2, 1, (0, 0)))
+    with pytest.raises(gr.GroupError, match="equal orders"):  # sizes disagree
+        cat.generalized_ty(z4, z2, (0, 0))
     reflection = 4  # d4 reflections are non-central order-2 elements
     assert d4.element_orders[reflection] == 2 and reflection not in d4.center
-    with pytest.raises(gr.GroupError):  # delta not central
-        cat.generalized_ty(GTYSpec(d4, tuple(gr.index2_subgroups(d4)[0]),
-                                   d4, reflection, tuple(0 for _ in range(8))))
-    with pytest.raises(gr.GroupError):  # map is not a homomorphism
-        cat.generalized_ty(GTYSpec(z4, (0, 2), z4, 2, (0, 0, 2, 2)))
-    with pytest.raises(gr.GroupError):  # kernel too large
-        cat.generalized_ty(GTYSpec(z4, (0, 2), z4, 2, (0, 0, 0, 0)))
-    with pytest.raises(gr.GroupError):  # index2_subgroup not a subgroup, though q covers it
-        cat.generalized_ty(GTYSpec(z4, (0, 1), z4, 2, (0, 1, 0, 1)))
+    # q(a) = the least of a and a*reflection: a kernel {e, reflection}, which
+    # no homomorphism has, as its delta would not be central
+    q = tuple(min(a, d4.table[a][reflection]) for a in range(8))
+    assert [a for a in range(8) if q[a] == 0] == [0, reflection]
+    with pytest.raises(gr.GroupError, match="not a homomorphism"):  # delta not central
+        cat.generalized_ty(d4, d4, q)
+    with pytest.raises(gr.GroupError, match="not a homomorphism"):
+        cat.generalized_ty(z4, z4, (0, 0, 2, 2))
+    with pytest.raises(gr.GroupError, match="exactly two"):  # kernel too large
+        cat.generalized_ty(z4, z4, (0, 0, 0, 0))
+    with pytest.raises(gr.GroupError, match="exactly two"):  # kernel too small
+        cat.generalized_ty(z2, z2, (0, 1))
 
 
 def all_specs(u):
-    """Every near-group spec over u, in the enumeration's order."""
+    """Every near-group spec (u, g, q) over u, in the enumeration's order."""
     for u0 in gr.index2_subgroups(u):
         u0_group, embed = gr.subgroup_group(u, u0)
         for g in gr.groups_of_order(u.order):
@@ -176,12 +180,11 @@ def all_specs(u):
                 quot, proj = gr.quotient_group(g, gr.generated_subgroup(g, (delta,)))
                 for phi in gr.iter_isomorphisms(quot, u0_group):
                     qmap = tuple(embed[phi[proj[a]]] for a in range(g.order))
-                    yield GTYSpec(u, u0, g, delta, qmap)
+                    yield u, g, qmap
 
 
-def generalized_ty_by_loops(spec):
+def generalized_ty_by_loops(u, g, q):
     """(n, dual) of generalized_ty from its rules, cell by cell."""
-    u, g, q = spec.grading_group, spec.invertibles, spec.quotient_map
     m = g.order
     coset = [x for x in range(u.order) if x not in set(q)]
     xpos = {x: m + i for i, x in enumerate(coset)}
@@ -205,9 +208,9 @@ def test_generalized_ty_gives_valid_rings_without_checking():
     for m in range(2, 9, 2):
         for u in gr.groups_of_order(m):
             for spec in all_specs(u):
-                ring = cat.generalized_ty(spec)
+                ring = cat.generalized_ty(*spec)
                 assert fr.verify_axioms(ring) == []
-                n, dual = generalized_ty_by_loops(spec)
+                n, dual = generalized_ty_by_loops(*spec)
                 assert np.array_equal(ring.n, n) and ring.dual == dual
                 count += 1
     assert count == 663
@@ -215,8 +218,7 @@ def test_generalized_ty_gives_valid_rings_without_checking():
 
 def spec_orbits(u):
     """Orbits of the specs over u under all of Aut(U) x Aut(G), by search."""
-    specs = {(gr.groups_of_order(u.order).index(s.invertibles), s.delta, s.quotient_map): s
-             for s in all_specs(u)}
+    specs = {(gr.groups_of_order(u.order).index(g), q): (u, g, q) for u, g, q in all_specs(u)}
     autos_u = list(gr.iter_isomorphisms(u, u))
     autos_g = [list(gr.iter_isomorphisms(g, g)) for g in gr.groups_of_order(u.order)]
     seen, orbits = set(), []
@@ -226,13 +228,13 @@ def spec_orbits(u):
         orbit, todo = [key], [key]
         seen.add(key)
         while todo:
-            gi, delta, q = todo.pop()
-            images = [(gi, delta, tuple(alpha[x] for x in q)) for alpha in autos_u]
+            gi, q = todo.pop()
+            images = [(gi, tuple(alpha[x] for x in q)) for alpha in autos_u]
             for beta in autos_g[gi]:
                 moved = [0] * len(q)
                 for a, x in enumerate(q):
                     moved[beta[a]] = x
-                images.append((gi, beta[delta], tuple(moved)))
+                images.append((gi, tuple(moved)))
             for image in images:
                 assert image in specs
                 if image not in seen:
@@ -248,9 +250,9 @@ def test_specs_in_one_orbit_give_isomorphic_rings(name):
     u = gr.named_group(name)
     orbits = spec_orbits(u)
     for orbit in orbits:
-        first = cat.generalized_ty(orbit[0])
+        first = cat.generalized_ty(*orbit[0])
         for spec in orbit[1:]:
-            assert fr.find_isomorphism(first, cat.generalized_ty(spec)) is not None
+            assert fr.find_isomorphism(first, cat.generalized_ty(*spec)) is not None
     # the enumeration, which joins specs under generators only, finds the same orbits
     assert len(cat._near_group_rings(u)) == len(orbits)
 
@@ -270,11 +272,11 @@ def test_spec_sort_key_orders_specs_as_their_rings(name, variant):
     # _ring_sort_key, the first in build order on ties. Variant 0 is the
     # table as built, the others seeded relabellings of it.
     u = gr.named_group(name) if variant == 0 else relabelled_group(name, variant)
-    order = {(s.invertibles.name, s.delta, s.quotient_map): i for i, s in enumerate(all_specs(u))}
+    order = {(g.name, q): i for i, (_, g, q) in enumerate(all_specs(u))}
     expected = []
     for orbit in spec_orbits(u):
-        orbit.sort(key=lambda s: order[(s.invertibles.name, s.delta, s.quotient_map)])
-        rings = [cat.generalized_ty(spec) for spec in orbit]
+        orbit.sort(key=lambda s: order[(s[1].name, s[2])])
+        rings = [cat.generalized_ty(*spec) for spec in orbit]
         expected.append(ring_fields(min(rings, key=cat._ring_sort_key)))
     assert sorted(map(ring_fields, cat._near_group_rings(u))) == sorted(expected)
 

@@ -212,6 +212,14 @@ def test_catalog_errors(capsys):
     assert code == 1 and err.startswith("error:")
 
 
+def test_catalog_to_a_missing_directory_exits_1_without_traceback(capsys, tmp_path):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = cli(capsys, "catalog", "ising", "-o", target)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: cannot write {target}: ")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
 def test_catalog_without_group_lists_every_accepted_name(capsys):
     code, _, err = cli(capsys, "catalog", "pointed")
     assert code == 1 and "Z2xZ2xZ2" in err

@@ -1,5 +1,8 @@
+import importlib.util
 import itertools
+import pathlib
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -9,6 +12,78 @@ from hypothesis import strategies as st
 from fusionring import catalog as cat
 from fusionring import groups as gr
 from fusionring.ring import FusionRing, _walk, verify_axioms
+
+
+def dihedral_rule_groups():
+    """The 33 non-abelian groups of order 10 to 32 the dihedral rule is checked on."""
+    z2 = gr.cyclic(2)
+    groups = [gr.dihedral(k) for k in range(5, 17)]
+    groups += [gr.product_group(z2, h) for h in (gr.symmetric3(), gr.dihedral(4),
+                                                 gr.quaternion8(), gr.dihedral(5), gr.dihedral(6))]
+    groups += [h for g in CATALOGUED for h in gr.central_extensions_by_z2(g)
+               if not h.is_abelian() and h.order >= 10]
+    return groups
+
+
+DIHEDRAL_RULE_NAMES = [f"D{k}" for k in range(5, 17)] + [
+    "D6", "grp16c4", "grp16c4", "D10", "grp24c4",                 # Z2 x S3, D4, Q8, D5, D6
+    "D6", "grp12c2",                                              # extensions of S3
+    *["grp16c4"] * 6,                                             # of Z2xZ4, Z2xZ2xZ2
+    "grp16c4", "D8", "grp16c4", "grp16c2", "grp16c4", "grp16c2",  # of D4
+    "grp16c4", "grp16c4",                                         # of Q8
+]
+
+
+def test_identify_group_names_dihedral_groups_as_the_isomorphism_search_does():
+    groups = dihedral_rule_groups()
+    names = [gr.identify_group(g) for g in groups]
+    assert names == DIHEDRAL_RULE_NAMES
+    for group, name in zip(groups, names):
+        # the reference: a search for an isomorphism onto a built D_k
+        k = group.order // 2
+        assert (name == f"D{k}") == gr.are_isomorphic(group, gr.dihedral(k))
+
+
+def load_bench_workloads():
+    path = pathlib.Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module   # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_identify_group_builds_no_group_over_the_cli_corpus(monkeypatch, tmp_path):
+    # every variant of every benchmark cli-corpus request, run once; the
+    # groups_of_order tables were built when CATALOGUED was
+    requests = load_bench_workloads().cli_corpus(1, tmp_path)
+    built, names, depth = [], [], [0]
+    identify, post_init, built_group = gr.identify_group, gr.FiniteGroup.__post_init__, gr._built_group
+
+    def counted_identify(group):
+        depth[0] += 1
+        try:
+            names.append(identify(group))
+        finally:
+            depth[0] -= 1
+        return names[-1]
+
+    def counted_post_init(self):
+        built.append(depth[0])
+        post_init(self)
+
+    def counted_built_group(order, table):
+        built.append(depth[0])
+        return built_group(order, table)
+
+    monkeypatch.setattr(gr, "identify_group", counted_identify)
+    monkeypatch.setattr(gr.FiniteGroup, "__post_init__", counted_post_init)
+    monkeypatch.setattr(gr, "_built_group", counted_built_group)
+    for request in requests:
+        for variant in request.variants:
+            variant.run()
+    assert {"D8", "grp16c4"} <= set(names)
+    assert not any(built)   # no group built inside identify_group
 
 
 def brute_force_subgroups(group):
@@ -23,6 +98,22 @@ def brute_force_subgroups(group):
                     and all(group.inverse[a] in s for a in s):
                 found.append(tuple(sorted(s)))
     return sorted(found, key=lambda m: (len(m), m))
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: gr.FiniteGroup(2, ((0, 1), (1, 2))), "table entries out of range"),
+    (lambda: gr.FiniteGroup(2, ((0, 1), (1,))), "table must be 2x2"),
+    (lambda: gr.cyclic(0), "cyclic order must be positive"),
+    (lambda: gr.dihedral(0), "dihedral parameter must be positive"),
+    (lambda: gr.groups_of_order(9), "group tables are catalogued only up to order 8"),
+    (lambda: gr.quotient_group(gr.cyclic(4), (0, 1)), "kernel is not a subgroup"),
+    (lambda: gr.central_extensions_by_z2(gr.product_of_cyclics([2] * 5)),
+     "too many cohomology classes to enumerate"),
+], ids=["entry-range", "shape", "cyclic", "dihedral", "order-9", "kernel", "cohomology"])
+def test_input_guards(call, message):
+    with pytest.raises(gr.GroupError) as info:
+        call()
+    assert str(info.value) == message
 
 
 def test_table_must_be_latin_square():

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import time
 import tracemalloc
 from collections import Counter
 
@@ -529,6 +530,17 @@ def test_multiply_overflow_guard():
         fr.multiply(unit_ring, big, big)
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda: FusionRing(0, (), np.zeros((0, 0, 0))), "rank must be at least 1"),
+    (lambda: fr.as_element(cat.ising(), fr.RingElement((1, 0))),
+     "element length does not match ring rank"),
+], ids=["rank-0", "element-length"])
+def test_input_guards(call, message):
+    with pytest.raises(StructuralError) as info:
+        call()
+    assert str(info.value) == message
+
+
 def test_as_element_rejects_bad_input():
     r = cat.yang_lee()
     with pytest.raises(ValueError):
@@ -783,6 +795,25 @@ def test_iso_of_relabelled_rank64_product():
     other = relabelled(ring, p)
     sigma = fr.find_isomorphism(ring, other)
     assert sigma is not None and is_isomorphism(ring, other, sigma)
+
+
+def test_iso_of_two_relabelled_rank64_rings():
+    # Both sides relabelled, by independent seeded permutations: three pairs
+    # of each ring. The benchmark's iso requests are too small to show a slow
+    # search on these.
+    rings = [cat.pointed(gr.product_of_cyclics([2] * 6)),
+             cat.yl_extension(gr.product_of_cyclics([2] * 5))]
+    rng = np.random.default_rng(5)
+    elapsed = 0.0
+    for ring in rings:
+        for _ in range(3):
+            r1, r2 = (relabelled(ring, [0] + list(rng.permutation(np.arange(1, 64))))
+                      for _ in range(2))
+            start = time.perf_counter()
+            sigma = fr.find_isomorphism(r1, r2)
+            elapsed += time.perf_counter() - start
+            assert sigma is not None and is_isomorphism(r1, r2, sigma)
+    assert elapsed < 3.0
 
 
 def sorted_entry_colours(ring):

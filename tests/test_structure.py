@@ -175,6 +175,12 @@ def test_stabilizer():
     assert st.stabilizer(cat.pointed("Z4"), 3) == (0,)
 
 
+def test_stabilizer_rejects_an_index_out_of_range():
+    with pytest.raises(fr.StructuralError) as info:
+        st.stabilizer(cat.ising(), 3)
+    assert str(info.value) == "basis index 3 out of range"
+
+
 def test_transitivity():
     assert st.is_transitive_on_noninvertibles(cat.ising())[0]
     assert st.is_transitive_on_noninvertibles(cat.yl_extension("Z3"))[0]
