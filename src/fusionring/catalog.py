@@ -12,7 +12,7 @@ import numpy as np
 
 from . import groups as gr
 from .groups import FiniteGroup, GroupError
-from .ring import FusionRing, _built_ring, _orbits, per_object_cache
+from .ring import FusionRing, _built_ring, _is_integer, _orbits, per_object_cache
 
 
 def _as_group(g) -> FiniteGroup:
@@ -127,7 +127,7 @@ def generalized_ty(u, g, q) -> FusionRing:
     m = g.order
     if u.order != m:
         raise GroupError("grading group and invertibles must have equal orders")
-    if len(q) != m or not all(gr._is_integer(x) and 0 <= x < m for x in q):
+    if len(q) != m or not all(_is_integer(x) and 0 <= x < m for x in q):
         raise GroupError("quotient map must assign a grading element to every invertible")
     for a in range(m):
         for b in range(m):

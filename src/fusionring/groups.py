@@ -14,7 +14,7 @@ from itertools import product as iter_product
 
 import numpy as np
 
-from .ring import _orbits, _walk, closed_subsets, per_object_cache
+from .ring import _checked_int, _is_integer, _orbits, _walk, closed_subsets, per_object_cache
 
 
 class GroupError(ValueError):
@@ -30,7 +30,8 @@ class FiniteGroup:
     name: str | None = None
 
     def __post_init__(self) -> None:
-        m = self.order
+        m = _checked_int(self.order, "order", GroupError)
+        object.__setattr__(self, "order", m)
         _check_shape(m, self.table)
         for a, row in enumerate(self.table):
             for b, x in enumerate(row):
@@ -86,11 +87,6 @@ class FiniteGroup:
 
     def __repr__(self) -> str:
         return f"FiniteGroup(order={self.order}, name={self.name!r})"
-
-
-def _is_integer(x) -> bool:
-    # a bool indexes numpy arrays as a mask, and a float indexes nothing
-    return type(x) is int or isinstance(x, np.integer)
 
 
 def _elements(group: FiniteGroup, members) -> list[int]:

@@ -34,6 +34,18 @@ class StructuralError(ValueError):
 _T = TypeVar("_T")
 
 
+def _is_integer(x) -> bool:
+    # a bool indexes numpy arrays as a mask, and a float indexes nothing
+    return type(x) is int or isinstance(x, np.integer)
+
+
+def _checked_int(x, what: str, error: type[ValueError] = StructuralError) -> int:
+    """x as an int, or error when _is_integer rejects it."""
+    if not _is_integer(x):
+        raise error(f"{what} is {x!r}, not an integer")
+    return int(x)
+
+
 def per_object_cache(fn: Callable[[Any], _T]) -> Callable[[Any], _T]:
     """Cache fn(obj) in obj.__dict__, the storage cached_property uses.
 
@@ -63,7 +75,7 @@ class FusionRing:
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        r = self.rank
+        r = _checked_int(self.rank, "rank")
         if r < 1:
             raise StructuralError("rank must be at least 1")
         arr = np.asarray(self.n)
@@ -77,7 +89,7 @@ class FusionRing:
         if arr.dtype.kind == "u" and arr.size and arr.max() >= 2 ** 63:
             i, j, k = (int(x) for x in np.argwhere(arr >= 2 ** 63)[0])
             raise StructuralError(f"structure constant at ({i},{j},{k}) exceeds the int64 range")
-        dual = tuple(int(x) for x in self.dual)
+        dual = tuple(_checked_int(x, "duality entry") for x in self.dual)
         if len(dual) != r or sorted(dual) != list(range(r)):
             raise StructuralError("duality must be a permutation of the basis")
         if self.labels is not None:
@@ -85,6 +97,7 @@ class FusionRing:
             if len(labels) != r:
                 raise StructuralError("labels must name every basis element")
             object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "rank", r)
         object.__setattr__(self, "dual", dual)
         arr = np.ascontiguousarray(arr, dtype=np.int64)
         arr.setflags(write=False)
@@ -135,7 +148,7 @@ class RingElement:
     coeffs: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        cleaned = tuple(int(c) for c in self.coeffs)
+        cleaned = tuple(_checked_int(c, "coefficient") for c in self.coeffs)
         if any(c < 0 for c in cleaned):
             raise StructuralError("coefficients must be nonnegative")
         object.__setattr__(self, "coeffs", cleaned)
@@ -163,6 +176,7 @@ class AxiomViolation:
 
 
 def basis_element(ring: FusionRing, i: int) -> RingElement:
+    i = _checked_int(i, "basis index")
     if not 0 <= i < ring.rank:
         raise StructuralError(f"basis index {i} out of range")
     coeffs = [0] * ring.rank
@@ -175,9 +189,9 @@ def as_element(ring: FusionRing, x) -> RingElement:
         if len(x.coeffs) != ring.rank:
             raise StructuralError("element length does not match ring rank")
         return x
-    if isinstance(x, int):
+    if isinstance(x, (int, np.integer)):
         return basis_element(ring, x)
-    coeffs = tuple(int(c) for c in x)
+    coeffs = tuple(x)
     if len(coeffs) != ring.rank:
         raise StructuralError("element length does not match ring rank")
     return RingElement(coeffs)
@@ -218,36 +232,19 @@ def _require_valid(ring: FusionRing) -> None:
 @per_object_cache
 def _violations(ring: FusionRing) -> tuple[AxiomViolation, ...]:
     """verify_axioms' list as a tuple, held by per_object_cache."""
-    r, d, n = ring.rank, ring.dual, ring.n
-    out: list[AxiomViolation] = []
-
-    bad_dual: set[int] = set()
-    if d[0] != 0:
-        bad_dual.add(0)
-    for i in range(r):
-        if d[d[i]] != i:
-            bad_dual.add(i)
-    for i in sorted(bad_dual):
-        out.append(AxiomViolation(AXIOM_DUAL, (i,)))
-
+    r, n = ring.rank, ring.n
+    d = np.array(ring.dual)
     eye = np.eye(r, dtype=np.int64)
-    seen: set[tuple[int, int, int]] = set()
-    for j, k in np.argwhere(n[0] != eye):
-        seen.add((0, int(j), int(k)))
-        out.append(AxiomViolation(AXIOM_UNIT, (0, int(j), int(k))))
-    for i, k in np.argwhere(n[:, 0, :] != eye):
-        if (int(i), 0, int(k)) not in seen:
-            out.append(AxiomViolation(AXIOM_UNIT, (int(i), 0, int(k))))
-
-    pairing = eye[list(d)]
-    for i, j in np.argwhere(n[:, :, 0] != pairing):
-        out.append(AxiomViolation(AXIOM_DUALITY, (int(i), int(j), 0)))
-
-    # argwhere lists indices in C order, which is lexicographic
-    mism = n != n[list(d)].transpose(0, 2, 1)
-    mism |= n != n[:, list(d), :].transpose(2, 1, 0)
-    for idx in np.argwhere(mism):
-        out.append(AxiomViolation(AXIOM_FROBENIUS, tuple(int(x) for x in idx)))
+    bad_dual = d[d] != np.arange(r)
+    bad_dual[0] |= d[0] != 0
+    # the (0, 0, k) come with the (0, j, k), so the (i, 0, k) start at i = 1
+    out = (_listed(AXIOM_DUAL, bad_dual)
+           + _listed(AXIOM_UNIT, (n[0] != eye)[None])
+           + _listed(AXIOM_UNIT, (n[1:, 0] != eye[1:])[:, None], start=1)
+           + _listed(AXIOM_DUALITY, (n[:, :, 0] != eye[d])[:, :, None]))
+    mism = n != n[d].transpose(0, 2, 1)
+    mism |= n != n[:, d, :].transpose(2, 1, 0)
+    out += _listed(AXIOM_FROBENIUS, mism)
 
     # (i*j)*k against i*(j*k) as float matrix products, a block of left
     # factors i at a time so that memory stays near rank**3. Every sum is an
@@ -274,11 +271,18 @@ def _violations(ring: FusionRing) -> tuple[AxiomViolation, ...]:
             return ()
     for start in range(0, r, step):
         differ = _associators_differ(primes, residues, slice(start, start + step))
-        # flat indices come in C order, which is lexicographic
-        at = np.unravel_index(np.flatnonzero(differ), differ.shape)
-        for i, j, k, l in zip(*(x.tolist() for x in at)):
-            out.append(AxiomViolation(AXIOM_ASSOCIATIVITY, (start + i, j, k, l)))
+        out += _listed(AXIOM_ASSOCIATIVITY, differ, start)
     return tuple(out)
+
+
+def _listed(axiom: str, mask: np.ndarray, start: int = 0) -> list[AxiomViolation]:
+    """One violation per true entry of mask, in C order (lexicographic), first index + start.
+
+    Flat indices, not argwhere: numpy's nonzero is far slower on an array of several axes.
+    """
+    first, *rest = np.unravel_index(np.flatnonzero(mask), mask.shape)
+    return [AxiomViolation(axiom, at)
+            for at in zip((first + start).tolist(), *(x.tolist() for x in rest))]
 
 
 def _associators_differ(primes: list[int], residues: list[np.ndarray], rows) -> np.ndarray:
@@ -409,21 +413,22 @@ def closure(ring: FusionRing, seed: Iterable[int]) -> Subring:
     _require_valid(ring)
     gens: set[int] = set()
     for i in seed:
-        if not 0 <= int(i) < ring.rank:
+        i = _checked_int(i, "seed index")
+        if not 0 <= i < ring.rank:
             raise StructuralError(f"seed index {i} out of range")
-        gens |= {int(i), ring.dual[int(i)]}
+        gens |= {i, ring.dual[i]}
     support = product_support(ring)
     mem = tuple(sorted(_walk(0, lambda x: (k for g in gens for k in support[x][g]))))
     return Subring(mem, all(ring.invertible[i] for i in mem))
 
 
 def is_closed_subset(ring: FusionRing, members: Iterable[int]) -> bool:
-    mem = tuple(sorted(set(int(i) for i in members)))
+    mem = tuple(sorted({_checked_int(i, "member") for i in members}))
     return closure(ring, mem).members == mem
 
 
 def make_subring(ring: FusionRing, members: Iterable[int]) -> Subring:
-    mem = tuple(sorted(set(int(i) for i in members)))
+    mem = tuple(sorted({_checked_int(i, "member") for i in members}))
     sub = closure(ring, mem)
     if sub.members != mem:
         raise StructuralError(f"members {mem} do not form a closed subset")

@@ -11,7 +11,7 @@ from typing import Iterable
 
 from .groups import FiniteGroup, _built_group
 from .numerics import dimension_classes
-from .ring import (FusionRing, StructuralError, Subring, _orbits, _require_valid,
+from .ring import (FusionRing, StructuralError, Subring, _checked_int, _orbits, _require_valid,
                    closed_subsets, closure, make_subring, per_object_cache, product_support)
 
 
@@ -133,6 +133,7 @@ def _action_image(ring: FusionRing, g: int, x: int) -> int:
 
 def stabilizer(ring: FusionRing, x: int) -> tuple[int, ...]:
     """Invertibles g with g * x = x, as basis indices (always a subgroup)."""
+    x = _checked_int(x, "basis index")
     if not 0 <= x < ring.rank:
         raise StructuralError(f"basis index {x} out of range")
     _, emb = invertibles(ring)
@@ -154,6 +155,7 @@ def even_rank_pairing(ring: FusionRing, delta: int) -> PairingReport:
     into disjoint pairs {x, delta * x}, forcing even class sizes.
     """
     _require_valid(ring)
+    delta = _checked_int(delta, "delta")
     if not (0 < delta < ring.rank) or not ring.invertible[delta]:
         raise StructuralError("delta must be a nontrivial invertible index")
     if _action_image(ring, delta, delta) != 0:

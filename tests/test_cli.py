@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import pathlib
@@ -66,6 +67,31 @@ def test_seed_env_is_accepted_and_ignored(capsys, monkeypatch):
     code, out, _ = cli(capsys, "analyze", DATA / "ising.json", "--json")
     assert code == 0
     assert out == (GOLDEN / "analyze_ising.json").read_text()
+
+
+# ---------------------------------------------------------------- classify
+
+def test_classify_exits_1_on_a_refuted_claim(capsys, monkeypatch):
+    classify_module = importlib.import_module("fusionring.classify")
+    claims = list(classify_module._CLAIMS)
+    name, scope, applicable, _ = claims[1]
+    claims[1] = (name, scope, applicable, lambda ring: (False, {"counterexample": [1, 2, 3]}))
+    monkeypatch.setattr(classify_module, "_CLAIMS", tuple(claims))
+
+    code, out, err = cli(capsys, "classify", DATA / "ising.json")
+    assert code == 1 and err == ""
+    lines = out.splitlines()
+    assert f"  refuted      [ring-level] {name}  {{'counterexample': [1, 2, 3]}}" in lines
+    assert lines[-1] == "summary: 9 verified, 1 refuted, 9 inapplicable"
+
+    code, out, _ = cli(capsys, "classify", DATA / "ising.json", "--json")
+    assert code == 1
+    check_schema(out)
+    doc = json.loads(out)
+    assert [c for c in doc["claims"] if c["status"] == "refuted"] == \
+        [{"claim": name, "status": "refuted", "scope": "ring-level",
+          "detail": {"counterexample": [1, 2, 3]}}]
+    assert doc["counts"] == {"verified": 9, "refuted": 1, "inapplicable": 9}
 
 
 # ------------------------------------------------------------------ verify

@@ -109,7 +109,10 @@ def brute_force_subgroups(group):
     (lambda: gr.quotient_group(gr.cyclic(4), (0, 1)), "kernel is not a subgroup"),
     (lambda: gr.central_extensions_by_z2(gr.product_of_cyclics([2] * 5)),
      "too many cohomology classes to enumerate"),
-], ids=["entry-range", "shape", "cyclic", "dihedral", "order-9", "kernel", "cohomology"])
+    (lambda: gr.FiniteGroup(True, ((0,),)), "order is True, not an integer"),
+    (lambda: gr.FiniteGroup(2.0, ((0, 1), (1, 0))), "order is 2.0, not an integer"),
+], ids=["entry-range", "shape", "cyclic", "dihedral", "order-9", "kernel", "cohomology",
+        "bool-order", "float-order"])
 def test_input_guards(call, message):
     with pytest.raises(gr.GroupError) as info:
         call()

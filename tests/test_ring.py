@@ -1,6 +1,8 @@
 import hashlib
 import itertools
+import json
 import math
+import pathlib
 import time
 import tracemalloc
 from collections import Counter
@@ -29,7 +31,7 @@ from fusionring.ring import (
     square_profiles,
 )
 from fusionring.cli import run
-from fusionring.ringfile import serialize_ring
+from fusionring.ringfile import parse_ring, serialize_ring
 
 
 def writable(ring):
@@ -499,6 +501,26 @@ def test_verify_json_of_corrupted_rings_is_pinned(left, digest, tmp_path, capsys
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
+def test_verify_of_a_ring_breaking_all_five_families_is_pinned(tmp_path, capsys):
+    # Ising with 1*d = 0, X*X = 1 and a duality that swaps 1 and d
+    doc = json.loads((pathlib.Path(__file__).parent / "data" / "ising.json").read_text())
+    doc["N"][0][1][1] = doc["N"][2][2][1] = 0
+    doc["duality"] = [1, 0, 2]
+    path = tmp_path / "five.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    ring = parse_ring(path.read_text(encoding="utf-8"))
+    assert found_pairs(ring) == verify_reference(ring)
+    assert Counter(axiom for axiom, _ in found_pairs(ring)) == {
+        AXIOM_DUAL: 1, AXIOM_UNIT: 1, AXIOM_DUALITY: 4, AXIOM_FROBENIUS: 10,
+        AXIOM_ASSOCIATIVITY: 8}
+    # sha256 of the text and the JSON report, as the per-family loops printed them
+    for json_flag, digest in (
+            ([], "ec2d96b433f175d02cd961d4553135c07e0aa1159404789769cbdea71b34a42c"),
+            (["--json"], "802fc07dbd3ac456f9a9c076ed4f57356c31853c89d816290af1dbc1f1b36238")):
+        assert run(["verify", str(path), *json_flag]) == 1
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 # ------------------------------------------------------------------ algebra
 
 def test_multiply_ising():
@@ -534,7 +556,24 @@ def test_multiply_overflow_guard():
     (lambda: FusionRing(0, (), np.zeros((0, 0, 0))), "rank must be at least 1"),
     (lambda: fr.as_element(cat.ising(), fr.RingElement((1, 0))),
      "element length does not match ring rank"),
-], ids=["rank-0", "element-length"])
+    # a bool or a float is no index or coefficient, though int() would take it
+    (lambda: FusionRing(3.0, (0, 1, 2), cat.ising().n), "rank is 3.0, not an integer"),
+    (lambda: FusionRing(3, (0, 1, 2.5), cat.ising().n), "duality entry is 2.5, not an integer"),
+    (lambda: FusionRing(3, (True, False, 2), cat.ising().n),
+     "duality entry is True, not an integer"),
+    (lambda: fr.closure(cat.ising(), [1.5]), "seed index is 1.5, not an integer"),
+    (lambda: fr.make_subring(cat.ising(), [0.0, 1.0]), "member is 0.0, not an integer"),
+    (lambda: fr.is_closed_subset(cat.ising(), [0, 1.2]), "member is 1.2, not an integer"),
+    (lambda: fr.multiply(cat.ising(), [1.5, 0, 0], [0, 0, 1]),
+     "coefficient is 1.5, not an integer"),
+    (lambda: fr.RingElement((2.9, True)), "coefficient is 2.9, not an integer"),
+    (lambda: fr.basis_element(cat.ising(), 1.0), "basis index is 1.0, not an integer"),
+    (lambda: fr.as_element(cat.ising(), True), "basis index is True, not an integer"),
+    (lambda: fr.stabilizer(cat.ising(), 1.0), "basis index is 1.0, not an integer"),
+    (lambda: fr.even_rank_pairing(cat.ising(), 1.0), "delta is 1.0, not an integer"),
+], ids=["rank-0", "element-length", "float-rank", "float-dual", "bool-dual", "float-seed",
+        "float-members", "float-member", "float-coefficient", "float-bool-coefficients",
+        "float-basis-index", "bool-basis-index", "float-stabilizer-index", "float-delta"])
 def test_input_guards(call, message):
     with pytest.raises(StructuralError) as info:
         call()
