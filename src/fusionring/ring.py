@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, wraps
+from itertools import islice
 from typing import Any, Callable, Iterable, TypeVar
 
 import numpy as np
@@ -384,17 +385,24 @@ def _residue_primes(r: int, bound: int) -> list[int]:
 
 
 @per_object_cache
+def _nonzeros(ring: FusionRing) -> tuple[np.ndarray, ...]:
+    """Arrays i, j, k and n[i,j,k] over the nonzero entries in C order; do not mutate."""
+    flat = np.flatnonzero(ring.n)  # flat indices, as in _listed
+    return (*np.unravel_index(flat, ring.n.shape), ring.n.ravel()[flat])
+
+
+@per_object_cache
 def product_support(ring: FusionRing) -> tuple[tuple[dict[int, int], ...], ...]:
     """The sparse product table: support[i][j] = {k: n[i,j,k]} over n[i,j,k] > 0.
 
     Keys come in increasing k. Held by per_object_cache; do not mutate.
     """
     r = ring.rank
-    cells: list[list[list[tuple[int, int]]]] = [[[] for _ in range(r)] for _ in range(r)]
-    nz = np.nonzero(ring.n)
-    for i, j, k, m in zip(*(x.tolist() for x in nz), ring.n[nz].tolist()):
-        cells[i][j].append((k, m))
-    return tuple(tuple(dict(cell) for cell in row) for row in cells)
+    i, j, k, m = _nonzeros(ring)
+    entries = zip(k.tolist(), m.tolist())  # C order: cell by cell, each in increasing k
+    sizes = np.bincount(i * r + j, minlength=r * r).tolist()  # entries per cell i*r + j
+    cells = [dict(islice(entries, size)) for size in sizes]
+    return tuple(tuple(cells[x:x + r]) for x in range(0, r * r, r))
 
 
 def closure(ring: FusionRing, seed: Iterable[int]) -> Subring:
@@ -502,16 +510,22 @@ def colour_classes(ring: FusionRing) -> tuple[int, ...]:
     """
     r, n = ring.rank, ring.n
     # seed, the index profile: invertible, self-dual, n[i,i,i] and, for each
-    # slot, the (value, count) pairs of the r*r entries with i in that slot
+    # slot, the (value, count) pairs of the r*r entries with i in that slot:
+    # (0, r*r - nonzeros) when positive, then the runs of equal (index, value)
+    # among the nonzeros sorted by (index, value)
     profiles = []
-    for t in (n, n.transpose(1, 0, 2), n.transpose(2, 0, 1)):
-        rows = np.sort(t.reshape(r, -1), axis=1)
-        starts = np.ones(rows.shape, dtype=bool)  # first entry of each run of equal values
-        np.not_equal(rows[:, 1:], rows[:, :-1], out=starts[:, 1:])
-        at = np.flatnonzero(starts)
-        pairs = list(zip(rows.ravel()[at].tolist(), np.diff(at, append=rows.size).tolist()))
-        bounds = np.searchsorted(at, np.arange(r + 1) * r * r).tolist()
-        profiles.append([tuple(pairs[bounds[i]:bounds[i + 1]]) for i in range(r)])
+    *indices, values = _nonzeros(ring)
+    for at in indices:
+        order = np.lexsort((values, at))
+        at, value = at[order], values[order]
+        starts = np.ones(len(at), dtype=bool)  # first entry of each run
+        starts[1:] = (at[1:] != at[:-1]) | (value[1:] != value[:-1])
+        first = np.flatnonzero(starts)
+        pairs = list(zip(value[first].tolist(), np.diff(first, append=len(at)).tolist()))
+        bounds = np.searchsorted(at[first], np.arange(r + 1)).tolist()
+        zeros = (r * r - np.bincount(at, minlength=r)).tolist()
+        profiles.append([((0, z),) * (z > 0) + tuple(pairs[a:b])
+                         for z, a, b in zip(zeros, bounds, bounds[1:])])
     colours = [hash((bool(ring.invertible[i]), ring.dual[i] == i, int(n[i, i, i]),
                      profiles[0][i], profiles[1][i], profiles[2][i]))
                for i in range(r)]
@@ -552,11 +566,11 @@ def square_profiles(ring: FusionRing) -> tuple[int, ...]:
     """
     c = colour_classes(ring)
     r = ring.rank
-    square = ring.n[np.arange(r), np.arange(r)]  # square[x][k] = n[x,x,k]
+    i, j, k, m = _nonzeros(ring)
+    diagonal = i == j  # the entries n[x,x,k]
     out: list[list[tuple[int, int]]] = [[] for _ in range(r)]
     roots: list[list[tuple[int, int]]] = [[] for _ in range(r)]
-    for x, k in zip(*(a.tolist() for a in np.nonzero(square))):
-        m = int(square[x, k])
+    for x, k, m in zip(*(a[diagonal].tolist() for a in (i, k, m))):
         out[x].append((c[k], m))
         roots[k].append((c[x], m))
     return tuple(hash((tuple(sorted(out[i])), tuple(sorted(roots[i])))) for i in range(r))

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import pathlib
+import random
 import time
 import tracemalloc
 from collections import Counter
@@ -28,6 +29,7 @@ from fusionring.ring import (
     _residue_primes,
     _span_prime,
     colour_classes,
+    product_support,
     square_profiles,
 )
 from fusionring.cli import run
@@ -855,6 +857,36 @@ def test_iso_of_two_relabelled_rank64_rings():
     assert elapsed < 3.0
 
 
+def shuffled(rank, key):
+    """A basis permutation fixing the unit, seeded by key."""
+    rest = list(range(1, rank))
+    random.Random(key).shuffle(rest)
+    return [0] + rest
+
+
+# sha256 over the maps find_isomorphism returns on two seeded relabelled
+# pairs of each ring, ranks 24-64: the search returns the same first map
+SEARCH_DIGEST = "9ca6385a909a5f04d724fb7fb72f54b34e5393e0a5e6d6fa84ee71cd19045487"
+
+
+def test_iso_maps_of_relabelled_pairs_are_pinned():
+    rings = [cat.deligne_product(cat.yl_extension("S3"), cat.pointed("Z2")),
+             cat.deligne_product(cat.ising(), cat.pointed("Q8")),
+             cat.deligne_product(cat.pointed("Z2xZ2xZ2"), cat.pointed("Z4")),
+             cat.deligne_product(cat.yl_extension("S3"), cat.pointed("Z4")),
+             cat.deligne_product(cat.yl_extension("Q8"), cat.ising()),
+             cat.deligne_product(cat.yl_extension("Z2xZ2xZ2"), cat.pointed("Z4"))]
+    digest = hashlib.sha256()
+    for index, ring in enumerate(rings):
+        for pair in range(2):
+            r1, r2 = (relabelled(ring, shuffled(ring.rank, f"{index}/{pair}/{side}"))
+                      for side in range(2))
+            sigma = fr.find_isomorphism(r1, r2)
+            assert sigma is not None and is_isomorphism(r1, r2, sigma)
+            digest.update(repr(sigma).encode())
+    assert digest.hexdigest() == SEARCH_DIGEST
+
+
 def sorted_entry_colours(ring):
     """Reference: colour refinement seeded by the sorted r*r entries of each slot, in int64."""
     r, n = ring.rank, ring.n
@@ -949,6 +981,59 @@ def test_colour_classes_partition_matches_sorted_entry_seed_on_arbitrary_tensors
         p = [s[x] for x in p]
     ring = FusionRing(r, tuple(range(r)), n)
     assert partition(colour_classes(ring)) == partition(sorted_entry_colours(ring))
+
+
+def assert_sparse_reads_match_loops(ring):
+    """product_support, square_profiles and colour values against loops over the tensor."""
+    r, n = ring.rank, ring.n.tolist()
+    support = product_support(ring)
+    assert [[list(cell.items()) for cell in row] for row in support] == [
+        [[(k, n[i][j][k]) for k in range(r) if n[i][j][k]] for j in range(r)] for i in range(r)]
+    assert all(type(k) is int and type(m) is int
+               for row in support for cell in row for k, m in cell.items())
+    c = colour_classes(ring)
+    assert c == exact_colours(ring)
+    assert square_profiles(ring) == tuple(
+        hash((tuple(sorted((c[k], n[x][x][k]) for k in range(r) if n[x][x][k])),
+              tuple(sorted((c[y], n[y][y][x]) for y in range(r) if n[y][y][x]))))
+        for x in range(r))
+
+
+@pytest.mark.parametrize("ring", [
+    FusionRing(1, (0,), np.zeros((1, 1, 1), dtype=np.int64)),
+    FusionRing(3, (0, 2, 1), np.zeros((3, 3, 3), dtype=np.int64)),
+    cat.deligne_product(x_squared_is_1_plus_bx(2 ** 63 - 1), cat.pointed("D4")),
+], ids=["zero-rank1", "zero-rank3", "b=2**63-1"])
+def test_sparse_reads_match_loops_at_the_edges(ring):
+    assert_sparse_reads_match_loops(ring)
+
+
+@st.composite
+def arbitrary_rings(draw):
+    """A ring on an arbitrary tensor of rank 1-7, entries up to 2**63 - 1.
+
+    The entrywise maximum over the powers of a permutation s that fixes 0
+    keeps s as a symmetry, so the colour classes are not all singletons.
+    """
+    r = draw(st.integers(1, 7))
+    s = [0] + draw(st.permutations(list(range(1, r))))
+    # two large values one apart, which float64 cannot tell apart; the
+    # largest may be 2**63 - 1, the int64 maximum
+    big = draw(st.sampled_from([3, 2 ** 62, 2 ** 63 - 2]))
+    values = [0] * draw(st.integers(0, 8)) + [1, 2, big, big + 1]
+    base = np.array(draw(st.lists(st.sampled_from(values), min_size=r ** 3, max_size=r ** 3)),
+                    dtype=np.int64).reshape(r, r, r)
+    n, p = base.copy(), s
+    while p != list(range(r)):
+        n[np.ix_(p, p, p)] = np.maximum(n[np.ix_(p, p, p)], base)
+        p = [s[x] for x in p]
+    return FusionRing(r, tuple(range(r)), n)
+
+
+@settings(deadline=None, max_examples=60)
+@given(ring=arbitrary_rings())
+def test_sparse_reads_match_loops_on_arbitrary_tensors(ring):
+    assert_sparse_reads_match_loops(ring)
 
 
 @pytest.mark.parametrize("partner", ["pointed:Z2xZ4", "yl:S3", "pointed:D4"])
