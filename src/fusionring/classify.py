@@ -210,12 +210,8 @@ def _claim_gty_transitive(ring):
 def _claim_gty_normal(ring):
     ad = st.adjoint_subring(ring)
     group, emb = st.invertibles(ring)
-    pos = {b: a for a, b in enumerate(emb)}
-    dpos = pos[ad.members[1]]
-    core = {0, dpos}
-    ok = all(group.table[group.table[a][d]][group.inverse[a]] in core
-             for a in range(group.order) for d in core)
-    return ok, {"delta": ad.members[1]}
+    delta = ad.members[1]
+    return gr._is_normal(group, frozenset({0, emb.index(delta)})), {"delta": delta}
 
 
 def _claim_gty_ising_subring(ring):

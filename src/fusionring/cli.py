@@ -312,6 +312,16 @@ def _json_flag(p: argparse.ArgumentParser) -> None:
                    help="emit a machine-readable JSON report")
 
 
+#: (name, help, ring file arguments, handler) of each command that reads ring files.
+_RING_COMMANDS = (
+    ("verify", "check the fusion-ring axioms on a ring file", ("ringfile",), _cmd_verify),
+    ("analyze", "dimensions, type, grading and related invariants", ("ringfile",), _cmd_analyze),
+    ("classify", "family flags and the structural-claim suite", ("ringfile",), _cmd_classify),
+    ("subrings", "enumerate all subrings", ("ringfile",), _cmd_subrings),
+    ("iso", "search for a basis-preserving ring isomorphism", ("ringfile", "other"), _cmd_iso),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fusionring",
@@ -320,31 +330,12 @@ def build_parser() -> argparse.ArgumentParser:
                     "and extension enumeration.")
     sub = parser.add_subparsers(dest="command", metavar="command", required=True)
 
-    p = sub.add_parser("verify", help="check the fusion-ring axioms on a ring file")
-    p.add_argument("ringfile")
-    _json_flag(p)
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("analyze", help="dimensions, type, grading and related invariants")
-    p.add_argument("ringfile")
-    _json_flag(p)
-    p.set_defaults(func=_cmd_analyze)
-
-    p = sub.add_parser("classify", help="family flags and the structural-claim suite")
-    p.add_argument("ringfile")
-    _json_flag(p)
-    p.set_defaults(func=_cmd_classify)
-
-    p = sub.add_parser("subrings", help="enumerate all subrings")
-    p.add_argument("ringfile")
-    _json_flag(p)
-    p.set_defaults(func=_cmd_subrings)
-
-    p = sub.add_parser("iso", help="search for a basis-preserving ring isomorphism")
-    p.add_argument("ringfile")
-    p.add_argument("other")
-    _json_flag(p)
-    p.set_defaults(func=_cmd_iso)
+    for name, text, files, func in _RING_COMMANDS:
+        p = sub.add_parser(name, help=text)
+        for arg in files:
+            p.add_argument(arg)
+        _json_flag(p)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("catalog", help="emit a built-in ring as a ring file")
     p.add_argument("name", help="ising | yang-lee | pointed | yl-ext")

@@ -120,6 +120,7 @@ def _built_group(order: int, table: tuple[tuple[int, ...], ...]) -> FiniteGroup:
 # ---------------------------------------------------------------- constructors
 
 def cyclic(n: int) -> FiniteGroup:
+    n = _checked_int(n, "cyclic order", GroupError)
     if n < 1:
         raise GroupError("cyclic order must be positive")
     table = tuple(tuple((a + b) % n for b in range(n)) for a in range(n))
@@ -135,17 +136,15 @@ def product_group(g: FiniteGroup, h: FiniteGroup, name: str | None = None) -> Fi
 
 
 def product_of_cyclics(orders) -> FiniteGroup:
-    orders = list(orders) or [1]
-    out = cyclic(orders[0])
-    for n in orders[1:-1]:
-        out = product_group(out, cyclic(n))
-    if len(orders) == 1:
-        return out
-    return product_group(out, cyclic(orders[-1]), name="x".join(f"Z{n}" for n in orders))
+    out, *rest = [cyclic(n) for n in orders] or [cyclic(1)]
+    for factor in rest:
+        out = product_group(out, factor, name=f"{out.name}x{factor.name}")
+    return out
 
 
 def dihedral(n: int) -> FiniteGroup:
     """Symmetries of the regular n-gon, order 2n; rotations sit at 0..n-1."""
+    n = _checked_int(n, "dihedral parameter", GroupError)
     if n < 1:
         raise GroupError("dihedral parameter must be positive")
     m = 2 * n
@@ -252,6 +251,12 @@ def subgroup_group(group: FiniteGroup, members) -> tuple[FiniteGroup, tuple[int,
     return _built_group(len(mem), table), tuple(mem)
 
 
+def _is_normal(group: FiniteGroup, members: frozenset[int]) -> bool:
+    """Whether g*x*g^-1 lies in the members for every g in the group and x among them."""
+    t, inv = group.table, group.inverse
+    return all(t[t[g][x]][inv[g]] in members for g in range(group.order) for x in members)
+
+
 def quotient_group(group: FiniteGroup, kernel) -> tuple[FiniteGroup, tuple[int, ...]]:
     """Quotient by a normal subgroup; returns (quotient, projection).
 
@@ -263,12 +268,9 @@ def quotient_group(group: FiniteGroup, kernel) -> tuple[FiniteGroup, tuple[int, 
     k = frozenset(_elements(group, kernel))
     if generated_subgroup(group, k) != k:
         raise GroupError("kernel is not a subgroup")
+    if not _is_normal(group, k):
+        raise GroupError("kernel is not normal")
     t = group.table
-    inv = group.inverse
-    for g in range(group.order):
-        for x in k:
-            if t[t[g][x]][inv[g]] not in k:
-                raise GroupError("kernel is not normal")
     # the cosets aK, numbered by smallest member
     cosets = _orbits(range(group.order), lambda a: (t[a][x] for x in k))
     coset_of = [0] * group.order

@@ -5,10 +5,11 @@ the one common positive eigenvector of the left multiplication matrices: the
 regular element R = sum_k d_k k satisfies i * R = d_i R for every i. So
 (d_k)_k is the Perron vector of M = sum_i n[i]^T, with eigenvalue sum_i d_i.
 M[k][j] = sum_i N_ij^k is, by reciprocity, the multiplicity sum of k * j*,
-which is at least one because (k * j*)(j * k*) contains the unit. A strictly
-positive M has a strictly dominant Perron root and no other positive
-eigenvector, so power iteration on M itself, normalised at the unit, gives
-every dimension at once.
+which is at least one because (k * j*)(j * k*) contains the unit. So M is
+strictly positive on every ring that passes the gate fp_dimensions calls
+(ring._require_valid). A strictly positive M has a strictly dominant Perron
+root and no other positive eigenvector, so power iteration on M itself,
+normalised at the unit, gives every dimension at once.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ring import FusionRing, per_object_cache
+from .ring import FusionRing, _checked_int, _require_valid, per_object_cache
 
 #: Tolerance used for grouping and recognizing dimension values.
 DIM_TOL = 1e-9
@@ -32,7 +33,7 @@ _POWER_CAP = 10000
 
 
 class ConvergenceError(RuntimeError):
-    """The input is not a fusion ring, or power iteration did not settle."""
+    """Power iteration did not settle within its step cap."""
 
 
 @dataclass(frozen=True)
@@ -57,12 +58,12 @@ class TypeSignature:
 def fp_dimensions(ring: FusionRing) -> FPData:
     """Perron dimension of every basis element plus the squared total.
 
+    StructuralError on a ring that fails verify_axioms (ring._require_valid).
     Each dual pair takes the entry of its smaller index, which makes
     dims[dual(i)] == dims[i] exact.
     """
+    _require_valid(ring)
     m = ring.n.sum(axis=0, dtype=np.float64).T
-    if not (m > 0).all():
-        raise ConvergenceError("a product k * j* is zero, so this is not a fusion ring")
     # A positive M contracts Hilbert's projective metric, so in exact
     # arithmetic the Collatz-Wielandt spread max(Mv/v) / min(Mv/v) falls
     # strictly until it is 1. Each entry of Mv sums nonnegative terms, so it is
@@ -133,6 +134,8 @@ def solve_cos_equation(terms: int, target: float = COS_TARGET,
     term plus the floor value of the remaining slots overshoots; any bound
     of at least 10 therefore gives the same answer for the default target.
     """
+    terms = _checked_int(terms, "term count", ValueError)
+    bound = _checked_int(bound, "bound", ValueError)
     if terms not in (2, 3):
         raise ValueError("term count must be 2 or 3")
     if bound < 10:

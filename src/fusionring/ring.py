@@ -577,7 +577,15 @@ def square_profiles(ring: FusionRing) -> tuple[int, ...]:
 
 
 def find_isomorphism(r1: FusionRing, r2: FusionRing) -> tuple[int, ...] | None:
-    """A basis permutation s with n1[i,j,k] = n2[s(i),s(j),s(k)], or None.
+    """The least basis permutation s with n1[i,j,k] = n2[s(i),s(j),s(k)], or None.
+
+    s fixes the unit and commutes with duality. Least compares maps by their
+    images at order[0], order[1], ...: the non-unit colour classes of r1 by
+    (size, smallest member), each class in increasing index. The search
+    branches in that order and tries images in increasing index. Every prune
+    below cuts only branches that hold no isomorphism, and every forced
+    image is the only one an isomorphism can take, so the first complete
+    map is the least.
 
     The unit is pinned to the unit and each element may only map to one of
     the same colour class (colour_classes); rings whose colour multisets
@@ -602,9 +610,8 @@ def find_isomorphism(r1: FusionRing, r2: FusionRing) -> tuple[int, ...] | None:
     sigma, inverse = [-1] * rank, [-1] * rank
     trail: list[int] = []  # assigned elements, in assignment order
     # Branch on the element with the fewest unbranched elements left in its
-    # colour class, lowest index first, forced or not, as a search without
-    # propagation would; so both return the same first map. The rule reads
-    # no image, so its order is fixed: a class once picked has the smallest
+    # colour class, lowest index first, forced or not. The rule reads no
+    # image, so its order is fixed: a class once picked has the smallest
     # count until used up, giving the non-unit classes by (size, smallest
     # member), each in increasing index.
     classes: dict[int, list[int]] = {}

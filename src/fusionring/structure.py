@@ -112,8 +112,8 @@ def all_subrings(ring: FusionRing) -> list[Subring]:
     """Every closed subset, smallest first. Supports rank up to 24."""
     if ring.rank > 24:
         raise ValueError("subring enumeration supports rank at most 24")
-    return [closure(ring, m)
-            for m in closed_subsets(lambda seed: closure(ring, seed).members, ring.rank)]
+    closed = closed_subsets(lambda seed: closure(ring, seed).members, ring.rank)
+    return [Subring(m, all(ring.invertible[i] for i in m)) for m in closed]
 
 
 def commutator(ring: FusionRing, sub: Subring) -> Subring:

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import importlib
 import sys
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 import fusionring as fr
 from fusionring import catalog as cat
 from fusionring import groups as gr
+from fusionring import structure
 from fusionring.classify import _has_dim_sqrt2, find_ising_subring_unchecked
 from fusionring.ring import FusionRing
 
@@ -167,6 +169,38 @@ def test_no_refutations_across_catalog_and_enumerations():
     for ring in rings:
         for rep in fr.verify_claims(ring):
             assert rep.status != "refuted", (rep.claim, ring.rank)
+
+
+def two_invertibles_in_a_component(grading):
+    # yl(Z3) has invertibles 0, 1, 2 and golden simples 3, 4, 5
+    return dataclasses.replace(grading, components=((0, 1), (2, 3), (4, 5)))
+
+
+def a_subring_off_the_subgroups(subrings):
+    # components 0, 1, 0, 1 of Z3: {0, 1} is not a subgroup
+    return [*subrings, fr.Subring((0, 1, 3, 4), False)]
+
+
+@pytest.mark.parametrize("claim,name,wrong,detail", [
+    ("golden-extension-components-rank2", "universal_grading", two_invertibles_in_a_component,
+     {"component": [0, 1]}),
+    ("nonpointed-subrings-match-subgroups", "all_subrings", a_subring_off_the_subgroups,
+     {"subring": [0, 1, 3, 4]}),
+])
+def test_claims_refute_what_they_read(monkeypatch, claim, name, wrong, detail):
+    ring = cat.yl_extension("Z3")
+    assert fr.classify(ring).yl_extension   # cached with the true structure
+    true = getattr(structure, name)
+    monkeypatch.setattr(structure, name, lambda r: wrong(true(r)))
+    report = next(r for r in fr.verify_claims(ring) if r.claim == claim)
+    assert (report.status, report.detail) == ("refuted", detail)
+
+
+def test_normality_is_decided_once(monkeypatch):
+    monkeypatch.setattr(gr, "_is_normal", lambda group, members: False)
+    with pytest.raises(gr.GroupError, match="kernel is not normal"):
+        gr.quotient_group(gr.cyclic(4), (0, 2))
+    assert claim_status(cat.ising())["adjoint-z2-normal-in-invertibles"] == "refuted"
 
 
 def test_unchecked_detection_has_no_precondition():

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from fusionring import catalog as cat
 from fusionring import groups as gr
+from fusionring.numerics import solve_cos_equation
 from fusionring.ring import FusionRing, _walk, verify_axioms
 
 
@@ -117,6 +118,31 @@ def test_input_guards(call, message):
     with pytest.raises(gr.GroupError) as info:
         call()
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: gr.dihedral(True), gr.GroupError, "dihedral parameter is True, not an integer"),
+    (lambda: gr.cyclic(2.5), gr.GroupError, "cyclic order is 2.5, not an integer"),
+    (lambda: gr.dihedral(2.5), gr.GroupError, "dihedral parameter is 2.5, not an integer"),
+    (lambda: gr.cyclic("3"), gr.GroupError, "cyclic order is '3', not an integer"),
+    (lambda: gr.product_of_cyclics([2.0, 2]), gr.GroupError, "cyclic order is 2.0, not an integer"),
+    (lambda: solve_cos_equation(2, bound=10.5), ValueError, "bound is 10.5, not an integer"),
+    (lambda: solve_cos_equation(2.0), ValueError, "term count is 2.0, not an integer"),
+], ids=["dihedral-bool", "cyclic-float", "dihedral-float", "cyclic-str", "product-float",
+        "solver-bound", "solver-terms"])
+def test_caller_integers_are_checked(call, error, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message
+
+
+@pytest.mark.parametrize("orders,name", [
+    ([], "Z1"), ([4], "Z4"), ([2, 4], "Z2xZ4"), ([2, 2, 2], "Z2xZ2xZ2"),
+])
+def test_product_of_cyclics_names(orders, name):
+    group = gr.product_of_cyclics(orders)
+    assert group.name == name and group.order == int(np.prod(orders))
+    assert repr(group) == f"FiniteGroup(order={group.order}, name={name!r})"
 
 
 def test_table_must_be_latin_square():

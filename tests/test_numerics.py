@@ -61,8 +61,22 @@ def test_yl_extension_total():
 def test_ring_with_a_zero_product_is_rejected():
     n = np.zeros((2, 2, 2), dtype=np.int64)
     n[0] = np.eye(2, dtype=np.int64)   # 1 * 1 = 1 and nothing else
-    with pytest.raises(fr.ConvergenceError):
+    with pytest.raises(fr.StructuralError, match="not a fusion ring"):
         fp_dimensions(FusionRing(2, (0, 1), n))
+
+
+@pytest.mark.parametrize("fn", [fp_dimensions, type_signature, dimension_classes])
+def test_dimensions_need_a_valid_ring(fn):
+    # every product is non-zero, so the Perron vector exists, but the ring
+    # breaks duality, reciprocity and associativity: there is no FPdim to give
+    base = cat.yl_extension("Z2")
+    n = base.n.copy()
+    n[3, 3] += 1
+    ring = FusionRing(base.rank, base.dual, n)
+    assert len(fr.verify_axioms(ring)) == 38
+    with pytest.raises(fr.StructuralError) as info:
+        fn(ring)
+    assert str(info.value).startswith("not a fusion ring (38 axiom violation(s): ")
 
 
 def test_duality_symmetry_is_exact():

@@ -88,6 +88,7 @@ def test_labels_and_invertibles():
     assert r.invertible == (True, True, False)
     assert cat.yang_lee().invertible == (True, False)
     assert all(cat.pointed("Z6").invertible)
+    assert repr(r) == "FusionRing(rank=3)"
 
 
 def test_invertible_ignores_int64_wrap_of_the_row_sum():
@@ -723,16 +724,29 @@ def is_isomorphism(r1, r2, sigma):
             and all(sigma[r1.dual[i]] == r2.dual[sigma[i]] for i in range(r1.rank)))
 
 
-def brute_force_isomorphic(r1, r2):
-    """Whether any unit-fixing basis permutation is an isomorphism, trying all."""
+def least_isomorphism(r1, r2):
+    """The least isomorphism r1 -> r2 in the search's order, by trying every map, or None.
+
+    The maps fix the unit and commute with duality. They are compared by
+    their images at order[0], order[1], ..., where order lists the non-unit
+    colour classes of r1 by (size, smallest member), each class in
+    increasing index; the images come in increasing index.
+    """
     if r1.rank != r2.rank:
-        return False
-    r = r1.rank
-    perms = np.array([(0,) + p for p in itertools.permutations(range(1, r))])
+        return None
+    r, colours = r1.rank, colour_classes(r1)
+    classes = {}
+    for i in range(1, r):
+        classes.setdefault(colours[i], []).append(i)
+    order = [i for cls in sorted(classes.values(), key=lambda m: (len(m), m[0])) for i in cls]
+    # permutations come in lexicographic order, so row t holds the t-th map
+    perms = np.zeros((math.factorial(r - 1), r), dtype=np.int64)
+    perms[:, order] = list(itertools.permutations(range(1, r)))
     d1, d2 = np.array(r1.dual), np.array(r2.dual)
     perms = perms[(perms[:, d1] == d2[perms]).all(axis=1)]
     tensors = r2.n[perms[:, :, None, None], perms[:, None, :, None], perms[:, None, None, :]]
-    return bool((tensors == r1.n).all(axis=(1, 2, 3)).any())
+    hits = np.flatnonzero((tensors == r1.n).all(axis=(1, 2, 3)))
+    return tuple(perms[hits[0]].tolist()) if len(hits) else None
 
 
 # rank <= 8: everything brute force can try in well under a second
@@ -756,9 +770,7 @@ def test_iso_agrees_with_brute_force(data):
     r1 = data.draw(st.sampled_from(SMALL_RINGS))
     r2 = data.draw(st.sampled_from([r for r in SMALL_RINGS if r.rank == r1.rank]))
     r1, r2 = draw_relabelling(data, r1), draw_relabelling(data, r2)
-    sigma = fr.find_isomorphism(r1, r2)
-    assert (sigma is not None) == brute_force_isomorphic(r1, r2)
-    assert sigma is None or is_isomorphism(r1, r2, sigma)
+    assert fr.find_isomorphism(r1, r2) == least_isomorphism(r1, r2)
 
 
 @settings(deadline=None, max_examples=60)
@@ -777,9 +789,7 @@ def test_iso_agrees_with_brute_force_on_arbitrary_tensors(data):
         i, j, k = (data.draw(st.integers(1, r - 1)) for _ in range(3))
         n2[i, j, k] = 1 - n2[i, j, k]
         r2 = FusionRing(r, r2.dual, n2)
-    sigma = fr.find_isomorphism(r1, r2)
-    assert (sigma is not None) == brute_force_isomorphic(r1, r2)
-    assert sigma is None or is_isomorphism(r1, r2, sigma)
+    assert fr.find_isomorphism(r1, r2) == least_isomorphism(r1, r2)
 
 
 def digit_tensor(digits):
@@ -804,9 +814,7 @@ def digit_tensor(digits):
 def test_iso_rejects_wrong_images_by_their_products(left, right):
     r1, r2 = (FusionRing(len(t), tuple(range(len(t))), t) for t in map(digit_tensor, (left, right)))
     assert len(set(colour_classes(r1)[1:])) == 1
-    sigma = fr.find_isomorphism(r1, r2)
-    assert (sigma is not None) == brute_force_isomorphic(r1, r2)
-    assert sigma is None or is_isomorphism(r1, r2, sigma)
+    assert fr.find_isomorphism(r1, r2) == least_isomorphism(r1, r2)
 
 
 @pytest.fixture(scope="module")

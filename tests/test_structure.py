@@ -130,6 +130,21 @@ def test_all_subrings_against_brute_force(ring):
     assert len({s.members for s in subs}) == len(subs)
 
 
+def test_all_subrings_walks_once_per_closed_set(monkeypatch):
+    # closure runs only on the seeds closed_subsets closes; no subring is walked again
+    calls = []
+
+    def counted(ring, seed):
+        calls.append(seed)
+        return rg.closure(ring, seed)
+
+    monkeypatch.setattr(st, "closure", counted)
+    ring = cat.yl_extension("Z2xZ2xZ2")
+    subs = st.all_subrings(ring)
+    assert len(subs) == 32 and len(calls) == 376
+    assert subs == [rg.closure(ring, s.members) for s in subs]
+
+
 def test_all_subrings_rank_budget():
     with pytest.raises(ValueError):
         st.all_subrings(cat.yl_extension("Z16"))
