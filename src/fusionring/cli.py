@@ -15,7 +15,6 @@ import json
 import os
 import sys
 from functools import cache
-from typing import Any
 
 import numpy as np
 
@@ -38,23 +37,8 @@ def _yesno(flag: bool) -> str:
     return "yes" if flag else "no"
 
 
-def _jsonable(value: Any) -> Any:
-    """Normalize a report tree for deterministic JSON output."""
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        return float(f"{float(value):.12g}")
-    return value
-
-
 def _emit(report: dict) -> None:
-    print(json.dumps(_jsonable(report), indent=2, sort_keys=True))
+    print(json.dumps(report, indent=2, sort_keys=True))
 
 
 def _read_text(path: str) -> str:
@@ -120,10 +104,10 @@ def _cmd_analyze(args) -> int:
             "rank": ring.rank,
             "commutative": ring.is_commutative(),
             "type": sig.text(),
-            "total": data.total,
+            "total": float(_fmt(data.total)),
             "dims": [
                 {"index": i, "label": ring.label(i),
-                 "value": data.dims[i], "tag": data.recognized[i]}
+                 "value": float(_fmt(data.dims[i])), "tag": data.recognized[i]}
                 for i in range(ring.rank)
             ],
             "invertibles": {"order": group.order,
@@ -172,9 +156,9 @@ def _cmd_classify(args) -> int:
             "rank": ring.rank,
             "type": cls.signature.text(),
             "flags": list(cls.flags()),
-            "evidence": dict(cls.evidence),
+            "evidence": cls.evidence,
             "claims": [{"claim": r.claim, "status": r.status, "scope": r.scope,
-                        "detail": dict(r.detail)} for r in reports],
+                        "detail": r.detail} for r in reports],
             "counts": counts,
         })
     else:
@@ -294,7 +278,7 @@ def _cmd_solve_cos(args) -> int:
             "report": "solve-cos",
             "terms": args.terms,
             "bound": args.bound,
-            "target": COS_TARGET,
+            "target": float(_fmt(COS_TARGET)),
             "solutions": [list(s) for s in solutions],
         })
     elif not solutions:

@@ -198,9 +198,14 @@ def named_group(name: str) -> FiniteGroup:
     return builder()
 
 
-@lru_cache(maxsize=None)
 def groups_of_order(m: int) -> tuple[FiniteGroup, ...]:
     """All isomorphism classes of groups of order m, for m <= 8."""
+    # checked before the cache: True and 2.0 hash and compare as 1 and 2
+    return _groups_of_order(_checked_int(m, "group order", GroupError))
+
+
+@lru_cache(maxsize=None)
+def _groups_of_order(m: int) -> tuple[FiniteGroup, ...]:
     if not 1 <= m <= 8:
         raise GroupError("group tables are catalogued only up to order 8")
     names = {

@@ -596,7 +596,10 @@ def find_isomorphism(r1: FusionRing, r2: FusionRing) -> tuple[int, ...] | None:
     dual(i) -> dual(p), and for each unassigned constituent of a product
     a*b the sole unassigned constituent of its colour class in s(a)*s(b),
     if there is one. A trail undoes the forced images on backtrack. No
-    float is read: every decision is on integer structure.
+    float is read: every decision is on integer structure. On two rings
+    with Frobenius reciprocity and an involutive dual, every complete map is
+    an isomorphism (proof at the final comparison); on other tensors that
+    comparison is what rejects the maps that are not.
     """
     if r1.rank != r2.rank:
         return None
@@ -672,8 +675,14 @@ def find_isomorphism(r1: FusionRing, r2: FusionRing) -> tuple[int, ...] | None:
 
     def search(depth: int) -> bool:
         # A complete map commutes with duality: assign queues (dual(i),
-        # dual(p)) with each i -> p and succeeds only on an empty queue. The
-        # tensor is still compared, as each pair met only the images fixed then.
+        # dual(p)) with each i -> p and succeeds only on an empty queue. On
+        # rings with reciprocity and an involutive dual the comparison cannot
+        # fail. Take n1[a,b,k] and the last of a, b, b*, k to be assigned (b
+        # and b* go in one assign call): if a or b, the pair (a, b) was
+        # checked with k fixed; if k or b*, the pair (k, b*) with a fixed,
+        # and n[k,b*,a] = n[a,b,k] on both rings. Each pair also has equal
+        # constituent counts, which gives the zeros. On other tensors it is
+        # the only guard (test_iso_final_comparison_guards_rings_without_reciprocity).
         if len(trail) == rank:
             perm = np.array(sigma)
             return np.array_equal(r1.n, r2.n[np.ix_(perm, perm, perm)])

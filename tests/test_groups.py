@@ -128,8 +128,10 @@ def test_input_guards(call, message):
     (lambda: gr.product_of_cyclics([2.0, 2]), gr.GroupError, "cyclic order is 2.0, not an integer"),
     (lambda: solve_cos_equation(2, bound=10.5), ValueError, "bound is 10.5, not an integer"),
     (lambda: solve_cos_equation(2.0), ValueError, "term count is 2.0, not an integer"),
+    (lambda: gr.groups_of_order(True), gr.GroupError, "group order is True, not an integer"),
+    (lambda: gr.groups_of_order(2.0), gr.GroupError, "group order is 2.0, not an integer"),
 ], ids=["dihedral-bool", "cyclic-float", "dihedral-float", "cyclic-str", "product-float",
-        "solver-bound", "solver-terms"])
+        "solver-bound", "solver-terms", "groups-of-order-bool", "groups-of-order-float"])
 def test_caller_integers_are_checked(call, error, message):
     with pytest.raises(ValueError) as info:
         call()

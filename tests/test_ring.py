@@ -817,6 +817,46 @@ def test_iso_rejects_wrong_images_by_their_products(left, right):
     assert fr.find_isomorphism(r1, r2) == least_isomorphism(r1, r2)
 
 
+def test_iso_rejects_a_wrong_image_by_the_colours_of_its_products():
+    # a_i = 1, 2, 3 and b_i = 4, 5, 6 (i mod 3) with a_i * a_{i+1} = b_i and
+    # a_i * a_{i+2} = a_{i+1}: turning both triples keeps the tensor, so each
+    # triple is one colour class. In the mirror image (2 and 3 swapped) the
+    # search tries 2 -> 2 first, and 2 * 1 = 3 meets 2 * 1 = 6 there: the
+    # free constituents of the two products differ in colour.
+    n = np.zeros((7, 7, 7), dtype=np.int64)
+    n[0, range(7), range(7)] = n[range(7), 0, range(7)] = 1
+    for i in range(3):
+        a, b, c = 1 + i, 1 + (i + 1) % 3, 1 + (i + 2) % 3
+        n[a, b, 4 + i] = n[a, c, b] = 1
+    r1 = FusionRing(7, tuple(range(7)), n)
+    r2 = relabelled(r1, [0, 1, 3, 2, 4, 5, 6])
+    colours = colour_classes(r1)
+    assert len(set(colours[1:4])) == len(set(colours[4:])) == 1 and colours[1] != colours[4]
+    assert fr.find_isomorphism(r1, r2) == least_isomorphism(r1, r2) == (0, 1, 3, 2, 4, 5, 6)
+
+
+def test_iso_final_comparison_guards_rings_without_reciprocity(monkeypatch):
+    # A 2x2 switch of the 0/1 entries in row 9 of a rank-12 enumerated ring
+    # keeps its colours and square profiles but breaks Frobenius reciprocity
+    # and associativity. The pair checks of the search then let complete
+    # maps through that are no isomorphism (96 in each direction); only the
+    # final tensor comparison rejects them. Without it the identity is found.
+    r1 = cat.enumerate_extensions("pointed-z2", "Z2xZ2xZ2")[2]
+    n = r1.n.copy()
+    n[9, 11, 6], n[9, 11, 4], n[9, 8, 6], n[9, 8, 4] = 1, 0, 0, 1
+    r2 = FusionRing(12, r1.dual, n)
+    assert "frobenius-reciprocity" in {v.axiom for v in fr.verify_axioms(r2)}
+    assert sorted(colour_classes(r1)) == sorted(colour_classes(r2))
+    assert sorted(square_profiles(r1)) == sorted(square_profiles(r2))
+    compared = []
+    array_equal = np.array_equal
+    monkeypatch.setattr(np, "array_equal", lambda a, b: compared.append(array_equal(a, b)) or compared[-1])
+    for left, right in ((r1, r2), (r2, r1)):
+        compared.clear()
+        assert fr.find_isomorphism(left, right) is None
+        assert compared and not any(compared)
+
+
 @pytest.fixture(scope="module")
 def enumerated_le8():
     return [r for m in range(1, 9) for g in gr.groups_of_order(m)
