@@ -1,18 +1,22 @@
 """Run the test suite in process under a line trace of src/fusionring.
 
-    python tests/line_reach.py [pytest arguments]
+    python tests/line_reach.py
 
 Every executable line of the package (the lines of its code objects, by
 co_lines) must be reached by some test, or be on ALLOWED with its reason.
-The script prints each unreached line that is not allowed and each allowed
-line that was reached after all, and exits 1 if there is any, or if the
-tests fail. It needs Python 3.10 or later and nothing but the standard
-library and pytest.
+The script prints each unreached line that is not allowed, each allowed
+line that was reached after all and each allowance whose text names more
+than one line of its function, and exits 1 if there is any, or if the
+tests fail. It runs the whole suite, the only set of tests whose reach
+means anything, with Hypothesis on a fixed seed and without its example
+database, so that every run draws the same examples. It needs Python 3.10
+or later and nothing but the standard library, pytest and Hypothesis.
 """
 
 from __future__ import annotations
 
 import sys
+from collections import Counter
 from pathlib import Path
 from types import CodeType
 
@@ -97,33 +101,39 @@ class LineTrace:
         return local(frame, event, arg)
 
 
-def main(argv: list[str]) -> int:
+def main() -> int:
     trace = LineTrace(PACKAGE)
     sys.settrace(trace)
     try:
-        status = pytest.main(["-q", "-p", "no:cacheprovider", str(ROOT / "tests"), *argv])
+        status = pytest.main(["-q", "-p", "no:cacheprovider", "--hypothesis-seed=0", str(ROOT / "tests")])
     finally:
         sys.settrace(None)
     unreached = []
+    copies: Counter[tuple[str, str, str]] = Counter()
     for path in sorted(PACKAGE.rglob("*.py")):
+        file = path.relative_to(PACKAGE).as_posix()
         text = path.read_text(encoding="utf-8").splitlines()
         reached = trace.reached.get(str(path), set())
         for line, function in sorted(executable_lines(path).items()):
+            key = (file, function, text[line - 1].strip())
+            copies[key] += 1
             if line not in reached:
-                unreached.append((path.relative_to(PACKAGE).as_posix(), function, text[line - 1].strip(),
-                                  line))
+                unreached.append((*key, line))
     missed = [u for u in unreached if u[:3] not in ALLOWED]
     stale = sorted(set(ALLOWED) - {u[:3] for u in unreached})
+    ambiguous = sorted(key for key in ALLOWED if copies[key] > 1)
     for file, function, text, line in missed:
         print(f"unreached: {file}:{line} in {function}: {text}")
     for file, function, text in stale:
         print(f"allowed but reached or gone: {file} in {function}: {text}")
+    for file, function, text in ambiguous:
+        print(f"allowed text names {copies[file, function, text]} lines: {file} in {function}: {text}")
     print(f"line reach: {len(unreached)} unreached, {len(unreached) - len(missed)} allowed, "
-          f"{len(missed)} not allowed, {len(stale)} stale allowances")
+          f"{len(missed)} not allowed, {len(stale)} stale allowances, {len(ambiguous)} ambiguous allowances")
     if status != 0:
         print(f"the tests failed (pytest exit status {int(status)})")
-    return 1 if missed or stale or status != 0 else 0
+    return 1 if missed or stale or ambiguous or status != 0 else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
