@@ -11,11 +11,24 @@ A ring document is an object with exactly these fields:
 
 parse_ring is strict: unknown fields, wrong shapes and wrong value types are
 reported with the exact location rather than coerced.
+
+parse_ring reads N's text with a byte scanner (_scan) when the scanner can
+read it in full: no backslash in the text and exactly one "N", followed by
+":" and "[" across JSON whitespace; a span of digits, brackets, commas and
+JSON whitespace whose tokens (each digit run one token) are exactly those of
+a rank x rank x rank array, numbers of at most 18 digits and no leading
+zero; and a header, the text with that span replaced by 0, that json.loads
+reads as an object whose N is that int 0 and that _header accepts. The
+token count is compared first, in Python ints, so nothing of size rank**3
+is built for a rank the text cannot fill. Any other text takes json.loads
+and _walk_table, which give every error message. Both paths give the same
+ring for every text the scanner accepts.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from typing import Any
 
 import numpy as np
@@ -38,6 +51,9 @@ def _require_int(value: Any, where: str) -> int:
 
 
 def parse_ring(text: str) -> FusionRing:
+    scanned = _scan(text)
+    if scanned is not None:
+        return _ring(*scanned)
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -46,19 +62,88 @@ def parse_ring(text: str) -> FusionRing:
         ) from None
     except RecursionError:
         raise RingFormatError("not valid JSON: nested too deeply") from None
-    rank, dual, labels = _header(doc)
-    # One numpy call reads a well-formed table. Anything else (ragged rows,
-    # floats, strings, null, objects, entries >= 2**63: another dtype) takes
-    # the walk, which names the first bad entry. JSON booleans would pass as
-    # int64 1 and 0, so text holding either token takes the walk too.
+    return ring_from_document(doc)
+
+
+_SPACE = b" \t\n\r"  # JSON whitespace
+_KEY = re.compile(r'"N"[ \t\n\r]*:[ \t\n\r]*\[')
+_ZERO_DIGITS = bytes.maketrans(b"123456789", b"000000000")
+_MAX_DIGITS = 18  # 10**18 - 1 < 2**63
+
+
+def _scan(text: str) -> tuple[int, tuple[int, ...], np.ndarray, tuple[str, ...] | None] | None:
+    """_ring's arguments for a text whose N the scanner reads in full, else None."""
+    key = _KEY.search(text)
+    if key is None:
+        return None
+    start = key.end() - 1
+    # N's span ends at the last "]" before the next '"' or "}". When its tokens
+    # are the array's (checked below), that "]" closes the span's first "[".
+    stop = len(text)
+    for char in '"}':
+        at = text.find(char, start, stop)
+        stop = stop if at < 0 else at
+    end = text.rfind("]", start, stop) + 1
+    if end == 0:
+        return None
+    header = text[:start] + "0" + text[end:]
+    # The span holds no '"', and a backslash in it fails the token check, so
+    # these tests of the header answer for the whole text.
+    if "\\" in header or header.count('"N"') != 1:
+        return None
     try:
-        table = np.array(doc["N"])
-    except ValueError:  # ragged rows
-        table = None
-    if not (table is not None and table.dtype == np.int64 and table.shape == (rank,) * 3
-            and table.min() >= 0 and "true" not in text and "false" not in text):
-        table = _walk_table(doc["N"], rank)
-    return _ring(rank, dual, table, labels)
+        doc = json.loads(header)
+        rank, dual, labels = _header(doc)
+    except (json.JSONDecodeError, RecursionError, RingFormatError):
+        return None
+    if type(doc["N"]) is not int:  # the span and what follows read as 0.5 or 0e5
+        return None
+    raw = text[start:end].encode("ascii", "replace")  # a non-ASCII character becomes "?"
+    compact = raw.translate(None, _SPACE)
+    kinds = compact.translate(_ZERO_DIGITS)
+    if _is_array(kinds, rank):  # every number one digit: the table is the digits in order
+        values = np.frombuffer(compact.translate(None, b"[],"), np.uint8) - np.int64(48)
+    else:  # a number of several digits, two digits apart by whitespace, or no array
+        runs = _digit_runs(raw) if b"00" in kinds else None
+        if runs is None or not _is_array(runs[0], rank):
+            return None
+        values = runs[1]
+    return rank, dual, values.reshape(rank, rank, rank), labels
+
+
+def _is_array(kinds: bytes, rank: int) -> bool:
+    """Whether kinds are the token kinds of a rank x rank x rank array in JSON, each number "0".
+
+    The token count is compared first, in Python ints, so that no stream of
+    size rank**3 is built for a rank the text cannot fill.
+    """
+    if len(kinds) != 2 * rank ** 3 + 2 * rank ** 2 + 2 * rank + 1:  # numbers, commas, brackets
+        return False
+    stream = b"0"
+    for _ in range(3):
+        stream = b"[" + b",".join([stream] * rank) + b"]"
+    return kinds == stream
+
+
+def _digit_runs(raw: bytes) -> tuple[bytes, np.ndarray] | None:
+    """raw's token kinds, each digit run one "0", and the runs' values.
+
+    None when a run has more than _MAX_DIGITS digits or a leading zero.
+    """
+    a = np.frombuffer(raw, np.uint8)
+    digit = (a >= ord("0")) & (a <= ord("9"))
+    first = digit.copy()
+    first[1:] &= ~digit[:-1]
+    starts = np.flatnonzero(first)
+    lengths = np.flatnonzero(digit[:-1] & ~digit[1:]) + 1 - starts  # raw ends with "]"
+    if lengths.max() > _MAX_DIGITS or ((a[starts] == ord("0")) & (lengths > 1)).any():
+        return None
+    values = np.zeros(len(starts), np.int64)
+    for place in range(lengths.max()):
+        more = lengths > place
+        values[more] = values[more] * 10 + (a[starts[more] + place] - ord("0"))
+    kept = np.frombuffer(raw.translate(_ZERO_DIGITS), np.uint8)[first | ~digit]
+    return kept.tobytes().translate(None, _SPACE), values
 
 
 def ring_from_document(doc: Any) -> FusionRing:

@@ -1,5 +1,9 @@
 import contextlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +15,8 @@ from fusionring import catalog as cat
 from fusionring import ringfile
 from fusionring.ringfile import (RingFormatError, parse_ring, ring_from_document,
                                  ring_to_document, serialize_ring)
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.mark.parametrize("ring", [
@@ -206,12 +212,146 @@ def mutate(doc, kind, at, data):
                          for _ in range(doc["rank"])]
 
 
-@pytest.mark.parametrize("labels,walked", [(None, False), (["e", "g"], False),
-                                           (["e", "true"], True)])
-def test_parse_ring_walks_the_table_only_when_it_must(monkeypatch, labels, walked):
-    calls = []
-    walk = ringfile._walk_table
-    monkeypatch.setattr(ringfile, "_walk_table", lambda *a: calls.append(a) or walk(*a))
-    ring = fr.FusionRing(2, (0, 1), cat.pointed("Z2").n, labels and tuple(labels))
-    assert np.array_equal(parse_ring(serialize_ring(ring)).n, ring.n)
-    assert bool(calls) == walked
+def reference(text):
+    """The outcome of ring_from_document(json.loads(text)), in parse_ring's words for bad JSON."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        return "error", f"not valid JSON: {exc.msg} (line {exc.lineno}, column {exc.colno})"
+    except RecursionError:
+        return "error", "not valid JSON: nested too deeply"
+    return outcome(lambda: ring_from_document(doc))
+
+
+def document(ring, labels=None):
+    doc = ring_to_document(ring)
+    if labels is not None:
+        doc["labels"] = labels
+    return doc
+
+
+def with_entry(value, ring):
+    doc = ring_to_document(ring)
+    doc["N"][1][1][1] = value
+    return doc
+
+
+ISING = json.dumps(ring_to_document(cat.ising()))
+Z2 = cat.pointed("Z2")
+# Each text, and whether parse_ring hands it to the fallback (json.loads and
+# the walk) rather than reading it with the scanner: one text per decline.
+DISPATCH = {
+    "unlabelled": (serialize_ring(fr.FusionRing(2, (0, 1), Z2.n)), False),
+    "labelled": (serialize_ring(Z2), False),
+    "true-false-labels": (json.dumps(document(Z2, ["true", "false"])), False),
+    "compact": (json.dumps(ring_to_document(cat.ising()), separators=(",", ":")), False),
+    "indented": (serialize_ring(cat.yl_extension("Z2")), False),
+    "rank-1": (serialize_ring(PARITY_RINGS[-1]), False),
+    "N-first": (json.dumps(dict(sorted(ring_to_document(cat.ising()).items()))), False),
+    "N-last": (json.dumps({"rank": 3, "duality": [0, 1, 2], "labels": ["1", "d", "X"],
+                           "N": ring_to_document(cat.ising())["N"]}), False),
+    "labels-N": (json.dumps(document(cat.ising(), ["aN", "[N]", "]["])), False),
+    "labels-non-ascii": (json.dumps(document(cat.ising(), ["1", "σ", "ψ中"]),
+                                    ensure_ascii=False), False),
+    "tabs-newlines": (ISING.replace(", ", ",\t").replace("[", "[\r\n "), False),
+    "spaced-key": (ISING.replace('"N": [', '"N" \t:\n\r ['), False),
+    "18-digits": (json.dumps(with_entry(10 ** 18 - 1, Z2)), False),
+    "multi-digit-spaced": (json.dumps(with_entry(123, cat.ising())).replace(", ", " ,\n "), False),
+    "ten": (json.dumps(with_entry(10, cat.ising())), False),
+    # a backslash, a second "N", a 19-digit entry and a leading zero force the walk
+    "escaped-quote": (json.dumps(document(Z2, ["e", 'g"'])), True),
+    "escaped-backslash": (json.dumps(document(Z2, ["e", "\\u00e9"])), True),
+    "ensure-ascii": (json.dumps(document(Z2, ["e", "é"])), True),
+    "second-N": (json.dumps(document(Z2))[:-1] + ', "N": [[[1, 0], [0, 1]], [[0, 1], [1, 0]]]}',
+                 True),
+    "label-N": (json.dumps(document(Z2, ["e", "N"])), True),
+    "19-digits": (json.dumps(with_entry(10 ** 18, Z2)), True),
+    "int64-max": (json.dumps(with_entry(2 ** 63 - 1, Z2)), True),
+    "leading-zero": (json.dumps(document(Z2)).replace("[[[1, 0]", "[[[01, 0]"), True),
+    "no-N": ('{"rank": 1, "duality": [0], "labels": ["N"]}', True),
+    "N-not-array": ('{"rank": 1, "duality": [0], "N": 1}', True),
+    "no-closing-bracket": ('{"rank": 1, "duality": [0], "N": [[[1}', True),
+    "bad-json-after": ('{"rank": 1, "duality": [0], "N": [[[1]]] [1]}', True),
+    "bad-header": ('{"rank": 1, "duality": [0], "N": [[[1]]], "spin": 2}', True),
+    "deep-header": ('{"rank": 1, "duality": [0], "N": [[[1]]], "x": ' + "[" * 100_000 + "}",
+                    True),
+    "nested-N": ('{"rank": 1, "duality": [0], "x": {"N": [[[1]]]}}', True),
+    "N-float": ('{"rank": 1, "duality": [0], "N": [[[1]]].5}', True),
+    "N-exponent": ('{"rank": 1, "duality": [0], "N": [[[1]]]e5}', True),
+    "short-table": ('{"rank": 2, "duality": [0, 1], "N": [[[1, 0], [0, 1]]]}', True),
+    "ragged": ('{"rank": 1, "duality": [0], "N": [[1]]}', True),
+    "negative": ('{"rank": 1, "duality": [0], "N": [[[-1]]]}', True),
+    "boolean": ('{"rank": 1, "duality": [0], "N": [[[true]]]}', True),
+    "float": ('{"rank": 1, "duality": [0], "N": [[[1.0]]]}', True),
+    "no-break-space": ('{"rank": 1, "duality": [0], "N": [[[\u00a01]]]}', True),
+    "digits-apart": ('{"rank": 1, "duality": [0], "N": [[[1 2]]]}', True),
+    "digit-runs-apart": ('{"rank": 1, "duality": [0], "N": [[[12 3]]]}', True),
+    "missing-comma": ('{"rank": 2, "duality": [0, 1], "N": [[[1 0], [0, 1]], [[0, 1], [1, 0]]]}',
+                      True),
+}
+
+
+@pytest.mark.parametrize("name", DISPATCH)
+def test_parse_ring_walks_the_table_only_when_it_must(monkeypatch, name):
+    text, walked = DISPATCH[name]
+    scans = []
+    scan = ringfile._scan
+    monkeypatch.setattr(ringfile, "_scan", lambda t: scans.append(scan(t)) or scans[-1])
+    assert outcome(lambda: parse_ring(text)) == reference(text)
+    assert (scans == [None]) == walked
+
+
+# labels that put "N", brackets, quotes or non-ASCII into the text
+LABEL_PARTS = ["a", "N", '"N"', "[", "]", "[[0]]", "é", "中", "true"]
+ENTRIES = st.one_of(st.integers(0, 9), st.sampled_from([10, 99, 10 ** 17, 10 ** 18 - 1, 10 ** 18,
+                                                        2 ** 63 - 1, 2 ** 63]))
+SPACES = [" ", "\t", "\n", "\r", "\r\n  ", "\u00a0"]  # the last is no JSON whitespace
+
+
+@settings(deadline=None, max_examples=300)
+@given(data=st.data())
+def test_parse_ring_matches_the_fallback_on_textual_variants(data):
+    r = data.draw(st.integers(1, 3))
+    doc = {"rank": r, "duality": list(range(r)),
+           "N": data.draw(st.lists(st.lists(st.lists(ENTRIES, min_size=r, max_size=r),
+                                            min_size=r, max_size=r), min_size=r, max_size=r))}
+    if data.draw(st.booleans()):
+        doc["labels"] = [data.draw(st.sampled_from(LABEL_PARTS)) + str(i) for i in range(r)]
+    keys = data.draw(st.permutations(list(doc)))
+    doc = {key: doc[key] for key in keys}
+    if data.draw(st.booleans()):  # an "N" inside another value: an unknown field
+        doc["extra"] = {"N": doc["N"]}
+        if data.draw(st.booleans()):
+            del doc["N"]
+    layout = data.draw(st.sampled_from([{}, {"separators": (",", ":")}, {"indent": 2},
+                                        {"indent": 2, "sort_keys": True}]))
+    text = json.dumps(doc, ensure_ascii=data.draw(st.booleans()), **layout)
+    for _ in range(data.draw(st.integers(0, 3))):  # whitespace between tokens
+        target = data.draw(st.sampled_from([",", "[", "]", ":"]))
+        text = text.replace(target, target + data.draw(st.sampled_from(SPACES)),
+                            data.draw(st.integers(1, 5)))
+    if data.draw(st.booleans()):  # a leading zero
+        text = text.replace(data.draw(st.sampled_from(["[0", "[1", " 0", " 1"])),
+                            data.draw(st.sampled_from(["[00", "[01", " 00", " 01"])), 1)
+    if "N" in doc and data.draw(st.booleans()):  # a second "N" key
+        text = text.rstrip()[:-1] + ', "N": ' + json.dumps(doc["N"]) + "}"
+    assert outcome(lambda: parse_ring(text)) == reference(text)
+
+
+MILLION = json.dumps({"rank": 10 ** 6, "duality": list(range(10 ** 6)),
+                      "N": [[[1, 0], [0, 1]], [[0, 1], [1, 0]]]})
+
+
+def test_a_rank_the_text_cannot_fill_is_a_format_error(tmp_path):
+    # the token count is compared before anything of size rank**3 is built
+    with pytest.raises(RingFormatError) as info:
+        parse_ring(MILLION)
+    assert str(info.value) == "N must be a 1000000x1000000x1000000 nested list"
+    path = tmp_path / "million.json"
+    path.write_text(MILLION)
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-m", "fusionring", "verify", str(path)],
+                          capture_output=True, env=env)
+    assert proc.returncode == 1
+    assert proc.stdout == b""
+    assert proc.stderr == f"error: {path}: N must be a 1000000x1000000x1000000 nested list\n".encode()
