@@ -201,23 +201,15 @@ def as_element(ring: FusionRing, x) -> RingElement:
 def multiply(ring: FusionRing, a, b) -> RingElement:
     """Product of two nonnegative elements, computed exactly over Python ints.
 
-    The sum runs through product_support over the nonzero coefficient pairs
-    only, so no call converts the whole tensor. Coefficients of 2**62 or
-    more raise OverflowError, so every product still fits the int64 tensors
-    the rest of the package works with.
+    Coefficients of 2**62 or more raise OverflowError, so every product
+    still fits the int64 tensors the rest of the package works with.
     """
-    va, vb = as_element(ring, a).coeffs, as_element(ring, b).coeffs
-    support = product_support(ring)
-    right = [(j, y) for j, y in enumerate(vb) if y]
-    out = [0] * ring.rank
-    for i, x in enumerate(va):
-        if x:
-            for j, y in right:
-                for k, m in support[i][j].items():
-                    out[k] += x * y * m
+    va = np.array(as_element(ring, a).coeffs, dtype=object)
+    vb = np.array(as_element(ring, b).coeffs, dtype=object)
+    out = tuple(int(c) for c in np.einsum("i,j,ijk->k", va, vb, ring.n.astype(object)))
     if any(c >= 2 ** 62 for c in out):
         raise OverflowError("product coefficients exceed the machine integer range")
-    return RingElement(tuple(out))
+    return RingElement(out)
 
 
 def verify_axioms(ring: FusionRing) -> list[AxiomViolation]:

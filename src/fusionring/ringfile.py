@@ -15,14 +15,14 @@ reported with the exact location rather than coerced.
 parse_ring reads N's text with a byte scanner (_scan) when the scanner can
 read it in full: no backslash in the text and exactly one "N", followed by
 ":" and "[" across JSON whitespace; a span of digits, brackets, commas and
-JSON whitespace whose tokens (each digit run one token) are exactly those of
-a rank x rank x rank array, numbers of at most 18 digits and no leading
-zero; and a header, the text with that span replaced by 0, that json.loads
-reads as an object whose N is that int 0 and that _header accepts. The
-token count is compared first, in Python ints, so nothing of size rank**3
-is built for a rank the text cannot fill. Any other text takes json.loads
-and _walk_table, which give every error message. Both paths give the same
-ring for every text the scanner accepts.
+JSON whitespace whose tokens are exactly those of a rank x rank x rank array
+of one-digit numbers; and a header, the text with that span replaced by 0,
+that json.loads reads as an object whose N is that int 0 and that _header
+accepts. The token count is compared first, in Python ints, so nothing of
+size rank**3 is built for a rank the text cannot fill. Any other text,
+among them every file with an entry of 10 or more, takes json.loads and
+_walk_table, which give every error message. Both paths give the same ring
+for every text the scanner accepts.
 """
 
 from __future__ import annotations
@@ -68,7 +68,6 @@ def parse_ring(text: str) -> FusionRing:
 _SPACE = b" \t\n\r"  # JSON whitespace
 _KEY = re.compile(r'"N"[ \t\n\r]*:[ \t\n\r]*\[')
 _ZERO_DIGITS = bytes.maketrans(b"123456789", b"000000000")
-_MAX_DIGITS = 18  # 10**18 - 1 < 2**63
 
 
 def _scan(text: str) -> tuple[int, tuple[int, ...], np.ndarray, tuple[str, ...] | None] | None:
@@ -84,8 +83,6 @@ def _scan(text: str) -> tuple[int, tuple[int, ...], np.ndarray, tuple[str, ...] 
         at = text.find(char, start, stop)
         stop = stop if at < 0 else at
     end = text.rfind("]", start, stop) + 1
-    if end == 0:
-        return None
     header = text[:start] + "0" + text[end:]
     # The span holds no '"', and a backslash in it fails the token check, so
     # these tests of the header answer for the whole text.
@@ -94,20 +91,18 @@ def _scan(text: str) -> tuple[int, tuple[int, ...], np.ndarray, tuple[str, ...] 
     try:
         doc = json.loads(header)
         rank, dual, labels = _header(doc)
-    except (json.JSONDecodeError, RecursionError, RingFormatError):
+    except (ValueError, RecursionError):  # JSONDecodeError and RingFormatError included
         return None
     if type(doc["N"]) is not int:  # the span and what follows read as 0.5 or 0e5
         return None
+    # Every number must be one digit: a number of several digits, a leading
+    # zero or two digits apart by whitespace leaves "00" in the token kinds,
+    # which fails _is_array.
     raw = text[start:end].encode("ascii", "replace")  # a non-ASCII character becomes "?"
     compact = raw.translate(None, _SPACE)
-    kinds = compact.translate(_ZERO_DIGITS)
-    if _is_array(kinds, rank):  # every number one digit: the table is the digits in order
-        values = np.frombuffer(compact.translate(None, b"[],"), np.uint8) - np.int64(48)
-    else:  # a number of several digits, two digits apart by whitespace, or no array
-        runs = _digit_runs(raw) if b"00" in kinds else None
-        if runs is None or not _is_array(runs[0], rank):
-            return None
-        values = runs[1]
+    if not _is_array(compact.translate(_ZERO_DIGITS), rank):
+        return None
+    values = np.frombuffer(compact.translate(None, b"[],"), np.uint8) - np.int64(48)
     return rank, dual, values.reshape(rank, rank, rank), labels
 
 
@@ -123,27 +118,6 @@ def _is_array(kinds: bytes, rank: int) -> bool:
     for _ in range(3):
         stream = b"[" + b",".join([stream] * rank) + b"]"
     return kinds == stream
-
-
-def _digit_runs(raw: bytes) -> tuple[bytes, np.ndarray] | None:
-    """raw's token kinds, each digit run one "0", and the runs' values.
-
-    None when a run has more than _MAX_DIGITS digits or a leading zero.
-    """
-    a = np.frombuffer(raw, np.uint8)
-    digit = (a >= ord("0")) & (a <= ord("9"))
-    first = digit.copy()
-    first[1:] &= ~digit[:-1]
-    starts = np.flatnonzero(first)
-    lengths = np.flatnonzero(digit[:-1] & ~digit[1:]) + 1 - starts  # raw ends with "]"
-    if lengths.max() > _MAX_DIGITS or ((a[starts] == ord("0")) & (lengths > 1)).any():
-        return None
-    values = np.zeros(len(starts), np.int64)
-    for place in range(lengths.max()):
-        more = lengths > place
-        values[more] = values[more] * 10 + (a[starts[more] + place] - ord("0"))
-    kept = np.frombuffer(raw.translate(_ZERO_DIGITS), np.uint8)[first | ~digit]
-    return kept.tobytes().translate(None, _SPACE), values
 
 
 def ring_from_document(doc: Any) -> FusionRing:

@@ -555,33 +555,6 @@ def test_multiply_overflow_guard():
         fr.multiply(unit_ring, big, big)
 
 
-def einsum_product(ring, a, b):
-    """multiply's former form: the whole tensor as Python ints in one einsum."""
-    va = np.array(fr.as_element(ring, a).coeffs, dtype=object)
-    vb = np.array(fr.as_element(ring, b).coeffs, dtype=object)
-    return tuple(int(c) for c in np.einsum("i,j,ijk->k", va, vb, ring.n.astype(object)))
-
-
-def assert_multiply_matches_einsum(ring, a, b):
-    want = einsum_product(ring, a, b)
-    if max(want) >= 2 ** 62:
-        with pytest.raises(OverflowError):
-            fr.multiply(ring, a, b)
-    else:
-        assert fr.multiply(ring, a, b).coeffs == want
-
-
-def test_multiply_matches_the_einsum_on_the_multiply_cases():
-    ising, s3 = cat.ising(), cat.pointed(gr.symmetric3())
-    unit_ring = FusionRing(1, (0,), np.ones((1, 1, 1), dtype=np.int64))
-    cases = [(ising, a, b) for a in range(3) for b in range(3)]
-    cases += [(s3, a, b) for a in range(6) for b in range(6)]
-    cases += [(ising, (0, 0, 2), 2), (unit_ring, (2 ** 40,), (2 ** 40,)),
-              (unit_ring, (2 ** 31,), (2 ** 30,))]
-    for ring, a, b in cases:
-        assert_multiply_matches_einsum(ring, a, b)
-
-
 @pytest.mark.parametrize("call,message", [
     (lambda: FusionRing(0, (), np.zeros((0, 0, 0))), "rank must be at least 1"),
     (lambda: fr.as_element(cat.ising(), fr.RingElement((1, 0))),
@@ -1109,15 +1082,6 @@ def arbitrary_rings(draw):
 @given(ring=arbitrary_rings())
 def test_sparse_reads_match_loops_on_arbitrary_tensors(ring):
     assert_sparse_reads_match_loops(ring)
-
-
-@settings(deadline=None, max_examples=60)
-@given(ring=arbitrary_rings(), data=st.data())
-def test_multiply_matches_the_einsum_on_arbitrary_tensors(ring, data):
-    coeffs = st.lists(st.integers(0, 3), min_size=ring.rank, max_size=ring.rank)
-    assert_multiply_matches_einsum(ring, data.draw(coeffs), data.draw(coeffs))
-    i, j = data.draw(st.integers(0, ring.rank - 1)), data.draw(st.integers(0, ring.rank - 1))
-    assert_multiply_matches_einsum(ring, i, j)
 
 
 @pytest.mark.parametrize("partner", ["pointed:Z2xZ4", "yl:S3", "pointed:D4"])

@@ -255,16 +255,16 @@ DISPATCH = {
                                     ensure_ascii=False), False),
     "tabs-newlines": (ISING.replace(", ", ",\t").replace("[", "[\r\n "), False),
     "spaced-key": (ISING.replace('"N": [', '"N" \t:\n\r ['), False),
-    "18-digits": (json.dumps(with_entry(10 ** 18 - 1, Z2)), False),
-    "multi-digit-spaced": (json.dumps(with_entry(123, cat.ising())).replace(", ", " ,\n "), False),
-    "ten": (json.dumps(with_entry(10, cat.ising())), False),
-    # a backslash, a second "N", a 19-digit entry and a leading zero force the walk
+    # a backslash, a second "N", an entry of 10 or more and a leading zero force the walk
     "escaped-quote": (json.dumps(document(Z2, ["e", 'g"'])), True),
     "escaped-backslash": (json.dumps(document(Z2, ["e", "\\u00e9"])), True),
     "ensure-ascii": (json.dumps(document(Z2, ["e", "é"])), True),
     "second-N": (json.dumps(document(Z2))[:-1] + ', "N": [[[1, 0], [0, 1]], [[0, 1], [1, 0]]]}',
                  True),
     "label-N": (json.dumps(document(Z2, ["e", "N"])), True),
+    "ten": (json.dumps(with_entry(10, cat.ising())), True),
+    "multi-digit-spaced": (json.dumps(with_entry(123, cat.ising())).replace(", ", " ,\n "), True),
+    "18-digits": (json.dumps(with_entry(10 ** 18 - 1, Z2)), True),
     "19-digits": (json.dumps(with_entry(10 ** 18, Z2)), True),
     "int64-max": (json.dumps(with_entry(2 ** 63 - 1, Z2)), True),
     "leading-zero": (json.dumps(document(Z2)).replace("[[[1, 0]", "[[[01, 0]"), True),
@@ -273,6 +273,8 @@ DISPATCH = {
     "no-closing-bracket": ('{"rank": 1, "duality": [0], "N": [[[1}', True),
     "bad-json-after": ('{"rank": 1, "duality": [0], "N": [[[1]]] [1]}', True),
     "bad-header": ('{"rank": 1, "duality": [0], "N": [[[1]]], "spin": 2}', True),
+    # json.loads stops at the bad N before the rank, too long for an int, after it
+    "long-int-header": ('{"N": [[[1 2]]], "rank": ' + "9" * 5000 + ', "duality": [0]}', True),
     "deep-header": ('{"rank": 1, "duality": [0], "N": [[[1]]], "x": ' + "[" * 100_000 + "}",
                     True),
     "nested-N": ('{"rank": 1, "duality": [0], "x": {"N": [[[1]]]}}', True),
@@ -303,8 +305,7 @@ def test_parse_ring_walks_the_table_only_when_it_must(monkeypatch, name):
 
 # labels that put "N", brackets, quotes or non-ASCII into the text
 LABEL_PARTS = ["a", "N", '"N"', "[", "]", "[[0]]", "é", "中", "true"]
-ENTRIES = st.one_of(st.integers(0, 9), st.sampled_from([10, 99, 10 ** 17, 10 ** 18 - 1, 10 ** 18,
-                                                        2 ** 63 - 1, 2 ** 63]))
+LARGE_ENTRIES = [10, 99, 10 ** 17, 10 ** 18 - 1, 10 ** 18, 2 ** 63 - 1, 2 ** 63]
 SPACES = [" ", "\t", "\n", "\r", "\r\n  ", "\u00a0"]  # the last is no JSON whitespace
 
 
@@ -313,8 +314,11 @@ SPACES = [" ", "\t", "\n", "\r", "\r\n  ", "\u00a0"]  # the last is no JSON whit
 def test_parse_ring_matches_the_fallback_on_textual_variants(data):
     r = data.draw(st.integers(1, 3))
     doc = {"rank": r, "duality": list(range(r)),
-           "N": data.draw(st.lists(st.lists(st.lists(ENTRIES, min_size=r, max_size=r),
+           "N": data.draw(st.lists(st.lists(st.lists(st.integers(0, 9), min_size=r, max_size=r),
                                             min_size=r, max_size=r), min_size=r, max_size=r))}
+    if data.draw(st.booleans()):  # an entry of 10 or more
+        i, j, k = (data.draw(st.integers(0, r - 1)) for _ in range(3))
+        doc["N"][i][j][k] = data.draw(st.sampled_from(LARGE_ENTRIES))
     if data.draw(st.booleans()):
         doc["labels"] = [data.draw(st.sampled_from(LABEL_PARTS)) + str(i) for i in range(r)]
     keys = data.draw(st.permutations(list(doc)))
