@@ -12,7 +12,7 @@ import numpy as np
 
 from . import groups as gr
 from .groups import FiniteGroup, GroupError
-from .ring import FusionRing, _built_ring, _is_integer, _orbits, per_object_cache
+from .ring import _ENTRY_LIMIT, FusionRing, _built_ring, _is_integer, _orbits, per_object_cache
 
 
 def _as_group(g) -> FiniteGroup:
@@ -69,7 +69,7 @@ def deligne_product(r1: FusionRing, r2: FusionRing) -> FusionRing:
     non-negative entries below 2**63, and the duals pair the factors'
     dual permutations, so they form a permutation.
     """
-    if int(r1.n.max()) * int(r2.n.max()) >= 2 ** 63:
+    if int(r1.n.max()) * int(r2.n.max()) >= _ENTRY_LIMIT:
         raise OverflowError("product structure constants exceed the int64 range")
     n = np.einsum("ijk,abc->iajbkc", r1.n, r2.n).reshape(
         r1.rank * r2.rank, r1.rank * r2.rank, r1.rank * r2.rank)
@@ -257,8 +257,9 @@ def enumerate_extensions(base: str, u) -> list[FusionRing]:
     runs: see _near_group_rings for why none is needed.
     """
     group = _as_group(u)
-    if group.order > 8:
-        raise ValueError("extension enumeration supports grading groups of order at most 8")
+    if group.order > gr._CATALOGUED_ORDER:
+        raise ValueError("extension enumeration supports grading groups of order at most "
+                         f"{gr._CATALOGUED_ORDER}")
     if base == "yang-lee":
         return [yl_extension(group)]
     if base != "pointed-z2":

@@ -308,7 +308,7 @@ def _ylext(ring) -> bool:
 
 
 def _ylext_small(ring) -> bool:
-    return _ylext(ring) and ring.rank <= 24
+    return _ylext(ring) and ring.rank <= st._SUBRING_RANK_LIMIT
 
 
 _CLAIMS: tuple[tuple[str, str, object, object], ...] = (

@@ -20,17 +20,14 @@ import numpy as np
 
 from . import catalog, groups as gr, structure as st
 from .classify import classify, verify_claims
-from .numerics import COS_TARGET, ConvergenceError, fp_dimensions, solve_cos_equation, type_signature
+from .numerics import (COS_TARGET, ConvergenceError, _fmt, fp_dimensions, solve_cos_equation,
+                       type_signature)
 from .ring import StructuralError, _require_valid, find_isomorphism, verify_axioms
 from .ringfile import RingFormatError, parse_ring, ring_to_document, serialize_ring
 
 
 class CliError(Exception):
     """Domain failure reported on stderr with exit status 1."""
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
 
 
 def _yesno(flag: bool) -> str:

@@ -16,6 +16,8 @@ import numpy as np
 
 from .ring import _checked_int, _is_integer, _orbits, _walk, closed_subsets, per_object_cache
 
+_CATALOGUED_ORDER = 8  # groups_of_order lists every group up to this order
+
 
 class GroupError(ValueError):
     """Malformed table or invalid group argument."""
@@ -206,8 +208,8 @@ def groups_of_order(m: int) -> tuple[FiniteGroup, ...]:
 
 @lru_cache(maxsize=None)
 def _groups_of_order(m: int) -> tuple[FiniteGroup, ...]:
-    if not 1 <= m <= 8:
-        raise GroupError("group tables are catalogued only up to order 8")
+    if not 1 <= m <= _CATALOGUED_ORDER:
+        raise GroupError(f"group tables are catalogued only up to order {_CATALOGUED_ORDER}")
     names = {
         1: ["Z1"], 2: ["Z2"], 3: ["Z3"], 4: ["Z4", "Z2xZ2"], 5: ["Z5"],
         6: ["Z6", "S3"], 7: ["Z7"], 8: ["Z8", "Z2xZ4", "Z2xZ2xZ2", "D4", "Q8"],
@@ -423,7 +425,7 @@ def identify_group(group: FiniteGroup) -> str:
         return f"Z{m}"
     if group.is_abelian():
         return "x".join(f"Z{n}" for n in _abelian_invariants(group))
-    if m <= 8:
+    if m <= _CATALOGUED_ORDER:
         return next(g.name for g in groups_of_order(m) if are_isomorphic(group, g))
     k, orders = m // 2, group.element_orders
     if m % 2 == 0 and k in orders and orders.count(2) == k + (k % 2 == 0):

@@ -32,6 +32,11 @@ COS_TARGET = (5.0 + math.sqrt(5.0)) / 8.0
 _POWER_CAP = 10000
 
 
+def _fmt(x: float) -> str:
+    """x to 12 significant digits, as every report and type signature shows a float."""
+    return f"{x:.12g}"
+
+
 class ConvergenceError(RuntimeError):
     """Power iteration did not settle within its step cap."""
 
@@ -50,7 +55,7 @@ class TypeSignature:
     entries: tuple[tuple[float, int], ...]
 
     def text(self) -> str:
-        inner = "; ".join(f"{v:.12g},{m}" for v, m in self.entries)
+        inner = "; ".join(f"{_fmt(v)},{m}" for v, m in self.entries)
         return f"({inner})"
 
 

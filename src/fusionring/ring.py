@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, wraps
-from itertools import islice
 from typing import Any, Callable, Iterable, TypeVar
 
 import numpy as np
@@ -26,6 +25,8 @@ AXIOM_UNIT = "unit"
 AXIOM_DUALITY = "duality"
 AXIOM_FROBENIUS = "frobenius-reciprocity"
 AXIOM_ASSOCIATIVITY = "associativity"
+
+_ENTRY_LIMIT = 2 ** 63  # entries are stored as int64
 
 
 class StructuralError(ValueError):
@@ -87,8 +88,8 @@ class FusionRing:
         if arr.size and arr.min() < 0:
             i, j, k = (int(x) for x in np.argwhere(arr < 0)[0])
             raise StructuralError(f"negative structure constant at ({i},{j},{k})")
-        if arr.dtype.kind == "u" and arr.size and arr.max() >= 2 ** 63:
-            i, j, k = (int(x) for x in np.argwhere(arr >= 2 ** 63)[0])
+        if arr.dtype.kind == "u" and arr.size and arr.max() >= _ENTRY_LIMIT:
+            i, j, k = (int(x) for x in np.argwhere(arr >= _ENTRY_LIMIT)[0])
             raise StructuralError(f"structure constant at ({i},{j},{k}) exceeds the int64 range")
         dual = tuple(_checked_int(x, "duality entry") for x in self.dual)
         if len(dual) != r or sorted(dual) != list(range(r)):
@@ -398,11 +399,10 @@ def product_support(ring: FusionRing) -> tuple[tuple[dict[int, int], ...], ...]:
     Keys come in increasing k. Held by per_object_cache; do not mutate.
     """
     r = ring.rank
-    i, j, k, m = _nonzeros(ring)
-    entries = zip(k.tolist(), m.tolist())  # C order: cell by cell, each in increasing k
-    sizes = np.bincount(i * r + j, minlength=r * r).tolist()  # entries per cell i*r + j
-    cells = [dict(islice(entries, size)) for size in sizes]
-    return tuple(tuple(cells[x:x + r]) for x in range(0, r * r, r))
+    support = [[{} for _ in range(r)] for _ in range(r)]
+    for i, j, k, m in zip(*(a.tolist() for a in _nonzeros(ring))):  # C order: k increases
+        support[i][j][k] = m
+    return tuple(tuple(row) for row in support)
 
 
 def closure(ring: FusionRing, seed: Iterable[int]) -> Subring:

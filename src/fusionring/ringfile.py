@@ -33,7 +33,7 @@ from typing import Any
 
 import numpy as np
 
-from .ring import FusionRing
+from .ring import _ENTRY_LIMIT, FusionRing
 
 
 class RingFormatError(ValueError):
@@ -41,7 +41,6 @@ class RingFormatError(ValueError):
 
 
 _FIELDS = {"rank", "duality", "labels", "N"}
-_ENTRY_LIMIT = 2 ** 63  # entries are stored as int64
 
 
 def _require_int(value: Any, where: str) -> int:
@@ -62,6 +61,8 @@ def parse_ring(text: str) -> FusionRing:
         ) from None
     except RecursionError:
         raise RingFormatError("not valid JSON: nested too deeply") from None
+    except ValueError as exc:  # an integer longer than sys.get_int_max_str_digits()
+        raise RingFormatError(f"not valid JSON: {exc}") from None
     return ring_from_document(doc)
 
 

@@ -14,6 +14,8 @@ from .numerics import dimension_classes
 from .ring import (FusionRing, StructuralError, Subring, _checked_int, _orbits, _require_valid,
                    closed_subsets, closure, make_subring, per_object_cache, product_support)
 
+_SUBRING_RANK_LIMIT = 24  # all_subrings walks closed subsets of ranks up to this one
+
 
 @dataclass(frozen=True)
 class Grading:
@@ -110,8 +112,8 @@ def pointed_part(ring: FusionRing) -> Subring:
 
 def all_subrings(ring: FusionRing) -> list[Subring]:
     """Every closed subset, smallest first. Supports rank up to 24."""
-    if ring.rank > 24:
-        raise ValueError("subring enumeration supports rank at most 24")
+    if ring.rank > _SUBRING_RANK_LIMIT:
+        raise ValueError(f"subring enumeration supports rank at most {_SUBRING_RANK_LIMIT}")
     closed = closed_subsets(lambda seed: closure(ring, seed).members, ring.rank)
     return [Subring(m, all(ring.invertible[i] for i in m)) for m in closed]
 

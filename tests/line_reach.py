@@ -25,24 +25,8 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "fusionring"
 
-SUBPROCESS = "only the subprocess tests run the package as a program"
 #: (file, function, line text) of each line no test reaches, and why
 ALLOWED = {
-    ("__main__.py", "<module>", '"""Run the command line interface: python -m fusionring <command> ..."""'):
-        SUBPROCESS,
-    ("__main__.py", "<module>", "from .cli import main"): SUBPROCESS,
-    ("__main__.py", "<module>", 'if __name__ == "__main__":'): SUBPROCESS,
-    ("__main__.py", "<module>", "main()"): SUBPROCESS,
-    ("cli.py", "<module>", "main()"): SUBPROCESS,
-    ("cli.py", "main", "try:"): SUBPROCESS,
-    ("cli.py", "main", "status = run()"): SUBPROCESS,
-    ("cli.py", "main", "sys.stdout.flush()"): SUBPROCESS,
-    ("cli.py", "main", "except BrokenPipeError:"): SUBPROCESS,
-    ("cli.py", "main", "os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())"): SUBPROCESS,
-    ("cli.py", "main", 'print("error: standard output was closed before the report was written", '
-                       "file=sys.stderr)"): SUBPROCESS,
-    ("cli.py", "main", "status = 1"): SUBPROCESS,
-    ("cli.py", "main", "sys.exit(status)"): SUBPROCESS,
     ("classify.py", "find_ising_subring",
      'raise AssertionError("Ising detectors disagree on a supposedly valid ring")'):
         "an internal invariant: the three Ising detectors are proved to agree",

@@ -5,13 +5,11 @@ or in the captured output of a failing run) and enforces the pinned numeric
 tolerances and time budgets.
 """
 
-import json
 import math
 import pathlib
 import time
 from contextlib import contextmanager
 
-import jsonschema
 import numpy as np
 import pytest
 
@@ -21,6 +19,7 @@ from fusionring.classify import find_ising_subring_unchecked
 from fusionring.cli import run as cli_run
 from fusionring.numerics import GOLDEN, solve_cos_equation
 from fusionring.ringfile import parse_ring, serialize_ring
+from oracles import GOLDEN_CASES, check_schema
 
 HERE = pathlib.Path(__file__).parent
 SQRT2 = math.sqrt(2.0)
@@ -230,34 +229,16 @@ def test_criterion_09_delta_pairing(extensions):
         assert paired_rings >= 20   # the claim is not vacuous
 
 
-GOLDEN_CASES = []
-for _name in ("ising", "yang_lee", "ylext_z3"):
-    for _cmd in ("analyze", "classify"):
-        _file = HERE / "data" / f"{_name}.json"
-        GOLDEN_CASES.append(((_cmd, str(_file)), f"{_cmd}_{_name}.txt"))
-        GOLDEN_CASES.append(((_cmd, str(_file), "--json"), f"{_cmd}_{_name}.json"))
-for _terms in (2, 3):
-    GOLDEN_CASES.append((("solve-cos", "--terms", str(_terms)),
-                         f"solve_cos_{_terms}.txt"))
-    GOLDEN_CASES.append((("solve-cos", "--terms", str(_terms), "--json"),
-                         f"solve_cos_{_terms}.json"))
-
-
 def test_criterion_10_cli_golden_files(capsys):
     with criterion("criterion 10: CLI golden files, schema validation, "
                    "serialization round trip"):
-        schema = json.loads(
-            (HERE.parent / "src" / "fusionring" / "schemas"
-             / "report.schema.json").read_text())
-        validator = jsonschema.Draft202012Validator(schema)
-
         for argv, golden in GOLDEN_CASES:
             code = cli_run(list(argv))
             out = capsys.readouterr().out
             assert code == 0, argv
             assert out == (HERE / "golden" / golden).read_text(), golden
             if golden.endswith(".json"):
-                validator.validate(json.loads(out))
+                check_schema(out)
 
         for name in ("ising", "yang_lee", "ylext_z3"):
             text = (HERE / "data" / f"{name}.json").read_text()

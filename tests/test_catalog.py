@@ -1,7 +1,6 @@
 import hashlib
 import importlib
 import math
-import random
 
 import numpy as np
 import pytest
@@ -11,6 +10,7 @@ from fusionring import catalog as cat
 from fusionring import groups as gr
 from fusionring import structure as st
 from fusionring.numerics import fp_dimensions, type_signature
+from oracles import relabelled_group, unit_fixing_shuffle
 
 numerics_module = importlib.import_module("fusionring.numerics")
 
@@ -271,7 +271,7 @@ def test_spec_sort_key_orders_specs_as_their_rings(name, variant):
     # builds the ring of every spec and keeps each orbit's least under
     # _ring_sort_key, the first in build order on ties. Variant 0 is the
     # table as built, the others seeded relabellings of it.
-    u = gr.named_group(name) if variant == 0 else relabelled_group(name, variant)
+    u = shuffled_group(name, variant)
     order = {(g.name, q): i for i, (_, g, q) in enumerate(all_specs(u))}
     expected = []
     for orbit in spec_orbits(u):
@@ -383,18 +383,12 @@ def test_enumeration_output_is_pinned(name):
     assert enumeration_digests(gr.named_group(name)) == ENUMERATION_DIGESTS[name]
 
 
-def relabelled_group(name, variant):
-    """The named group with its elements shuffled by a seeded permutation fixing 0."""
+def shuffled_group(name, variant):
+    """The named group, relabelled by the unit-fixing shuffle seeded "name/variant" if variant."""
     group = gr.named_group(name)
-    m = group.order
-    rest = list(range(1, m))
-    random.Random(f"{name}/{variant}").shuffle(rest)
-    p = [0] + rest
-    table = [[0] * m for _ in range(m)]
-    for a in range(m):
-        for b in range(m):
-            table[p[a]][p[b]] = p[group.table[a][b]]
-    return gr.FiniteGroup(m, tuple(tuple(row) for row in table))
+    if variant == 0:
+        return group
+    return relabelled_group(group, unit_fixing_shuffle(group.order, f"{name}/{variant}"))
 
 
 # The same digests for two relabellings of each group table. Which spec of
@@ -490,7 +484,7 @@ RELABELLED_DIGESTS = {
 
 @pytest.mark.parametrize("name,variant", list(RELABELLED_DIGESTS))
 def test_enumeration_output_is_pinned_on_relabelled_tables(name, variant):
-    group = relabelled_group(name, variant)
+    group = shuffled_group(name, variant)
     assert enumeration_digests(group) == RELABELLED_DIGESTS[(name, variant)]
 
 
@@ -499,7 +493,7 @@ def test_enumeration_output_is_pinned_on_relabelled_tables(name, variant):
 def test_rank_fixes_the_invertible_count(name, variant):
     # _ring_sort_key leaves the invertible count out: within one enumeration
     # near-group rings have rank 3|U|/2 and |U| invertibles, pointed ones 2|U|
-    group = gr.named_group(name) if variant == 0 else relabelled_group(name, variant)
+    group = shuffled_group(name, variant)
     m = group.order
     for ring in cat.enumerate_extensions("pointed-z2", group):
         count = sum(ring.invertible)

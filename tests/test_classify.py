@@ -15,6 +15,7 @@ from fusionring import groups as gr
 from fusionring import structure
 from fusionring.classify import _has_dim_sqrt2, find_ising_subring_unchecked
 from fusionring.ring import FusionRing
+from oracles import relabelled
 
 classify_module = importlib.import_module("fusionring.classify")
 
@@ -258,12 +259,7 @@ RELABEL_RINGS = [cat.ising(), cat.yl_extension("S3"), cat.yl_extension("Z2xZ2"),
 def test_relabelling_keeps_every_invariant(data):
     ring = data.draw(st.sampled_from(RELABEL_RINGS))
     p = [0] + data.draw(st.permutations(list(range(1, ring.rank))))
-    n2 = np.zeros_like(ring.n)
-    n2[np.ix_(p, p, p)] = ring.n
-    dual2 = [0] * ring.rank
-    for i in range(ring.rank):
-        dual2[p[i]] = p[ring.dual[i]]
-    conj = FusionRing(ring.rank, tuple(dual2), n2)
+    conj = relabelled(ring, p)
 
     dims, dims2 = fr.fp_dimensions(ring), fr.fp_dimensions(conj)
     for i in range(ring.rank):

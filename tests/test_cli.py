@@ -2,24 +2,24 @@ import importlib
 import json
 import os
 import pathlib
+import runpy
 import subprocess
 import sys
+import types
 
-import jsonschema
 import numpy as np
 import pytest
 
 import fusionring as fr
 from fusionring import catalog as cat
+from fusionring import cli as cli_module
 from fusionring.cli import run
 from fusionring.ringfile import parse_ring, ring_from_document, serialize_ring
+from oracles import GOLDEN_CASES, check_schema, relabelled
 
 HERE = pathlib.Path(__file__).parent
 DATA = HERE / "data"
 GOLDEN = HERE / "golden"
-SCHEMA = json.loads(
-    (HERE.parent / "src" / "fusionring" / "schemas" / "report.schema.json").read_text())
-VALIDATOR = jsonschema.Draft202012Validator(SCHEMA)
 
 
 def cli(capsys, *argv):
@@ -28,23 +28,7 @@ def cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def check_schema(out):
-    VALIDATOR.validate(json.loads(out))
-
-
 # ------------------------------------------------------------- golden files
-
-GOLDEN_CASES = []
-for name in ("ising", "yang_lee", "ylext_z3"):
-    for cmd in ("analyze", "classify"):
-        GOLDEN_CASES.append(((cmd, DATA / f"{name}.json"), f"{cmd}_{name}.txt"))
-        GOLDEN_CASES.append(((cmd, DATA / f"{name}.json", "--json"),
-                             f"{cmd}_{name}.json"))
-for terms in (2, 3):
-    GOLDEN_CASES.append((("solve-cos", "--terms", terms), f"solve_cos_{terms}.txt"))
-    GOLDEN_CASES.append((("solve-cos", "--terms", terms, "--json"),
-                         f"solve_cos_{terms}.json"))
-
 
 @pytest.mark.parametrize("argv,golden", GOLDEN_CASES,
                          ids=[g for _, g in GOLDEN_CASES])
@@ -153,20 +137,21 @@ def test_other_commands_refuse_invalid_rings(capsys, broken_ring_file):
         assert err.startswith(f"error: {broken_ring_file}: not a fusion ring")
 
 
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-string limit")
+def test_an_integer_past_the_digit_limit_names_the_file(capsys, tmp_path):
+    path = tmp_path / "longint.json"
+    path.write_text('{"rank": ' + "1" * 5001 + ', "duality": [0], "N": [[[1]]]}')
+    for cmd in ("verify", "analyze"):
+        code, out, err = cli(capsys, cmd, path)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {path}: not valid JSON") and err.count("\n") == 1
+
+
 # -------------------------------------------------------------------- iso
 
 def test_iso_finds_permutation(capsys, tmp_path):
-    ring = cat.ising()
-    perm = (0, 2, 1)   # swap d and X slots
-    inv = tuple(perm.index(i) for i in range(3))
-    n = np.zeros_like(ring.n)
-    for i in range(3):
-        for j in range(3):
-            for k in range(3):
-                n[perm[i], perm[j], perm[k]] = ring.n[i, j, k]
-    shuffled = fr.FusionRing(3, tuple(perm[ring.dual[inv[i]]] for i in range(3)), n)
     other = tmp_path / "shuffled.json"
-    other.write_text(serialize_ring(shuffled))
+    other.write_text(serialize_ring(relabelled(cat.ising(), [0, 2, 1])))   # swap d and X slots
 
     code, out, _ = cli(capsys, "iso", DATA / "ising.json", other)
     assert code == 0
@@ -375,6 +360,38 @@ def test_closed_stdout_exits_with_a_message():
     assert "Traceback" not in err
 
 
+def test_main_points_a_closed_stdout_at_devnull(capfd, monkeypatch):
+    def closed(argv=None):
+        raise BrokenPipeError
+
+    moves = []
+    monkeypatch.setattr(cli_module, "run", closed)
+    # main's os, with open and dup2 recording instead of moving a descriptor
+    monkeypatch.setattr(cli_module, "os", types.SimpleNamespace(
+        devnull=os.devnull, O_WRONLY=os.O_WRONLY,
+        open=lambda path, flags: moves.append((path, flags)) or -1,
+        dup2=lambda fd, fd2: moves.append((fd, fd2))))
+    with pytest.raises(SystemExit) as info:
+        cli_module.main()
+    assert info.value.code == 1
+    assert moves == [(os.devnull, os.O_WRONLY), (-1, sys.stdout.fileno())]
+    assert capfd.readouterr() == \
+        ("", "error: standard output was closed before the report was written\n")
+
+
+def test_the_module_entry_points_call_main(capfd, monkeypatch):
+    # each runs main in process, which exits with the status of run
+    monkeypatch.setattr(sys, "argv", ["fusionring", "verify", str(DATA / "ising.json")])
+    with pytest.raises(SystemExit) as info:
+        runpy.run_module("fusionring", run_name="__main__")
+    assert info.value.code == 0
+    # the package imported cli.py already; runpy runs it again as __main__
+    with pytest.raises(SystemExit) as info, pytest.warns(RuntimeWarning, match="sys.modules"):
+        runpy.run_module("fusionring.cli", run_name="__main__")
+    assert info.value.code == 0
+    assert capfd.readouterr() == ("ok: all fusion-ring axioms hold (rank 3)\n" * 2, "")
+
+
 def fresh_process(*argv, hash_seed="0"):
     """(exit code, stdout, stderr) of python with argv in a new process on the checkout."""
     env = dict(os.environ, PYTHONPATH=str(HERE.parent / "src"), PYTHONHASHSEED=hash_seed)
@@ -397,14 +414,9 @@ def test_reused_parser_answers_as_a_fresh_process(capsys):
 def test_iso_map_does_not_depend_on_the_hash_seed(tmp_path):
     ring = cat.deligne_product(cat.yl_extension("S3"), cat.pointed("Z2"))
     p = [0] + list(np.random.default_rng(24).permutation(np.arange(1, 24)))
-    n = np.zeros_like(ring.n)
-    n[np.ix_(p, p, p)] = ring.n
-    dual = [0] * 24
-    for i in range(24):
-        dual[p[i]] = p[ring.dual[i]]
     paths = tmp_path / "a.json", tmp_path / "b.json"
     paths[0].write_text(serialize_ring(ring))
-    paths[1].write_text(serialize_ring(fr.FusionRing(24, tuple(dual), n)))
+    paths[1].write_text(serialize_ring(relabelled(ring, p)))
     runs = [fresh_process("-m", "fusionring", "iso", *paths, "--json", hash_seed=seed)
             for seed in ("0", "12345")]
     assert runs[0] == runs[1]

@@ -22,18 +22,9 @@ from fusionring.numerics import (
 )
 from fusionring.ring import FusionRing
 from fusionring.ringfile import serialize_ring
+from oracles import relabelled
 
 PHI = (1 + math.sqrt(5)) / 2
-
-
-def relabelled(ring, p):
-    """The ring with basis element i renamed p[i] (p fixes the unit)."""
-    n = np.zeros_like(ring.n)
-    n[np.ix_(p, p, p)] = ring.n
-    dual = [0] * ring.rank
-    for i in range(ring.rank):
-        dual[p[i]] = p[ring.dual[i]]
-    return FusionRing(ring.rank, tuple(dual), n)
 
 
 def test_ising_dimensions():

@@ -3,7 +3,6 @@ import itertools
 import json
 import math
 import pathlib
-import random
 import time
 import tracemalloc
 from collections import Counter
@@ -34,6 +33,7 @@ from fusionring.ring import (
 )
 from fusionring.cli import run
 from fusionring.ringfile import parse_ring, serialize_ring
+from oracles import relabelled, unit_fixing_shuffle
 
 
 def writable(ring):
@@ -660,12 +660,7 @@ ISO_RINGS = [cat.ising(), cat.yang_lee(), cat.pointed("S3"), cat.yl_extension("Z
 def test_iso_of_conjugated_ring(data):
     r = data.draw(st.sampled_from(ISO_RINGS))
     p = [0] + data.draw(st.permutations(list(range(1, r.rank))))
-    n2 = np.zeros_like(r.n)
-    n2[np.ix_(p, p, p)] = r.n
-    dual2 = [0] * r.rank
-    for i in range(r.rank):
-        dual2[p[i]] = p[r.dual[i]]
-    conj = FusionRing(r.rank, tuple(dual2), n2)
+    conj = relabelled(r, p)
     c1, c2 = colour_classes(r), colour_classes(conj)
     assert all(c2[p[i]] == c1[i] for i in range(r.rank))
     sigma = fr.find_isomorphism(r, conj)
@@ -705,16 +700,6 @@ def test_iso_symmetric():
     ab = fr.find_isomorphism(a, b)
     ba = fr.find_isomorphism(b, a)
     assert ab is not None and ba is not None
-
-
-def relabelled(ring, p):
-    """The ring with basis element i renamed p[i] (p fixes the unit)."""
-    n = np.zeros_like(ring.n)
-    n[np.ix_(p, p, p)] = ring.n
-    dual = [0] * ring.rank
-    for i in range(ring.rank):
-        dual[p[i]] = p[ring.dual[i]]
-    return FusionRing(ring.rank, tuple(dual), n)
 
 
 def is_isomorphism(r1, r2, sigma):
@@ -905,13 +890,6 @@ def test_iso_of_two_relabelled_rank64_rings():
     assert elapsed < 3.0
 
 
-def shuffled(rank, key):
-    """A basis permutation fixing the unit, seeded by key."""
-    rest = list(range(1, rank))
-    random.Random(key).shuffle(rest)
-    return [0] + rest
-
-
 # sha256 over the maps find_isomorphism returns on two seeded relabelled
 # pairs of each ring, ranks 24-64: the search returns the same first map
 SEARCH_DIGEST = "9ca6385a909a5f04d724fb7fb72f54b34e5393e0a5e6d6fa84ee71cd19045487"
@@ -927,7 +905,7 @@ def test_iso_maps_of_relabelled_pairs_are_pinned():
     digest = hashlib.sha256()
     for index, ring in enumerate(rings):
         for pair in range(2):
-            r1, r2 = (relabelled(ring, shuffled(ring.rank, f"{index}/{pair}/{side}"))
+            r1, r2 = (relabelled(ring, unit_fixing_shuffle(ring.rank, f"{index}/{pair}/{side}"))
                       for side in range(2))
             sigma = fr.find_isomorphism(r1, r2)
             assert sigma is not None and is_isomorphism(r1, r2, sigma)

@@ -220,6 +220,8 @@ def reference(text):
         return "error", f"not valid JSON: {exc.msg} (line {exc.lineno}, column {exc.colno})"
     except RecursionError:
         return "error", "not valid JSON: nested too deeply"
+    except ValueError as exc:
+        return "error", f"not valid JSON: {exc}"
     return outcome(lambda: ring_from_document(doc))
 
 
@@ -359,3 +361,17 @@ def test_a_rank_the_text_cannot_fill_is_a_format_error(tmp_path):
     assert proc.returncode == 1
     assert proc.stdout == b""
     assert proc.stderr == f"error: {path}: N must be a 1000000x1000000x1000000 nested list\n".encode()
+
+
+LONG_INT = "1" * 5001  # past Python's default limit of 4,300 digits for int(str)
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-string limit")
+@pytest.mark.parametrize("text", [
+    '{"rank": ' + LONG_INT + ', "duality": [0], "N": [[[1]]]}',
+    '{"rank": 1, "duality": [0], "N": [[[' + LONG_INT + ']]]}',
+], ids=["header", "N"])
+def test_an_integer_past_the_digit_limit_is_not_valid_json(text):
+    with pytest.raises(RingFormatError, match=r"^not valid JSON: Exceeds the limit \(4300 digits\)"):
+        parse_ring(text)
+    assert outcome(lambda: parse_ring(text)) == reference(text)

@@ -1,6 +1,5 @@
 import inspect
 import itertools
-import random
 
 import numpy as np
 import pytest
@@ -12,6 +11,7 @@ from fusionring import ring as rg
 from fusionring import structure as st
 from fusionring.cli import run
 from fusionring.ringfile import parse_ring, serialize_ring
+from oracles import relabelled, unit_fixing_shuffle
 
 
 def brute_force_subrings(ring):
@@ -384,19 +384,6 @@ def reference_grading_table(ring):
     return group.table
 
 
-def relabelled(ring, seed):
-    """The ring with its non-unit basis elements shuffled by a seeded permutation."""
-    rest = list(range(1, ring.rank))
-    random.Random(seed).shuffle(rest)
-    p = [0] + rest
-    n = np.zeros_like(ring.n)
-    n[np.ix_(p, p, p)] = ring.n
-    dual = [0] * ring.rank
-    for i in range(ring.rank):
-        dual[p[i]] = p[ring.dual[i]]
-    return fr.FusionRing(ring.rank, tuple(dual), n)
-
-
 def reference_rings():
     groups = [g for m in range(1, 9) for g in gr.groups_of_order(m)]
     rings = [cat.ising(), cat.yang_lee()]
@@ -408,7 +395,8 @@ def reference_rings():
               cat.deligne_product(cat.ising(), cat.ising()),
               cat.deligne_product(cat.yl_extension("S3"), cat.pointed("Z2")),
               cat.deligne_product(cat.ising(), cat.pointed("Q8"))]
-    return rings + [relabelled(r, f"{i}/{r.rank}") for i, r in enumerate(rings)]
+    return rings + [relabelled(r, unit_fixing_shuffle(r.rank, f"{i}/{r.rank}"))
+                    for i, r in enumerate(rings)]
 
 
 def test_grading_table_matches_the_exhaustive_scan():
