@@ -221,7 +221,7 @@ def _groups_of_order(m: int) -> tuple[FiniteGroup, ...]:
 
 def generated_subgroup(group: FiniteGroup, seed) -> frozenset[int]:
     """The walk from e by right multiplication with the seed (inverses are powers)."""
-    seed = set(seed)
+    seed = _elements(group, seed)
     return frozenset(_walk(0, lambda a: (group.table[a][b] for b in seed)))
 
 

@@ -26,8 +26,9 @@ DIM_TOL = 1e-9
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
-#: Default target of the cosine-square solver: cos(pi/10) squared.
+#: Default target of the cosine-square solver, cos(pi/10) squared, and its tolerance.
 COS_TARGET = (5.0 + math.sqrt(5.0)) / 8.0
+_COS_TOL = 1e-12
 
 _POWER_CAP = 10000
 
@@ -132,7 +133,7 @@ def type_signature(ring: FusionRing) -> TypeSignature:
 
 
 def solve_cos_equation(terms: int, target: float = COS_TARGET,
-                       bound: int = 100, tol: float = 1e-12) -> list[tuple[int, ...]]:
+                       bound: int = 100) -> list[tuple[int, ...]]:
     """Integer tuples a1 <= ... <= a_terms, all >= 3, with sum of cos(pi/ai)^2 = target.
 
     cos(pi/x)^2 increases in x, so the scan for a slot stops as soon as one
@@ -156,10 +157,10 @@ def solve_cos_equation(terms: int, target: float = COS_TARGET,
     def scan(slots: int, start: int, remaining: float, prefix: tuple[int, ...]) -> None:
         for a in range(start, bound + 1):
             fa = f(a)
-            if fa + (slots - 1) * floor > remaining + tol:
+            if fa + (slots - 1) * floor > remaining + _COS_TOL:
                 break
             if slots == 1:
-                if abs(fa - remaining) <= tol:
+                if abs(fa - remaining) <= _COS_TOL:
                     out.append(prefix + (a,))
             else:
                 scan(slots - 1, a, remaining - fa, prefix + (a,))

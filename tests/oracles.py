@@ -1,8 +1,7 @@
 """Oracles the tests share: relabellings, seeded permutations, golden cases, the report schema.
 
 Plain functions and data, no fixtures: every test module imports what it
-needs from here, and so does CI's rank-48 iso step, with tests/ on
-PYTHONPATH.
+needs from here.
 """
 
 import json

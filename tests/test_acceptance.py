@@ -72,9 +72,8 @@ def test_criterion_02_cos_equation():
                    seconds=1.0):
         target = (5.0 + math.sqrt(5.0)) / 8.0
         for bound in range(10, 101):
-            assert solve_cos_equation(2, target, bound=bound, tol=1e-12) \
-                == [(3, 5)]
-            assert solve_cos_equation(3, target, bound=bound, tol=1e-12) == []
+            assert solve_cos_equation(2, target, bound=bound) == [(3, 5)]
+            assert solve_cos_equation(3, target, bound=bound) == []
 
 
 def test_criterion_03_golden_extension_structure():

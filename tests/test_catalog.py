@@ -1,5 +1,6 @@
 import hashlib
 import importlib
+import json
 import math
 
 import numpy as np
@@ -10,12 +11,15 @@ from fusionring import catalog as cat
 from fusionring import groups as gr
 from fusionring import structure as st
 from fusionring.numerics import fp_dimensions, type_signature
+from fusionring.ringfile import parse_ring, ring_to_document
 from oracles import relabelled_group, unit_fixing_shuffle
 
 numerics_module = importlib.import_module("fusionring.numerics")
 
-SMALL_GROUPS = ["Z1", "Z2", "Z3", "Z4", "Z2xZ2", "Z5", "Z6", "S3",
-                "Z7", "Z8", "Z2xZ4", "D4", "Q8"]
+
+def read_back(ring):
+    """The ring as the fully checking parser reads its document back."""
+    return parse_ring(json.dumps(ring_to_document(ring)))
 
 
 def test_pointed_is_the_group_ring():
@@ -65,10 +69,12 @@ def test_ising_rules():
     assert abs(fp_dimensions(r).total - 4) <= 1e-9
 
 
-@pytest.mark.parametrize("name", SMALL_GROUPS)
+# the package builds these unchecked: the parser and verify_axioms must accept them
+@pytest.mark.parametrize("name", gr.NAMED_GROUPS)
 def test_catalog_rings_verify(name):
-    assert fr.verify_axioms(cat.pointed(name)) == []
-    assert fr.verify_axioms(cat.yl_extension(name)) == []
+    for ring in (cat.pointed(name), cat.yl_extension(name)):
+        assert fr.verify_axioms(ring) == []
+        assert fr.verify_axioms(read_back(ring)) == []
 
 
 def test_deligne_product_shape_and_total():
@@ -328,6 +334,7 @@ def test_enumerate_pointed_z2_counts(name, count):
     assert len(rings) == count
     for ring in rings:
         assert fr.verify_axioms(ring) == []
+        assert fr.verify_axioms(read_back(ring)) == []
 
 
 # sha256 of the reference output for every group of order <= 8: the

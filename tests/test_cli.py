@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import json
 import os
@@ -15,7 +16,7 @@ from fusionring import catalog as cat
 from fusionring import cli as cli_module
 from fusionring.cli import run
 from fusionring.ringfile import parse_ring, ring_from_document, serialize_ring
-from oracles import GOLDEN_CASES, check_schema, relabelled
+from oracles import GOLDEN_CASES, check_schema, relabelled, unit_fixing_shuffle
 
 HERE = pathlib.Path(__file__).parent
 DATA = HERE / "data"
@@ -131,10 +132,12 @@ def test_verify_reports_a_duality_that_is_not_an_involution(capsys, tmp_path):
 
 
 def test_other_commands_refuse_invalid_rings(capsys, broken_ring_file):
-    for cmd in ("analyze", "classify", "subrings"):
-        code, out, err = cli(capsys, cmd, broken_ring_file)
+    for argv in (("analyze", broken_ring_file), ("classify", broken_ring_file),
+                 ("subrings", broken_ring_file), ("iso", DATA / "ising.json", broken_ring_file)):
+        code, out, err = cli(capsys, *argv)
         assert code == 1
         assert err.startswith(f"error: {broken_ring_file}: not a fusion ring")
+        assert err.count("\n") == 1
 
 
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-string limit")
@@ -160,6 +163,17 @@ def test_iso_finds_permutation(capsys, tmp_path):
     code, out, _ = cli(capsys, "iso", DATA / "ising.json", other, "--json")
     check_schema(out)
     assert json.loads(out)["map"] == [0, 2, 1]
+
+    # yl(S3) x pointed(Z4), rank 48, relabelled twice by seeded shuffles: the
+    # report holds the map the search has always found
+    ring = cat.deligne_product(cat.yl_extension("S3"), cat.pointed("Z4"))
+    for seed in "ab":
+        (tmp_path / f"{seed}.json").write_text(
+            serialize_ring(relabelled(ring, unit_fixing_shuffle(ring.rank, seed))))
+    code, out, _ = cli(capsys, "iso", tmp_path / "a.json", tmp_path / "b.json", "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "c7c1a1a7798053bbf1cc56e4da03e236948e0f6f2eaee4eabd7f54050c48a637"
 
 
 def test_iso_negative(capsys):

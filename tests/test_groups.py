@@ -403,6 +403,8 @@ def test_subgroup_and_quotient_reject_members_outside_the_group(member):
         gr.subgroup_group(z4, (0, member))
     with pytest.raises(gr.GroupError):
         gr.quotient_group(z4, (0, member))
+    with pytest.raises(gr.GroupError):
+        gr.generated_subgroup(z4, (0, member))
 
 
 def test_quotient_of_q8_by_center_is_klein():

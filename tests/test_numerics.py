@@ -142,16 +142,6 @@ def test_type_signature_invariants(ring):
     assert sum(m for _, m in sig.entries) == ring.rank
 
 
-def test_solve_cos_two_terms():
-    for bound in range(10, 101):
-        assert solve_cos_equation(2, target=COS_TARGET, bound=bound) == [(3, 5)]
-
-
-def test_solve_cos_three_terms_empty():
-    for bound in range(10, 101):
-        assert solve_cos_equation(3, target=COS_TARGET, bound=bound) == []
-
-
 def test_solve_cos_other_target():
     assert solve_cos_equation(2, target=0.5, bound=40) == [(3, 3)]
 

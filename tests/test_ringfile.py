@@ -240,6 +240,7 @@ def with_entry(value, ring):
 
 ISING = json.dumps(ring_to_document(cat.ising()))
 Z2 = cat.pointed("Z2")
+RANK_64 = cat.deligne_product(cat.yl_extension("Z2xZ2xZ2"), cat.pointed("Z4"))
 # Each text, and whether parse_ring hands it to the fallback (json.loads and
 # the walk) rather than reading it with the scanner: one text per decline.
 DISPATCH = {
@@ -292,6 +293,13 @@ DISPATCH = {
     "digit-runs-apart": ('{"rank": 1, "duality": [0], "N": [[[12 3]]]}', True),
     "missing-comma": ('{"rank": 2, "duality": [0, 1], "N": [[[1 0], [0, 1]], [[0, 1], [1, 0]]]}',
                       True),
+    # a rank-64 ring in five layouts: the scanner reads the first four, the fallback the last
+    "rank-64-indented": (serialize_ring(RANK_64), False),
+    "rank-64-default": (json.dumps(ring_to_document(RANK_64)), False),
+    "rank-64-compact": (json.dumps(ring_to_document(RANK_64), separators=(",", ":")), False),
+    "rank-64-non-ascii": (json.dumps(document(RANK_64, [f"σ{i}" for i in range(64)]),
+                                     ensure_ascii=False), False),
+    "rank-64-escaped": (json.dumps(document(RANK_64, [f'"N\\{i}"' for i in range(64)])), True),
 }
 
 
