@@ -176,7 +176,10 @@ def _cmd_classify(args) -> int:
 
 def _cmd_subrings(args) -> int:
     ring = _load_valid_ring(args.ringfile)
-    subs = st.all_subrings(ring)
+    try:
+        subs = st.all_subrings(ring)
+    except ValueError as exc:  # the rank limit
+        raise CliError(f"{args.ringfile}: {exc}") from None
     if args.json:
         _emit({
             "report": "subrings",

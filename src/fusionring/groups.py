@@ -14,7 +14,8 @@ from itertools import product as iter_product
 
 import numpy as np
 
-from .ring import _checked_int, _is_integer, _orbits, _walk, closed_subsets, per_object_cache
+from .ring import (_bits, _checked_int, _is_integer, _mask, _orbits, _walk, closed_subsets,
+                   per_object_cache)
 
 _CATALOGUED_ORDER = 8  # groups_of_order lists every group up to this order
 
@@ -222,13 +223,14 @@ def _groups_of_order(m: int) -> tuple[FiniteGroup, ...]:
 def generated_subgroup(group: FiniteGroup, seed) -> frozenset[int]:
     """The walk from e by right multiplication with the seed (inverses are powers)."""
     seed = _elements(group, seed)
-    return frozenset(_walk(0, lambda a: (group.table[a][b] for b in seed)))
+    return frozenset(_bits(_walk(1, lambda a: _mask(group.table[a][b] for b in seed))))
 
 
 @per_object_cache
 def subgroups(group: FiniteGroup) -> tuple[tuple[int, ...], ...]:
     """Every subgroup, as a sorted member tuple, smallest first."""
-    return tuple(closed_subsets(lambda seed: generated_subgroup(group, seed), group.order))
+    moves = [[1 << int(c) for c in row] for row in group.table]
+    return tuple(closed_subsets(moves, group.inverse))
 
 
 def index2_subgroups(group: FiniteGroup) -> list[tuple[int, ...]]:
@@ -391,14 +393,14 @@ def automorphism_generators(group: FiniteGroup) -> tuple[tuple[int, ...], ...]:
     gens = _generating_sequence(group)
     found: list[tuple[int, ...]] = []
     for i in reversed(range(len(gens))):
-        orbit = {gens[i]}  # the maps found so far fix g_i
+        orbit = 1 << gens[i]  # the maps found so far fix g_i
         for h in range(group.order):
-            if h in orbit or group.element_orders[h] != group.element_orders[gens[i]]:
+            if orbit >> h & 1 or group.element_orders[h] != group.element_orders[gens[i]]:
                 continue
             auto = next(_isomorphisms(group, group, gens, (*gens[:i], h)), None)
             if auto is not None:
                 found.append(auto)
-                orbit = _walk(gens[i], lambda x: (f[x] for f in found))
+                orbit = _walk(1 << gens[i], lambda x: _mask(f[x] for f in found))
     return tuple(found)
 
 

@@ -14,9 +14,10 @@ checked once per ring: verify_axioms lists every violation, _require_valid raise
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, wraps
-from typing import Any, Callable, Iterable, TypeVar
+from typing import Any, Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
 
@@ -426,7 +427,15 @@ def closure(ring: FusionRing, seed: Iterable[int]) -> Subring:
             raise StructuralError(f"seed index {i} out of range")
         gens |= {i, ring.dual[i]}
     support = product_support(ring)
-    mem = tuple(sorted(_walk(0, lambda x: (k for g in gens for k in support[x][g]))))
+
+    def step(x: int) -> int:
+        mask = 0
+        for g in gens:
+            for k in support[x][g]:
+                mask |= 1 << k
+        return mask
+
+    mem = _bits(_walk(1, step))
     return Subring(mem, all(ring.invertible[i] for i in mem))
 
 
@@ -443,54 +452,82 @@ def make_subring(ring: FusionRing, members: Iterable[int]) -> Subring:
     return sub
 
 
-def _walk(start: _T, step: Callable[[_T], Iterable[_T]]) -> set[_T]:
-    """Every point reachable from start, where step(x) yields the points one move from x."""
-    seen = {start}
-    todo = [start]
+def _walk(start: int, step: Callable[[int], int]) -> int:
+    """The mask of every point reachable from the points of the mask start.
+
+    A mask holds the point x as the bit 1 << x, and step(x) is the mask of
+    the points one move from x.
+    """
+    seen = todo = start
     while todo:
-        for y in step(todo.pop()):
-            if y not in seen:
-                seen.add(y)
-                todo.append(y)
+        low = todo & -todo
+        new = step(low.bit_length() - 1) & ~seen
+        seen |= new
+        todo ^= low | new
     return seen
+
+
+def _mask(points: Iterable[int]) -> int:
+    mask = 0
+    for x in points:
+        mask |= 1 << int(x)  # int: a numpy integer would wrap at bit 63
+    return mask
+
+
+def _bits(mask: int) -> tuple[int, ...]:
+    """The points of a mask, increasing."""
+    points = []
+    while mask:
+        low = mask & -mask
+        points.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(points)
 
 
 def _orbits(items: Iterable[int],
             step: Callable[[int], Iterable[int]]) -> tuple[tuple[int, ...], ...]:
     """The orbits of the items under the moves, sorted by smallest member.
 
-    Each orbit is the walk from an item not yet seen, so every move must be
-    undone by moves: a group acting through generators (inverses are powers
-    in a finite group) or a symmetric relation.
+    step(x) yields the points one move from x. Each orbit is the walk from
+    an item not yet seen, so every move must be undone by moves: a group
+    acting through generators (inverses are powers in a finite group) or a
+    symmetric relation.
     """
-    seen: set[int] = set()
+    seen = 0
     orbits = []
     for x in items:
-        if x not in seen:
-            orbit = _walk(x, step)
+        if not seen >> x & 1:
+            orbit = _walk(1 << x, lambda y: _mask(step(y)))
             seen |= orbit
-            orbits.append(tuple(sorted(orbit)))
+            orbits.append(_bits(orbit))
     return tuple(sorted(orbits))
 
 
-def closed_subsets(close: Callable[[Iterable[int]], Iterable[int]],
-                   size: int) -> list[tuple[int, ...]]:
-    """Every closed subset of range(size), sorted by (size, members).
+def closed_subsets(moves: Sequence[Sequence[int]], dual: Sequence[int]) -> list[tuple[int, ...]]:
+    """Every closed subset of range(len(moves)), sorted by (size, members).
 
-    close(seed) is the smallest closed set holding the seed, for subgroups
-    and subrings alike. A closed set is the join of the single-element
-    closures of its members, so the walk from the smallest closed set joins
-    each set found with every single-element closure it does not contain.
+    moves[x][g] is the mask of the points one move by g from x: the
+    constituents of x*g, or the group product. The closure of a seed is the
+    walk from 0 over the moves by the seed and its duals (dual[g]), for
+    subrings and subgroups alike. A closed set is the join of the
+    single-element closures of its members, and joins are associative, so
+    joining every set found so far with each single-element closure in turn
+    finds every closed set. Each set keeps its rows, rows[x] = the moves
+    from x by a seed that generates it; the join of f and b is then the walk
+    from f | b over the OR of their rows.
     """
-    def closed(seed: Iterable[int]) -> tuple[int, ...]:
-        return tuple(sorted(close(seed)))
-
-    def joins(found: tuple[int, ...]) -> Iterable[tuple[int, ...]]:
-        members = set(found)
-        return (closed(members.union(b)) for b in singles if not members.issuperset(b))
-
-    singles = {closed((i,)) for i in range(size)}
-    return sorted(_walk(closed(()), joins), key=lambda s: (len(s), s))
+    found = {1: (0,) * len(moves)}  # the closure of no seed: {0}
+    singles: dict[int, tuple[int, ...]] = {}
+    for g, h in enumerate(dual):
+        rows = tuple(row[g] | row[h] for row in moves)
+        singles.setdefault(_walk(1, rows.__getitem__), rows)
+    for b, b_rows in singles.items():
+        for f, f_rows in list(found.items()):
+            if not b & ~f:  # b lies in f, so the join is f
+                continue
+            rows = tuple(map(operator.or_, f_rows, b_rows))
+            found.setdefault(_walk(f | b, rows.__getitem__), rows)
+    return sorted(map(_bits, found), key=lambda s: (len(s), s))
 
 
 # -------------------------------------------------------------- isomorphism

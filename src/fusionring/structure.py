@@ -11,8 +11,9 @@ from typing import Iterable
 
 from .groups import FiniteGroup, _built_group
 from .numerics import dimension_classes
-from .ring import (FusionRing, StructuralError, Subring, _checked_int, _orbits, _require_valid,
-                   closed_subsets, closure, make_subring, per_object_cache, product_support)
+from .ring import (FusionRing, StructuralError, Subring, _checked_int, _mask, _orbits,
+                   _require_valid, closed_subsets, closure, make_subring, per_object_cache,
+                   product_support)
 
 _SUBRING_RANK_LIMIT = 24  # all_subrings walks closed subsets of ranks up to this one
 
@@ -114,7 +115,9 @@ def all_subrings(ring: FusionRing) -> list[Subring]:
     """Every closed subset, smallest first. Supports rank up to 24."""
     if ring.rank > _SUBRING_RANK_LIMIT:
         raise ValueError(f"subring enumeration supports rank at most {_SUBRING_RANK_LIMIT}")
-    closed = closed_subsets(lambda seed: closure(ring, seed).members, ring.rank)
+    _require_valid(ring)
+    moves = [[_mask(constituents) for constituents in row] for row in product_support(ring)]
+    closed = closed_subsets(moves, ring.dual)
     return [Subring(m, all(ring.invertible[i] for i in m)) for m in closed]
 
 

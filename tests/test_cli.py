@@ -208,6 +208,14 @@ def test_subrings_json(capsys):
     assert [s["pointed"] for s in doc["subrings"]] == [True, True, False]
 
 
+def test_subrings_past_the_rank_limit_names_the_file(capsys, tmp_path):
+    path = tmp_path / "ylext_z16.json"
+    path.write_text(serialize_ring(cat.yl_extension("Z16")))   # rank 32
+    code, out, err = cli(capsys, "subrings", path)
+    assert (code, out) == (1, "")
+    assert err == f"error: {path}: subring enumeration supports rank at most 24\n"
+
+
 # ------------------------------------------------------------------ catalog
 
 def test_catalog_stdout_parses(capsys):

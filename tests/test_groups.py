@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from fusionring import catalog as cat
 from fusionring import groups as gr
 from fusionring.numerics import solve_cos_equation
-from fusionring.ring import FusionRing, _walk, verify_axioms
+from fusionring.ring import FusionRing, verify_axioms
 from oracles import relabelled_group, unit_fixing_shuffle
 
 
@@ -342,6 +342,17 @@ def test_subgroups_against_brute_force(name):
     assert list(gr.subgroups(g)) == brute_force_subgroups(g)
 
 
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_subgroups_are_relabelling_equivariant_closed_sets(data):
+    group = gr.named_group(data.draw(st.sampled_from(gr.NAMED_GROUPS)))
+    p = [0, *data.draw(st.permutations(range(1, group.order)))]
+    subs = gr.subgroups(group)
+    moved = sorted((tuple(sorted(p[a] for a in s)) for s in subs), key=lambda s: (len(s), s))
+    assert list(gr.subgroups(relabelled_group(group, p))) == moved
+    assert all(gr.generated_subgroup(group, s) == frozenset(s) for s in subs)
+
+
 def test_index2_subgroups():
     assert gr.index2_subgroups(gr.named_group("Z4")) == [(0, 2)]
     assert len(gr.index2_subgroups(gr.named_group("Z2xZ2"))) == 3
@@ -446,8 +457,17 @@ SMALL_TABLES = [pytest.param(g, v, id=f"{g.name}-{v}")
 
 
 def span(gens, order):
-    """Every composite of the maps, walked from the identity."""
-    return _walk(tuple(range(order)), lambda f: (tuple(g[x] for x in f) for g in gens))
+    """Every composite of the maps, reached from the identity one map at a time."""
+    seen = {tuple(range(order))}
+    todo = list(seen)
+    while todo:
+        f = todo.pop()
+        for g in gens:
+            h = tuple(g[x] for x in f)
+            if h not in seen:
+                seen.add(h)
+                todo.append(h)
+    return seen
 
 
 @pytest.mark.parametrize("group,variant", SMALL_TABLES)
@@ -491,7 +511,7 @@ def product_automorphism_generators(group):
                 f = gr._extend(group, group, gens, (*gens[:i], h, *rest))
                 if f is not None:
                     found.append(tuple(f[a] for a in range(group.order)))
-                    orbit = _walk(gens[i], lambda x: (g[x] for g in found))
+                    orbit = {m[gens[i]] for m in span(found, group.order)}
                     break
     return tuple(found)
 

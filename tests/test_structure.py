@@ -1,8 +1,11 @@
+import functools
 import inspect
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 import fusionring as fr
 from fusionring import catalog as cat
@@ -131,23 +134,67 @@ def test_all_subrings_against_brute_force(ring):
 
 
 def test_all_subrings_walks_once_per_closed_set(monkeypatch):
-    # closure runs only on the seeds closed_subsets closes; no subring is walked again
-    calls = []
+    # one walk per distinct single-element closure, and one per join of a set
+    # found with a single it does not contain; no closure call
+    walks = []
 
-    def counted(ring, seed):
-        calls.append(seed)
-        return rg.closure(ring, seed)
+    def counted(start, step):
+        walks.append(start)
+        return walk(start, step)
 
-    monkeypatch.setattr(st, "closure", counted)
     ring = cat.yl_extension("Z2xZ2xZ2")
+    rg._require_valid(ring)
+    walk = rg._walk
+    monkeypatch.setattr(rg, "_walk", counted)
+    monkeypatch.setattr(st, "closure", None)
     subs = st.all_subrings(ring)
-    assert len(subs) == 32 and len(calls) == 376
+    monkeypatch.undo()
+    assert len(subs) == 32 and len(walks) == 261
     assert subs == [rg.closure(ring, s.members) for s in subs]
 
 
 def test_all_subrings_rank_budget():
     with pytest.raises(ValueError):
         st.all_subrings(cat.yl_extension("Z16"))
+
+
+@functools.cache
+def lattice_rings():
+    """Catalogued and enumerated rings of rank at most 16."""
+    small = [g for m in range(1, 9) for g in gr.groups_of_order(m)]
+    rings = [cat.ising(), cat.yang_lee(), cat.deligne_product(cat.ising(), cat.yang_lee())]
+    rings += [cat.pointed(name) for name in gr.NAMED_GROUPS]
+    rings += [cat.yl_extension(g) for g in small]
+    rings += [r for g in small for r in cat.enumerate_extensions("pointed-z2", g)]
+    return [r for r in rings if r.rank <= 16]
+
+
+def least_closed_superset(ring, seed):
+    """Oracle: the smallest subset holding the unit and the seed, closed under products and duals."""
+    products = {(a, b): set(np.flatnonzero(ring.n[a, b]).tolist())
+                for a in range(ring.rank) for b in range(ring.rank)}
+    need = {0, *seed}
+    for size in range(len(need), ring.rank + 1):
+        for cand in itertools.combinations(range(ring.rank), size):
+            s = set(cand)
+            if need <= s and all(ring.dual[a] in s for a in s) \
+                    and all(products[a, b] <= s for a in s for b in s):
+                return cand
+
+
+@settings(deadline=None, max_examples=100)
+@given(data=hs.data())
+def test_all_subrings_are_relabelling_equivariant_closed_sets(data):
+    ring = data.draw(hs.sampled_from(lattice_rings()))
+    p = [0, *data.draw(hs.permutations(range(1, ring.rank)))]
+    subs = st.all_subrings(ring)
+    moved = sorted(((tuple(sorted(p[i] for i in s.members)), s.pointed) for s in subs),
+                   key=lambda s: (len(s[0]), s[0]))
+    assert [(s.members, s.pointed) for s in st.all_subrings(relabelled(ring, p))] == moved
+    assert all(rg.closure(ring, s.members) == s for s in subs)
+    if ring.rank <= 8:
+        seed = data.draw(hs.sets(hs.integers(0, ring.rank - 1), max_size=3))
+        assert rg.closure(ring, seed).members == least_closed_superset(ring, seed)
 
 
 def test_nonpointed_subrings_match_subgroups():
