@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, wraps
+from functools import cached_property, wraps
 from typing import Any, Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
@@ -264,9 +264,12 @@ def _violations(ring: FusionRing) -> tuple[AxiomViolation, ...]:
     residues = [(n % p if p else n).astype(dtype) for p in primes]
     step = max(1, 2 ** 16 // r ** 3)
     # With every other axiom in place, associativity of the left factors in
-    # _generating_set proves it for all of them. Only when the full check
-    # needs more than one block is that worth its cost; a failing generator
-    # falls through to the full check, which lists every violation.
+    # _generating_set proves it for all of them: those factors lie in the left
+    # nucleus, a subspace that holds 1 and is closed under products, and
+    # peeling the product table forces every basis element into it. Only
+    # when the full check needs more than one block is that worth its cost;
+    # a failing generator falls through to the full check, which lists every
+    # violation.
     if not out and step < r:
         gens = _generating_set(ring)
         if not any(_associators_differ(primes, residues, gens[t:t + step]).any()
@@ -310,68 +313,47 @@ def _associators_differ(primes: list[int], residues: list[np.ndarray], rows) -> 
 
 
 def _generating_set(ring: FusionRing) -> list[int]:
-    """Basis elements S whose products span the ring, when the unit axiom holds.
+    """Basis elements S whose left factors prove associativity, when the unit axiom holds.
 
     Light's associativity test on the left nucleus L = {x : (x*y)*z = x*(y*z)
     for all y, z}. L is a subspace, and 1 is in L when n[0] is the identity.
     L is closed under products by the Teichmueller identity, which holds in
     every algebra for the associator (a, b, c) = (a*b)*c - a*(b*c):
     a*(b,c,d) + (a,b,c)*d = (a*b,c,d) - (a,b*c,d) + (a,b,c*d). For a, b in
-    L every term but (a*b,c,d) vanishes. So once the products of S span
-    Q^rank, checking the left factors in S proves the ring associative.
+    L every term but (a*b,c,d) vanishes. So checking the left factors in S
+    proves the ring associative once S forces every basis element into L.
 
-    The span starts at the unit and is closed under right multiplication by
-    S, as reduced row echelon rows modulo the prime p of _span_prime. Every
-    row is the reduction of an integer vector in the span over Q, so the
-    rank modulo p is at most the rank over Q and full rank modulo p is a
-    proof. While the span is short of full rank, the next generator is the
-    smallest basis element y that is not a pivot column: e_y is not in the
-    span, and 1*e_y = e_y is added with it. Every pick grows the span, so S
-    always reaches full rank.
+    The known set K of basis elements forced into L starts at the unit and
+    grows by peeling the sparse product table: for x in K and s in S, x*s is
+    in L, and if exactly one constituent c of x*s lies outside K, then e_c
+    is x*s minus its known terms, divided by n[x,s,c] > 0, so c joins K.
+    This holds over Q, with no prime. When nothing peels, the smallest basis
+    element y outside K joins S, and K with it (1*y = y). Every stall grows
+    K, so K always reaches the whole basis.
     """
-    r, n = ring.rank, ring.n
-    p = _span_prime(r)
-
-    def mulmod(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        # exact in float64: entries are below p and r * p**2 < 2**53
-        return (x.astype(np.float64) @ y.astype(np.float64)).astype(np.int64) % p
-
-    basis = np.eye(1, r, dtype=np.int64)
-    pivot_cols = [0]  # pivot_cols[t]: the pivot column of basis[t]
-    gens: list[int] = []
-    right: list[np.ndarray] = []  # right[t][i, k] = n[i, gens[t], k] mod p
-    done = 1  # rows below done have their products by every generator added
-    while len(basis) < r:
-        if done == len(basis):
-            y = min(set(range(r)).difference(pivot_cols))
-            gens.append(y)
-            right.append(n[:, y, :] % p)
-            cand = mulmod(basis, right[-1])
+    support = product_support(ring)
+    full = (1 << ring.rank) - 1
+    known, gens = 1, []
+    fresh = 1  # known elements whose products by gens are not yet pending
+    pending: list[int] = []  # the constituents of products x*s not yet peeled, as masks
+    while known != full:
+        if fresh:
+            pending += [_mask(support[x][s]) for x in _bits(fresh) for s in gens]
         else:
-            cand = np.concatenate([mulmod(basis[done:], m) for m in right])
-        done = len(basis)
-        cand = (cand - mulmod(cand[:, pivot_cols], basis)) % p
-        # each nonzero candidate becomes a pivot row, and its pivot column is
-        # cleared from every other row: the rows stay in reduced echelon form
-        work = np.concatenate([basis, cand])
-        for t in range(done, len(work)):
-            row = work[t]
-            nonzero = np.flatnonzero(row)
-            if len(nonzero):
-                c = int(nonzero[0])
-                row = row * pow(int(row[c]), -1, p) % p
-                work -= np.outer(work[:, c], row)
-                work %= p
-                work[t] = row
-                pivot_cols.append(c)
-        basis = work[work.any(axis=1)]
+            y = (~known & (known + 1)).bit_length() - 1
+            gens.append(y)
+            pending += [_mask(support[x][y]) for x in _bits(known)]
+        fresh = 0
+        stuck = []
+        for constituents in pending:
+            unknown = constituents & ~known
+            if unknown & (unknown - 1):
+                stuck.append(unknown)
+            else:
+                fresh |= unknown
+                known |= unknown
+        pending = stuck
     return gens
-
-
-@lru_cache(maxsize=None)
-def _span_prime(r: int) -> int:
-    """The largest prime p with r * p**2 < 2**53, found once per rank."""
-    return _residue_primes(r, 1)[0]
 
 
 def _residue_primes(r: int, bound: int) -> list[int]:

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import json
@@ -26,7 +27,6 @@ from fusionring.ring import (
     _generating_set,
     _orbits,
     _residue_primes,
-    _span_prime,
     colour_classes,
     product_support,
     square_profiles,
@@ -302,9 +302,13 @@ def orbit_perturbed(data, ring, change):
 
 
 # rank > 16, so the full check runs in more than one block and the generating
-# set is tried first
+# set is tried first. On the relabelled near-group ring the peel stalls five
+# times: S is [1, 2, 3, 4, 11], and 2 and 3 are not invertible.
 CERTIFIED_RINGS = [cat.deligne_product(cat.yl_extension("Z3"), cat.pointed("Z4")),
-                   cat.deligne_product(cat.yl_extension("Q8"), cat.pointed("Z2"))]
+                   cat.deligne_product(cat.yl_extension("Q8"), cat.pointed("Z2")),
+                   relabelled(cat.deligne_product(cat.enumerate_extensions("pointed-z2", "Z4")[0],
+                                                  cat.pointed("Z4")),
+                              unit_fixing_shuffle(24, 8))]
 
 
 def small_associativity_reference(ring):
@@ -354,9 +358,11 @@ def test_small_reference_agrees_with_reference():
 @settings(deadline=None, max_examples=10)
 @given(data=st.data())
 def test_certificate_falls_back_with_huge_entries(data):
-    # one value on the whole orbit: 2**26 and up need one or more residue primes
+    # one value on the whole orbit: 2**26 and up need one or more residue primes;
+    # the rank-24 rings only, as the Python-int reference takes seconds at rank 32
     value = data.draw(st.integers(2 ** 26, 2 ** 62))
-    ring = orbit_perturbed(data, CERTIFIED_RINGS[0], lambda v: value)
+    ring = orbit_perturbed(data, data.draw(st.sampled_from(CERTIFIED_RINGS[::2])),
+                           lambda v: value)
     found = fr.verify_axioms(ring)
     assert {x.axiom for x in found} <= {AXIOM_ASSOCIATIVITY}
     assert [x.at for x in found] == associativity_reference(ring)
@@ -379,7 +385,8 @@ def span_rank_mod(ring, gens, q):
 
 def test_generating_set_is_small():
     # the catalog and Deligne rings of rank 24 to 64 that the benchmark verifies,
-    # classifies or compares; only yl(Q8) x Ising as built needs six generators
+    # classifies or compares; S is pinned, so that each ring's certificate
+    # checks a fixed number of left factors
     z2 = gr.cyclic(2)
     rings = [cat.yl_extension(g) for g in (
         gr.product_of_cyclics([4, 4]), gr.product_of_cyclics([2, 8]),
@@ -388,12 +395,35 @@ def test_generating_set_is_small():
     rings += [cat.deligne_product(cat.yl_extension(g), other) for g, other in (
         ("Z3", cat.pointed("Z4")), ("S3", cat.pointed("Z4")), ("Q8", cat.ising()),
         ("D4", cat.ising()), ("Z2xZ2xZ2", cat.pointed("Z4")))]
-    q = 1_000_003
-    for ring in rings:
-        assert 24 <= ring.rank <= 64 and q != _span_prime(ring.rank)
-        gens = _generating_set(ring)
-        assert len(gens) <= 6
-        assert span_rank_mod(ring, gens, q) == ring.rank
+    # on this labelling of yl(Z3) x pointed(Z4), products with two constituents
+    # outside K wait and peel later; were they dropped, S would be [1, 2, 3, 14]
+    rings.append(relabelled(rings[5], unit_fixing_shuffle(24, 2)))
+    expected = [[1, 4, 16], [1, 8, 16], [1, 4, 8, 16], [1, 2, 4, 8, 16], [1, 8, 16],
+                [1, 4, 12], [1, 4, 12, 24], [1, 2, 3, 6, 12, 24], [1, 2, 3, 12, 24],
+                [1, 4, 8, 16, 32], [1, 2]]
+    for ring, gens in zip(rings, expected, strict=True):
+        assert 24 <= ring.rank <= 64
+        assert _generating_set(ring) == gens
+        assert span_rank_mod(ring, gens, 1_000_003) == ring.rank
+
+
+# near-group rings times pointed(Z4) and powers of Ising and Yang-Lee, where a
+# product often has several constituents outside K
+SPANNED_RINGS = ([cat.deligne_product(ng, cat.pointed("Z4"))
+                  for u in ("Z2", "Z4", "Z2xZ2")
+                  for ng in cat.enumerate_extensions("pointed-z2", u) if not all(ng.invertible)]
+                 + [functools.reduce(cat.deligne_product, [cat.ising()] * 3),
+                    functools.reduce(cat.deligne_product, [cat.yang_lee()] * 5)])
+
+
+@settings(deadline=None, max_examples=40)
+@given(data=st.data())
+def test_generating_set_spans_every_relabelling(data):
+    # S proves associativity only if its products from the unit span Q^rank;
+    # span_rank_mod computes that span independently of the peel
+    ring = data.draw(st.sampled_from(SPANNED_RINGS))
+    ring = relabelled(ring, [0, *data.draw(st.permutations(range(1, ring.rank)))])
+    assert span_rank_mod(ring, _generating_set(ring), 1_000_003) == ring.rank
 
 
 def test_associativity_memory_stays_near_rank_cubed():
