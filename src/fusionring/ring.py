@@ -115,11 +115,8 @@ class FusionRing:
     @cached_property
     def invertible(self) -> tuple[bool, ...]:
         """invertible[i] is true when i * dual(i) is exactly the unit."""
-        flags = []
-        for i in range(self.rank):
-            row = self.n[i, self.dual[i]]
-            flags.append(row[0] == 1 and not row[1:].any())
-        return tuple(flags)
+        rows = self.n[np.arange(self.rank), self.dual]
+        return tuple(((rows[:, 0] == 1) & ~rows[:, 1:].any(axis=1)).tolist())
 
     def is_commutative(self) -> bool:
         return bool(np.array_equal(self.n, self.n.transpose(1, 0, 2)))
@@ -527,48 +524,55 @@ def colour_classes(ring: FusionRing) -> tuple[int, ...]:
     processes. Any isomorphism maps each element to one of the same colour;
     a hash collision can only merge classes, never split them.
     """
-    r, n = ring.rank, ring.n
+    r, dual = ring.rank, ring.dual
+    i, j, k, values = _nonzeros(ring)
+    # the three slots as one listing: x is the element in the slot, offset by
+    # slot * r, and a, b are the other two slots: (j, k), (i, k), (i, j)
+    x = np.concatenate((i, j + r, k + 2 * r))
+    a, b = np.concatenate((j, i, i)), np.concatenate((k, k, j))
+    v = np.tile(values, 3)
     # seed, the index profile: invertible, self-dual, n[i,i,i] and, for each
     # slot, the (value, count) pairs of the r*r entries with i in that slot:
-    # (0, r*r - nonzeros) when positive, then the runs of equal (index, value)
-    # among the nonzeros sorted by (index, value)
-    profiles = []
-    *indices, values = _nonzeros(ring)
-    for at in indices:
-        order = np.lexsort((values, at))
-        at, value = at[order], values[order]
-        starts = np.ones(len(at), dtype=bool)  # first entry of each run
-        starts[1:] = (at[1:] != at[:-1]) | (value[1:] != value[:-1])
-        first = np.flatnonzero(starts)
-        pairs = list(zip(value[first].tolist(), np.diff(first, append=len(at)).tolist()))
-        bounds = np.searchsorted(at[first], np.arange(r + 1)).tolist()
-        zeros = (r * r - np.bincount(at, minlength=r)).tolist()
-        profiles.append([((0, z),) * (z > 0) + tuple(pairs[a:b])
-                         for z, a, b in zip(zeros, bounds, bounds[1:])])
-    colours = [hash((bool(ring.invertible[i]), ring.dual[i] == i, int(n[i, i, i]),
-                     profiles[0][i], profiles[1][i], profiles[2][i]))
-               for i in range(r)]
+    # (0, r*r - nonzeros) when positive, then the runs of equal (x, value)
+    # among the nonzeros sorted by (x, value)
+    order = np.lexsort((v, x))
+    at, value = x[order], v[order]
+    starts = np.ones(len(at), dtype=bool)  # first entry of each run
+    starts[1:] = (at[1:] != at[:-1]) | (value[1:] != value[:-1])
+    first = np.flatnonzero(starts)
+    pairs = list(zip(value[first].tolist(), np.diff(first, append=len(at)).tolist()))
+    bounds = np.searchsorted(at[first], np.arange(3 * r + 1)).tolist()
+    zeros = (r * r - np.bincount(x, minlength=3 * r)).tolist()
+    profiles = [((0, z),) * (z > 0) + tuple(pairs[lo:hi])
+                for z, lo, hi in zip(zeros, bounds, bounds[1:])]
+    diagonal = ring.n[(np.arange(r),) * 3].tolist()
+    colours = [hash((ring.invertible[e], dual[e] == e, diagonal[e],
+                     profiles[e], profiles[r + e], profiles[2 * r + e]))
+               for e in range(r)]
     # Every count below is a sum of non-negative entries, at most r*r*max(N).
     # Under 2**53 each partial sum is an exact float64 whatever the summation
-    # order, so the BLAS products give the exact counts; above it, rounding
-    # could depend on the order and split isomorphic rings, and int64 sums
-    # could wrap past 2**63, so the counts are Python ints.
-    exact = r * r * int(n.max()) < 2 ** 53
-    m = n.astype(np.float64 if exact else object)
-    count_type = np.int64 if exact else object
-    slots = (m, m.transpose(1, 0, 2), m.transpose(2, 0, 1))
+    # order, so bincount's float sums are the exact counts; above it,
+    # rounding could depend on the order and split isomorphic rings, and
+    # int64 sums could wrap past 2**63, so the counts are Python ints.
+    exact = r * r * int(values.max(initial=0)) < 2 ** 53
+    weights = v if exact else v.astype(object)
     while True:
-        index = {c: a for a, c in enumerate(sorted(set(colours)))}
-        onehot = np.zeros((r, len(index)), dtype=m.dtype)
-        onehot[np.arange(r), [index[c] for c in colours]] = 1
-        # counts[s][i][a * classes + b]: total multiplicity with i in slot s and
-        # colours a, b in the other two slots
-        counts = [(onehot.T @ (t @ onehot)).astype(count_type, copy=False).reshape(r, -1).tolist()
-                  for t in slots]
-        refined = [hash((colours[i], colours[ring.dual[i]],
-                         tuple(counts[0][i]), tuple(counts[1][i]), tuple(counts[2][i])))
-                   for i in range(r)]
-        if len(set(refined)) <= len(index):
+        index = {c: t for t, c in enumerate(sorted(set(colours)))}
+        size = len(index)
+        cls = np.array([index[c] for c in colours])
+        # counts[s * r + e][c * size + d]: total multiplicity with e in slot s
+        # and colours c, d in the other two slots
+        key = (x * size + cls[a]) * size + cls[b]
+        if exact:
+            counts = np.bincount(key, weights, minlength=3 * r * size * size).astype(np.int64)
+        else:
+            counts = np.zeros(3 * r * size * size, dtype=object)
+            np.add.at(counts, key, weights)
+        counts = counts.reshape(3 * r, -1).tolist()
+        refined = [hash((colours[e], colours[dual[e]],
+                         tuple(counts[e]), tuple(counts[r + e]), tuple(counts[2 * r + e])))
+                   for e in range(r)]
+        if len(set(refined)) <= size:
             return tuple(colours)
         colours = refined
 
@@ -608,24 +612,30 @@ def find_isomorphism(r1: FusionRing, r2: FusionRing) -> tuple[int, ...] | None:
 
     The unit is pinned to the unit and each element may only map to one of
     the same colour class (colour_classes); rings whose colour multisets
-    differ are rejected before the backtracking search runs, and i -> p also
-    needs equal square_profiles. Assigning i -> p checks only the products
-    of i with the elements already assigned, on the sparse product tables
-    (product_support), and propagates what the assignment forces:
-    dual(i) -> dual(p), and for each unassigned constituent of a product
-    a*b the sole unassigned constituent of its colour class in s(a)*s(b),
-    if there is one. A trail undoes the forced images on backtrack. No
-    float is read: every decision is on integer structure. On two rings
-    with Frobenius reciprocity and an involutive dual, every complete map is
-    an isomorphism (proof at the final comparison); on other tensors that
-    comparison is what rejects the maps that are not.
+    differ, and then rings whose square_profiles multisets differ, are
+    rejected before the backtracking search runs, and i -> p also needs
+    equal square_profiles. Each step assigns a dual pair, i -> p and
+    dual(i) -> dual(p), and checks each element x of the step once against
+    every element j assigned by then: x*j against s(x)*s(j), on the sparse
+    product tables (product_support). j*x needs no check of its own: with
+    reciprocity it is dual(x)*dual(j) read backwards, and dual(x) is in the
+    step too. A step propagates what it forces: for each unassigned
+    constituent of a product x*j, the sole unassigned constituent of its
+    colour class in s(x)*s(j), if there is one. A trail undoes the forced
+    images on backtrack. No float is read: every decision is on integer
+    structure. On two rings with Frobenius reciprocity and an involutive
+    dual, every complete map is an isomorphism (proof at the final
+    comparison); on other tensors that comparison is what rejects the maps
+    that are not.
     """
     if r1.rank != r2.rank:
         return None
     rank = r1.rank
     c1, c2 = colour_classes(r1), colour_classes(r2)
+    if sorted(c1) != sorted(c2):
+        return None
     q1, q2 = square_profiles(r1), square_profiles(r2)
-    if sorted(c1) != sorted(c2) or sorted(q1) != sorted(q2):
+    if sorted(q1) != sorted(q2):
         return None
     cands = [[p for p in range(rank) if c2[p] == c1[i]] for i in range(rank)]
     s1, s2 = product_support(r1), product_support(r2)
@@ -674,16 +684,24 @@ def find_isomorphism(r1: FusionRing, r2: FusionRing) -> tuple[int, ...] | None:
         queue = [(i, p)]
         while queue:
             i, p = queue.pop()
-            if sigma[i] == p:
-                continue
-            if sigma[i] >= 0 or inverse[p] >= 0 or c1[i] != c2[p] or q1[i] != q2[p]:
-                return False
-            sigma[i], inverse[p] = p, i
-            trail.append(i)
-            queue.append((r1.dual[i], r2.dual[p]))
-            for j in trail:
-                if not (agrees(i, j, queue) and agrees(j, i, queue)):
+            d, e = r1.dual[i], r2.dual[p]
+            step = []  # the step: i -> p and d -> e, where not yet assigned
+            for x, q in ((i, p), (d, e)):
+                if sigma[x] == q:
+                    continue
+                if sigma[x] >= 0 or inverse[q] >= 0 or c1[x] != c2[q] or q1[x] != q2[q]:
                     return False
+                sigma[x], inverse[q] = q, x
+                trail.append(x)
+                step.append(x)
+            if not step:
+                continue
+            # the dual of d, which is i unless the dual is no involution
+            queue.append((r1.dual[d], r2.dual[e]))
+            for x in step:
+                for j in trail:
+                    if not agrees(x, j, queue):
+                        return False
         return True
 
     def undo(mark: int) -> None:
@@ -693,15 +711,19 @@ def find_isomorphism(r1: FusionRing, r2: FusionRing) -> tuple[int, ...] | None:
         del trail[mark:]
 
     def search(depth: int) -> bool:
-        # A complete map commutes with duality: assign queues (dual(i),
-        # dual(p)) with each i -> p and succeeds only on an empty queue. On
-        # rings with reciprocity and an involutive dual the comparison cannot
-        # fail. Take n1[a,b,k] and the last of a, b, b*, k to be assigned (b
-        # and b* go in one assign call): if a or b, the pair (a, b) was
-        # checked with k fixed; if k or b*, the pair (k, b*) with a fixed,
-        # and n[k,b*,a] = n[a,b,k] on both rings. Each pair also has equal
-        # constituent counts, which gives the zeros. On other tensors it is
-        # the only guard (test_iso_final_comparison_guards_rings_without_reciprocity).
+        # A complete map commutes with duality: each step assigns i -> p with
+        # dual(i) -> dual(p) and queues the pair of their duals, and assign
+        # succeeds only on an empty queue. On rings with reciprocity and an
+        # involutive dual the comparison cannot fail. Each element x of a
+        # step was checked against every y assigned by the end of that step,
+        # x*y with the images of those elements fixed, and x shares its step
+        # with x*. Take n1[a,b,k] and the step of the last of a, b, k: if a
+        # is in it, (a, b) was checked with k fixed; if k, (k, b*) with a
+        # fixed, and n[k,b*,a] = n[a,b,k]; if b, (b*, a*) with k* fixed, and
+        # n[b*,a*,k*] = n[a,b,k], on both rings, as s(x*) = s(x)*. Each pair
+        # also has equal constituent counts, which gives the zeros. On other
+        # tensors the comparison is the only guard
+        # (test_iso_final_comparison_guards_rings_without_reciprocity).
         if len(trail) == rank:
             perm = np.array(sigma)
             return np.array_equal(r1.n, r2.n[np.ix_(perm, perm, perm)])

@@ -878,6 +878,33 @@ def enumerated_le8():
             for r in cat.enumerate_extensions("pointed-z2", g)]
 
 
+def test_iso_final_comparison_holds_on_rings_with_reciprocity(enumerated_le8, monkeypatch):
+    # Each step checks x*j one way round only, for x in the step's dual pair
+    # and j assigned by then; on rings with reciprocity and an involutive dual
+    # that proves every complete map an isomorphism (the comment in search).
+    # So every search reaches the final comparison once, and it holds; the
+    # first that fails stops the test before a search without its checks
+    # runs on through wrong maps.
+    rings = enumerated_le8 + [cat.yl_extension(g) for m in range(1, 9)
+                              for g in gr.groups_of_order(m)]
+    compared = []
+    array_equal = np.array_equal
+
+    def compare(a, b):
+        compared.append(array_equal(a, b))
+        assert compared[-1], "a complete map is no isomorphism"
+        return True
+
+    monkeypatch.setattr(np, "array_equal", compare)
+    searches = 0
+    for index, ring in enumerate(rings):
+        for side in range(2):
+            other = relabelled(ring, unit_fixing_shuffle(ring.rank, f"{index}/{side}"))
+            assert fr.find_isomorphism(ring, other) is not None
+            searches += 1
+    assert len(rings) == 82 and compared == [True] * searches
+
+
 def test_iso_finds_every_relabelled_enumerated_ring(enumerated_le8):
     rng = np.random.default_rng(5)
     assert len(enumerated_le8) == 68
@@ -941,6 +968,27 @@ def test_iso_maps_of_relabelled_pairs_are_pinned():
             assert sigma is not None and is_isomorphism(r1, r2, sigma)
             digest.update(repr(sigma).encode())
     assert digest.hexdigest() == SEARCH_DIGEST
+
+
+# sha256 over the maps find_isomorphism returns from each hard input to its
+# relabellings by unit_fixing_shuffle(rank, s), s = "a", "b", "c"
+HARD_INPUT_DIGEST = "20e35dc060509af3961fe78e121d3ad8993c48a57730d8c9eb876db4092fdb7b"
+
+
+def test_iso_maps_of_hard_inputs_are_pinned():
+    rings = [cat.pointed(gr.product_of_cyclics([2] * 6)),
+             cat.pointed(gr.product_of_cyclics([4] * 3)),
+             functools.reduce(cat.deligne_product, [cat.ising()] * 4),
+             functools.reduce(cat.deligne_product, [cat.yang_lee()] * 6),
+             cat.deligne_product(cat.yl_extension("Z2xZ2xZ2"), cat.pointed("Z2xZ2xZ2"))]
+    digest = hashlib.sha256()
+    for ring in rings:
+        for s in "abc":
+            other = relabelled(ring, unit_fixing_shuffle(ring.rank, s))
+            sigma = fr.find_isomorphism(ring, other)
+            assert sigma is not None and is_isomorphism(ring, other, sigma)
+            digest.update(repr(sigma).encode())
+    assert digest.hexdigest() == HARD_INPUT_DIGEST
 
 
 def sorted_entry_colours(ring):
@@ -1019,6 +1067,31 @@ def test_colour_values_are_exact_counts(b):
     # r*r*b >= 2**53 from 2**45 on, and the counts, up to r*r*b = 2**70,
     # pass 2**63 at 2**61
     ring = cat.deligne_product(x_squared_is_1_plus_bx(b), cat.pointed("D4"))
+    assert colour_classes(ring) == exact_colours(ring)
+
+
+@settings(deadline=None, max_examples=40)
+@given(data=st.data())
+def test_colour_values_are_exact_counts_at_the_float_bound(data):
+    # colour_classes sums the counts in float64 while r*r*max(N) < 2**53 and
+    # in Python ints from there on; the largest entry puts r*r*max(N) just
+    # below that bound, or at or just above it. The entrywise maximum over the
+    # powers of a permutation s that fixes 0 keeps s as a symmetry, so the
+    # classes are not all singletons.
+    r = data.draw(st.integers(1, 7))
+    above = data.draw(st.booleans())
+    top = (2 ** 53 - 1) // (r * r) + above
+    s = [0] + data.draw(st.permutations(list(range(1, r))))
+    values = [0] * data.draw(st.integers(0, 4)) + [1, top - 1, top]
+    base = np.array(data.draw(st.lists(st.sampled_from(values), min_size=r ** 3, max_size=r ** 3)),
+                    dtype=np.int64).reshape(r, r, r)
+    base[0, 0, 0] = top
+    n, p = base.copy(), s
+    while p != list(range(r)):
+        n[np.ix_(p, p, p)] = np.maximum(n[np.ix_(p, p, p)], base)
+        p = [s[x] for x in p]
+    ring = FusionRing(r, tuple(range(r)), n)
+    assert (r * r * int(n.max()) >= 2 ** 53) == above
     assert colour_classes(ring) == exact_colours(ring)
 
 
