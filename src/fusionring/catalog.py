@@ -6,7 +6,7 @@ names (Z1..Z16, Z2xZ2, Z2xZ4, Z2xZ2xZ2, D4, Q8, S3).
 
 from __future__ import annotations
 
-from typing import Iterable
+from operator import itemgetter
 
 import numpy as np
 
@@ -197,41 +197,63 @@ def _near_group_rings(u: FiniteGroup) -> list[FusionRing]:
     The head, the tuple over a of the negated positions row[q(a)], thus
     orders as these cells do in n.tobytes(): each orbit takes its least
     head, and only the members that tie there build their tensors.
+    The specs come in blocks, one per (U0, G, delta) in loop order: the
+    q = embed.phi.proj over the isomorphisms phi: G/{e, delta} -> U0. Each
+    such phi is phi0.a for one phi0 and an a in Aut(G/{e, delta}), as
+    phi0^-1.phi is an automorphism, so one search per block finds phi0 and
+    the quotient's cached automorphisms give the rest, in an order of their
+    own. That order never reaches the output. Orbits are sets, so the heads
+    and the tied members are as before, and min keeps the first tied spec
+    of least bytes in index order, which lies in the earliest block holding
+    one, as blocks keep their order. The specs of one block share G and the
+    coset U - U0 = U - set(q), and generalized_ty's labels depend on nothing
+    else, so specs of that block whose tensors tie in bytes build identical
+    rings. Only the order of orbits among the returned rings may change, and
+    enumerate_extensions sorts them by _ring_sort_key, which tells apart any
+    two of them. Each generator of Aut(U) or Aut(G) acts as one permutation
+    of the spec indices, built once; the walk reads it by index.
     The pointed rings of enumerate_extensions need no search either:
     central_extensions_by_z2 returns pairwise non-isomorphic groups, and
     their rings have rank 2|U| against 3|U|/2 here.
     """
     gs = gr.groups_of_order(u.order)
-    alphas = gr.automorphism_generators(u)
-    betas = [gr.automorphism_generators(g) for g in gs]
     specs: dict[tuple[int, tuple[int, ...]], int] = {}
+    of_group: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in gs]  # (index, q) over each G
     heads: list[tuple[tuple[int, ...], ...]] = []
     for u0 in gr.index2_subgroups(u):
         u0_group, embed = gr.subgroup_group(u, u0)
         coset = [x for x in range(u.order) if x not in set(u0)]
         xpos = {x: u.order + i for i, x in enumerate(coset)}
-        # row[w] holds the negated positions of a*X_x, x in coset, for q(a) = w
-        row = {w: tuple(-xpos[u.table[w][x]] for x in coset) for w in u0}
+        # row[w] holds the negated positions of a*X_x, x in coset, for q(a) = w in U0
+        row = [tuple(-xpos[u.table[w][x]] for x in coset) if w in u0 else None
+               for w in range(u.order)]
         for gi, g in enumerate(gs):
-            for quot, proj in _central_quotients(g):
-                for phi in gr.iter_isomorphisms(quot, u0_group):
-                    qmap = tuple(embed[phi[proj[a]]] for a in range(g.order))
+            for quot, proj, autos in _central_quotients(g):
+                phi0 = next(gr.iter_isomorphisms(quot, u0_group), None)
+                if phi0 is None:
+                    continue
+                image = [embed[y] for y in phi0]
+                for a in autos:
+                    # a list, not itemgetter(*a), which gives a bare int on
+                    # the order-1 quotient; proj and qmap have |G| >= 2 entries
+                    qmap = itemgetter(*proj)([image[x] for x in a])  # embed.phi0.a.proj
                     specs[(gi, qmap)] = len(heads)
-                    heads.append(tuple(row[w] for w in qmap))
+                    of_group[gi].append((len(heads), qmap))
+                    heads.append(itemgetter(*qmap)(row))
     spec_keys = list(specs)  # in build order: no spec is built twice
-
-    def step(s: int) -> Iterable[int]:
-        gi, q = spec_keys[s]
-        for alpha in alphas:
-            yield specs[(gi, tuple(alpha[x] for x in q))]
-        for beta in betas[gi]:
-            moved = [0] * len(q)
-            for a, x in enumerate(q):
-                moved[beta[a]] = x
-            yield specs[(gi, tuple(moved))]
-
+    # moves[gi]: the generators of Aut(U), on every spec, then those of
+    # Aut(G), on the specs over G, the only ones a walk from them reaches
+    alpha_moves = [[specs[(gi, itemgetter(*q)(alpha))] for gi, q in spec_keys]
+                   for alpha in gr.automorphism_generators(u)]
+    moves = []
+    for gi, g in enumerate(gs):
+        moves.append(list(alpha_moves))
+        for beta in gr.automorphism_generators(g):
+            take = itemgetter(*sorted(range(g.order), key=beta.__getitem__))  # q -> q.beta^-1
+            moves[gi].append({s: specs[(gi, take(q))] for s, q in of_group[gi]})
     rings = []
-    for orbit in _orbits(range(len(heads)), step):
+    for orbit in _orbits(range(len(heads)),
+                         lambda s: [move[s] for move in moves[spec_keys[s][0]]]):
         head = min(heads[s] for s in orbit)
         tied = [spec_keys[s] for s in orbit if heads[s] == head]
         # orbits are sorted, so min keeps the first built on ties
@@ -242,9 +264,11 @@ def _near_group_rings(u: FiniteGroup) -> list[FusionRing]:
 
 
 @per_object_cache
-def _central_quotients(g: FiniteGroup) -> list[tuple[FiniteGroup, tuple[int, ...]]]:
-    """(G/{e, delta}, projection) for each central delta of order 2 in g."""
-    return [gr.quotient_group(g, (0, delta)) for delta in gr.central_elements_of_order2(g)]
+def _central_quotients(g: FiniteGroup) -> list[tuple[FiniteGroup, tuple[int, ...],
+                                                     tuple[tuple[int, ...], ...]]]:
+    """(G/{e, delta}, projection, its automorphisms) for each central delta of order 2 in g."""
+    quotients = [gr.quotient_group(g, (0, delta)) for delta in gr.central_elements_of_order2(g)]
+    return [(quot, proj, tuple(gr.iter_isomorphisms(quot, quot))) for quot, proj in quotients]
 
 
 def enumerate_extensions(base: str, u) -> list[FusionRing]:

@@ -288,21 +288,36 @@ def test_spec_sort_key_orders_specs_as_their_rings(name, variant):
 
 
 def test_enumeration_builds_one_ring_per_spec_orbit(monkeypatch):
-    names = ("generalized_ty", "_near_group_tensor", "are_isomorphic", "quotient_group")
+    names = ("generalized_ty", "_near_group_tensor", "are_isomorphic", "quotient_group",
+             "_extend", "iter_isomorphisms", "block_searches")
     calls = dict.fromkeys(names, 0)
+    inside = []   # non-empty while _near_group_rings runs
 
     def count(module, name):
         original = getattr(module, name)
 
         def counted(*args):
             calls[name] += 1
+            if name == "iter_isomorphisms" and inside:
+                calls["block_searches"] += 1
             return original(*args)
         monkeypatch.setattr(module, name, counted)
+
+    near_group_rings = cat._near_group_rings
+
+    def marked(u):
+        inside.append(u)
+        rings = near_group_rings(u)
+        inside.pop()
+        return rings
 
     count(cat, "generalized_ty")
     count(cat, "_near_group_tensor")
     count(gr, "are_isomorphic")
     count(gr, "quotient_group")
+    count(gr, "_extend")
+    count(gr, "iter_isomorphisms")
+    monkeypatch.setattr(cat, "_near_group_rings", marked)
     for _ in range(2):   # counted on the second pass, with the catalogued groups warm
         calls.update(dict.fromkeys(names, 0))
         for m in range(1, 9):
@@ -315,6 +330,35 @@ def test_enumeration_builds_one_ring_per_spec_orbit(monkeypatch):
     assert calls["_near_group_tensor"] <= 31 + 52
     assert calls["are_isomorphic"] <= 52
     assert calls["quotient_group"] == 0
+    # one isomorphism search per block (U0, G/{e, delta}); the quotients'
+    # automorphisms are cached with them and give the block's other specs
+    blocks = sum(len(gr.index2_subgroups(u)) * len(gr.central_elements_of_order2(g))
+                 for m in range(2, 9, 2) for u in gr.groups_of_order(m)
+                 for g in gr.groups_of_order(m))
+    assert calls["block_searches"] == blocks
+    # 240 _extend calls, with a 10 % margin; listing every isomorphism of
+    # each block took 963
+    assert calls["_extend"] <= 264
+
+
+@pytest.mark.parametrize("variant", [0, 1])
+def test_order_of_the_quotient_automorphisms_is_irrelevant(monkeypatch, variant):
+    # Specs of one block come in the order of the cached automorphisms of
+    # their quotient. Those of one block that tie in bytes build identical
+    # rings, so reversing that order changes no ring (_near_group_rings).
+    groups = [shuffled_group(name, variant) for name in ENUMERATION_DIGESTS]
+    as_built = [[ring_fields(r) for r in cat.enumerate_extensions("pointed-z2", g)]
+                for g in groups]
+    quotients = cat._central_quotients
+
+    def reversed_automorphisms(g):
+        return [(quot, proj, autos[::-1]) for quot, proj, autos in quotients(g)]
+
+    monkeypatch.setattr(cat, "_central_quotients", reversed_automorphisms)
+    assert any(len(autos) > 1 for g in gr.groups_of_order(8) for _, _, autos in quotients(g))
+    reversed_order = [[ring_fields(r) for r in cat.enumerate_extensions("pointed-z2", g)]
+                      for g in groups]
+    assert reversed_order == as_built
 
 
 def test_enumerate_yang_lee_base():
