@@ -198,17 +198,21 @@ def _near_group_rings(u: FiniteGroup) -> list[FusionRing]:
     orders as these cells do in n.tobytes(): each orbit takes its least
     head, and only the members that tie there build their tensors.
     The specs come in blocks, one per (U0, G, delta) in loop order: the
-    q = embed.phi.proj over the isomorphisms phi: G/{e, delta} -> U0. Each
-    such phi is phi0.a for one phi0 and an a in Aut(G/{e, delta}), as
-    phi0^-1.phi is an automorphism, so one search per block finds phi0 and
-    the quotient's cached automorphisms give the rest, in an order of their
-    own. That order never reaches the output. Orbits are sets, so the heads
-    and the tied members are as before, and min keeps the first tied spec
-    of least bytes in index order, which lies in the earliest block holding
-    one, as blocks keep their order. The specs of one block share G and the
-    coset U - U0 = U - set(q), and generalized_ty's labels depend on nothing
-    else, so specs of that block whose tensors tie in bytes build identical
-    rings. Only the order of orbits among the returned rings may change, and
+    q = embed.phi.proj over the isomorphisms phi: G/{e, delta} -> U0. One
+    search per U0, from the catalogued group C of U0's class, gives
+    chi: C -> U0. A quotient of another catalogued class is not isomorphic
+    to U0, so its block is empty; one of C's class has the isomorphism
+    phi0 = chi.psi, psi its cached isomorphism onto C (_central_quotients).
+    Each phi of the block is phi0.a for an a in Aut(G/{e, delta}), as
+    phi0^-1.phi is an automorphism, so the quotient's cached automorphisms
+    give the rest, whichever phi0 was found: any phi0 gives the block's
+    same spec set, in an order of its own. That order never reaches the
+    output. Orbits are sets, so the heads and the tied members do not
+    depend on it, and min keeps the first tied spec of least bytes in index
+    order, which lies in the earliest block holding one, as blocks come in
+    loop order. The specs of one block share G and the coset
+    U - U0 = U - set(q), and generalized_ty's labels depend on nothing else,
+    so specs of that block whose tensors tie in bytes build identical rings. Only the order of orbits among the returned rings may change, and
     enumerate_extensions sorts them by _ring_sort_key, which tells apart any
     two of them. Each generator of Aut(U) or Aut(G) acts as one permutation
     of the spec indices, built once; the walk reads it by index.
@@ -222,17 +226,19 @@ def _near_group_rings(u: FiniteGroup) -> list[FusionRing]:
     heads: list[tuple[tuple[int, ...], ...]] = []
     for u0 in gr.index2_subgroups(u):
         u0_group, embed = gr.subgroup_group(u, u0)
+        # chi: C -> U0 from the catalogued group C of U0's class, at index ci
+        ci, chi = next((ci, chi) for ci, c in enumerate(gr.groups_of_order(u0_group.order))
+                       for chi in gr.iter_isomorphisms(c, u0_group))
         coset = [x for x in range(u.order) if x not in set(u0)]
         xpos = {x: u.order + i for i, x in enumerate(coset)}
         # row[w] holds the negated positions of a*X_x, x in coset, for q(a) = w in U0
         row = [tuple(-xpos[u.table[w][x]] for x in coset) if w in u0 else None
                for w in range(u.order)]
         for gi, g in enumerate(gs):
-            for quot, proj, autos in _central_quotients(g):
-                phi0 = next(gr.iter_isomorphisms(quot, u0_group), None)
-                if phi0 is None:
-                    continue
-                image = [embed[y] for y in phi0]
+            for _, proj, autos, qi, psi in _central_quotients(g):
+                if qi != ci:
+                    continue  # G/{e, delta} is not isomorphic to U0
+                image = [embed[chi[y]] for y in psi]  # embed.phi0, phi0 = chi.psi
                 for a in autos:
                     # a list, not itemgetter(*a), which gives a bare int on
                     # the order-1 quotient; proj and qmap have |G| >= 2 entries
@@ -265,10 +271,24 @@ def _near_group_rings(u: FiniteGroup) -> list[FusionRing]:
 
 @per_object_cache
 def _central_quotients(g: FiniteGroup) -> list[tuple[FiniteGroup, tuple[int, ...],
-                                                     tuple[tuple[int, ...], ...]]]:
-    """(G/{e, delta}, projection, its automorphisms) for each central delta of order 2 in g."""
-    quotients = [gr.quotient_group(g, (0, delta)) for delta in gr.central_elements_of_order2(g)]
-    return [(quot, proj, tuple(gr.iter_isomorphisms(quot, quot))) for quot, proj in quotients]
+                                                     tuple[tuple[int, ...], ...],
+                                                     int, tuple[int, ...]]]:
+    """(G/{e, delta}, projection, its automorphisms, qi, psi) for each central delta of order 2.
+
+    psi is an isomorphism from the quotient onto C = groups_of_order(|G|/2)[qi].
+    The catalogue lists every group of that order, so such a C exists, and
+    it is the only one isomorphic to the quotient, as the catalogued groups
+    are pairwise non-isomorphic. So the quotient is isomorphic to a group H
+    exactly when H's catalogued class has index qi, and then chi.psi is an
+    isomorphism onto H for any isomorphism chi: C -> H.
+    """
+    out = []
+    for delta in gr.central_elements_of_order2(g):
+        quot, proj = gr.quotient_group(g, (0, delta))
+        qi, psi = next((qi, psi) for qi, c in enumerate(gr.groups_of_order(quot.order))
+                       for psi in gr.iter_isomorphisms(quot, c))
+        out.append((quot, proj, tuple(gr.iter_isomorphisms(quot, quot)), qi, psi))
+    return out
 
 
 def enumerate_extensions(base: str, u) -> list[FusionRing]:

@@ -40,9 +40,9 @@ class FiniteGroup:
             for b, x in enumerate(row):
                 if not _is_integer(x):
                     raise GroupError(f"table entry ({a},{b}) is {x!r}, not an integer")
+                if not 0 <= x < m:
+                    raise GroupError(f"table entry ({a},{b}) is {x!r}, outside 0..{m - 1}")
         arr = np.asarray(self.table, dtype=np.int64)
-        if arr.min() < 0 or arr.max() >= m:
-            raise GroupError("table entries out of range")
         if any(self.table[0][a] != a or self.table[a][0] != a for a in range(m)):
             raise GroupError("index 0 must act as the identity")
         # with the identity and associativity, right inverses are two-sided
@@ -517,6 +517,45 @@ def _subset_sums(vectors: list[int]) -> list[int]:
     return sums
 
 
+def _cocycle_equations(group: FiniteGroup) -> tuple[dict[tuple[int, int], int],
+                                                    list[int], list[int]]:
+    """(vidx, rows, coboundaries): the equations _cocycle_orbits solves, and d(1_x) for x != e.
+
+    Bit vidx[(g, h)] of a mask holds c(g, h) for g, h != e. rows holds the
+    nonzero E(g, h, k) for g, h != e and k in _generating_sequence(group)
+    only, which span every E (_cocycle_orbits). coboundaries[x - 1] has bit
+    (g, h) set when an odd number of g = x, h = x and gh = x hold: the pairs
+    (x, y), the pairs (y, x), and the pairs (y, y^-1 x) for y != x.
+    """
+    m = group.order
+    t, inv = group.table, group.inverse
+    pairs = [(g, h) for g in range(1, m) for h in range(1, m)]
+    vidx = {p: i for i, p in enumerate(pairs)}
+    rows = []
+    for g in range(1, m):
+        for h in range(1, m):
+            gh = t[g][h]
+            for k in _generating_sequence(group):
+                hk = t[h][k]
+                mask = 1 << vidx[(g, h)]
+                if gh:
+                    mask ^= 1 << vidx[(gh, k)]
+                mask ^= 1 << vidx[(h, k)]
+                if hk:
+                    mask ^= 1 << vidx[(g, hk)]
+                if mask:
+                    rows.append(mask)
+    coboundaries = []
+    for x in range(1, m):
+        mask = 0
+        for y in range(1, m):
+            mask ^= (1 << vidx[(x, y)]) ^ (1 << vidx[(y, x)])
+            if y != x:  # y^-1 x = e for y = x, and c(y, e) is no coordinate
+                mask ^= 1 << vidx[(y, t[inv[y]][x])]
+        coboundaries.append(mask)
+    return vidx, rows, coboundaries
+
+
 def _cocycle_orbits(group: FiniteGroup) -> tuple[dict[tuple[int, int], int], list[list[int]]]:
     """The cohomology classes of normalized Z2-valued 2-cocycles, grouped by Aut(group)-orbit.
 
@@ -525,6 +564,18 @@ def _cocycle_orbits(group: FiniteGroup) -> tuple[dict[tuple[int, int], int], lis
     bits i of sel, basis being the nullspace basis of the cocycle equations,
     and each class appears as its cocycle of least sel. An orbit lists its
     classes by least sel, and the orbits are ordered by their first class.
+
+    The equations are E(g, h, k) = c(h, k) + c(gh, k) + c(g, hk) + c(g, h)
+    = 0 over normalized c, c(e, .) = c(., e) = 0, imposed only for the k
+    of _generating_sequence(group): 147 equations instead of 343 on Z2^3.
+    They span the row space of all of them, so the nullspace basis, and
+    with it every output, is the same. E = dc, and ddc = 0 gives, for all
+    g, h, k, s,
+        E(g, h, ks) = E(h, k, s) + E(gh, k, s) + E(g, hk, s) + E(g, h, k),
+    while E(g, h, e), E(e, h, k) and E(g, e, k) vanish for normalized c.
+    Every k is a word in the generators (inverses are powers), so by
+    induction on its length each E(g, h, k) is a sum of equations whose
+    third argument is a generator.
 
     No cocycle is walked. The class of sel is its residue modulo the
     coboundaries, and sel -> residue is linear, so the pairs
@@ -541,33 +592,10 @@ def _cocycle_orbits(group: FiniteGroup) -> tuple[dict[tuple[int, int], int], lis
     sel. An automorphism acts linearly on residues too, so its action on
     the classes follows from its images of the residue rows.
     """
-    m = group.order
-    t = group.table
-    pairs = [(g, h) for g in range(1, m) for h in range(1, m)]
-    vidx = {p: i for i, p in enumerate(pairs)}
-    rows = []
-    for g in range(1, m):
-        for h in range(1, m):
-            gh = t[g][h]
-            for k in range(1, m):
-                hk = t[h][k]
-                mask = 1 << vidx[(g, h)]
-                if gh:
-                    mask ^= 1 << vidx[(gh, k)]
-                mask ^= 1 << vidx[(h, k)]
-                if hk:
-                    mask ^= 1 << vidx[(g, hk)]
-                if mask:
-                    rows.append(mask)
+    vidx, rows, coboundaries = _cocycle_equations(group)
+    pairs = list(vidx)
     basis = _gf2_nullspace(rows, len(pairs))
     # Classes are keyed by their residue modulo the coboundaries d(1_x), x != e.
-    coboundaries = []
-    for x in range(1, m):
-        mask = 0
-        for (g, h), v in vidx.items():
-            if (g == x) ^ (h == x) ^ (t[g][h] == x):
-                mask |= 1 << v
-        coboundaries.append(mask)
     echelon = _gf2_echelon(coboundaries)
     # (residue, sel) pairs as residue << d | sel, in reduced echelon form
     d = len(basis)
@@ -628,10 +656,11 @@ def central_extensions_by_z2(group: FiniteGroup) -> list[FiniteGroup]:
 
     Each table goes to _built_group unchecked, as H_c is a group: c is
     normalized, c(e, h) = c(g, e) = 0, so (e, 0) is the identity at index 0;
-    the cocycle identity c(g, h) + c(gh, k) = c(h, k) + c(g, hk), the
-    equations _cocycle_orbits solves for g, h, k != e (with e it follows
-    from normalization), makes both bracketings of (g, s)(h, u)(k, v) equal
-    (ghk, s + u + v + that sum); and (g, s)^-1 = (g^-1, s + c(g, g^-1)).
+    the cocycle identity c(g, h) + c(gh, k) = c(h, k) + c(g, hk), which
+    holds for all g, h, k (_cocycle_orbits solves it for the generators k
+    and proves the rest; with e it follows from normalization), makes both
+    bracketings of (g, s)(h, u)(k, v) equal (ghk, s + u + v + that sum);
+    and (g, s)^-1 = (g^-1, s + c(g, g^-1)).
     """
     m = group.order
     t = group.table

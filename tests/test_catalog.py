@@ -288,6 +288,16 @@ def test_spec_sort_key_orders_specs_as_their_rings(name, variant):
 
 
 def test_enumeration_builds_one_ring_per_spec_orbit(monkeypatch):
+    # one isomorphism search per (U, U0), from each catalogued group of
+    # order |U0| in turn, up to U0's class
+    searches = 0
+    for m in range(2, 9, 2):
+        classes = [c.name for c in gr.groups_of_order(m // 2)]
+        for u in gr.groups_of_order(m):
+            for u0 in gr.index2_subgroups(u):
+                u0_group, _ = gr.subgroup_group(u, u0)
+                searches += 1 + classes.index(gr.identify_group(u0_group))
+    assert searches == 34
     names = ("generalized_ty", "_near_group_tensor", "are_isomorphic", "quotient_group",
              "_extend", "iter_isomorphisms", "block_searches")
     calls = dict.fromkeys(names, 0)
@@ -330,15 +340,12 @@ def test_enumeration_builds_one_ring_per_spec_orbit(monkeypatch):
     assert calls["_near_group_tensor"] <= 31 + 52
     assert calls["are_isomorphic"] <= 52
     assert calls["quotient_group"] == 0
-    # one isomorphism search per block (U0, G/{e, delta}); the quotients'
-    # automorphisms are cached with them and give the block's other specs
-    blocks = sum(len(gr.index2_subgroups(u)) * len(gr.central_elements_of_order2(g))
-                 for m in range(2, 9, 2) for u in gr.groups_of_order(m)
-                 for g in gr.groups_of_order(m))
-    assert calls["block_searches"] == blocks
-    # 240 _extend calls, with a 10 % margin; listing every isomorphism of
-    # each block took 963
-    assert calls["_extend"] <= 264
+    # the quotients' isomorphisms onto their catalogued classes and their
+    # automorphisms are cached with them and give every block's specs
+    assert calls["block_searches"] == searches
+    # 34 _extend calls, with a 10 % margin; one search per block took 240,
+    # and listing every isomorphism of each block 963
+    assert calls["_extend"] <= 37
 
 
 @pytest.mark.parametrize("variant", [0, 1])
@@ -352,13 +359,51 @@ def test_order_of_the_quotient_automorphisms_is_irrelevant(monkeypatch, variant)
     quotients = cat._central_quotients
 
     def reversed_automorphisms(g):
-        return [(quot, proj, autos[::-1]) for quot, proj, autos in quotients(g)]
+        return [(quot, proj, autos[::-1], qi, psi)
+                for quot, proj, autos, qi, psi in quotients(g)]
 
     monkeypatch.setattr(cat, "_central_quotients", reversed_automorphisms)
-    assert any(len(autos) > 1 for g in gr.groups_of_order(8) for _, _, autos in quotients(g))
+    assert any(len(autos) > 1 for g in gr.groups_of_order(8) for _, _, autos, _, _ in quotients(g))
     reversed_order = [[ring_fields(r) for r in cat.enumerate_extensions("pointed-z2", g)]
                       for g in groups]
     assert reversed_order == as_built
+
+
+def composed_isomorphism(quot, proj, autos, qi, psi):
+    """The entry with psi composed with an automorphism of its catalogued group, if it has one."""
+    for alpha in gr.automorphism_generators(gr.groups_of_order(quot.order)[qi])[:1]:
+        psi = tuple(alpha[y] for y in psi)
+    return quot, proj, autos, qi, psi
+
+
+def relabelled_quotient(quot, proj, autos, qi, psi):
+    """The entry with the quotient's elements renamed by a seeded shuffle p."""
+    p = unit_fixing_shuffle(quot.order, f"quotient/{quot.order}")
+    inv = sorted(range(quot.order), key=p.__getitem__)
+    return (relabelled_group(quot, p), tuple(p[x] for x in proj),
+            tuple(tuple(p[a[y]] for y in inv) for a in autos), qi,
+            tuple(psi[y] for y in inv))
+
+
+@pytest.mark.parametrize("change", [composed_isomorphism, relabelled_quotient])
+def test_choice_of_the_isomorphism_onto_the_catalogued_quotient_is_irrelevant(monkeypatch,
+                                                                              change):
+    # Any isomorphism psi from a quotient onto its catalogued class C gives
+    # a phi0 = chi.psi of the block, and any phi0 gives the block's same
+    # spec set (_near_group_rings). So neither psi composed with an
+    # automorphism of C nor a relabelled quotient, with its projection,
+    # automorphisms and psi carried along, changes any ring.
+    groups = [shuffled_group(name, variant) for name in ENUMERATION_DIGESTS for variant in (0, 1)]
+    as_built = [[ring_fields(r) for r in cat.enumerate_extensions("pointed-z2", g)]
+                for g in groups]
+    quotients = cat._central_quotients
+    entries = [entry for g in gr.groups_of_order(8) for entry in quotients(g)]
+    assert any(change(*entry)[4] != entry[4] for entry in entries)  # some psi moves
+    monkeypatch.setattr(cat, "_central_quotients",
+                        lambda g: [change(*entry) for entry in quotients(g)])
+    after = [[ring_fields(r) for r in cat.enumerate_extensions("pointed-z2", g)]
+             for g in groups]
+    assert after == as_built
 
 
 def test_enumerate_yang_lee_base():

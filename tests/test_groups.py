@@ -102,7 +102,11 @@ def brute_force_subgroups(group):
 
 
 @pytest.mark.parametrize("call,message", [
-    (lambda: gr.FiniteGroup(2, ((0, 1), (1, 2))), "table entries out of range"),
+    (lambda: gr.FiniteGroup(2, ((0, 1), (1, 2))), "table entry (1,1) is 2, outside 0..1"),
+    (lambda: gr.FiniteGroup(2, ((0, 1), (1, 2**70))),
+     f"table entry (1,1) is {2**70}, outside 0..1"),
+    (lambda: gr.FiniteGroup(2, ((0, 1), (-2**70, 0))),
+     f"table entry (1,0) is {-2**70}, outside 0..1"),
     (lambda: gr.FiniteGroup(2, ((0, 1), (1,))), "table must be 2x2"),
     (lambda: gr.cyclic(0), "cyclic order must be positive"),
     (lambda: gr.dihedral(0), "dihedral parameter must be positive"),
@@ -112,8 +116,8 @@ def brute_force_subgroups(group):
      "too many cohomology classes to enumerate"),
     (lambda: gr.FiniteGroup(True, ((0,),)), "order is True, not an integer"),
     (lambda: gr.FiniteGroup(2.0, ((0, 1), (1, 0))), "order is 2.0, not an integer"),
-], ids=["entry-range", "shape", "cyclic", "dihedral", "order-9", "kernel", "cohomology",
-        "bool-order", "float-order"])
+], ids=["entry-range", "entry-above-int64", "entry-below-int64", "shape", "cyclic", "dihedral",
+        "order-9", "kernel", "cohomology", "bool-order", "float-order"])
 def test_input_guards(call, message):
     with pytest.raises(gr.GroupError) as info:
         call()
@@ -698,8 +702,8 @@ def test_built_groups_and_rings_pass_the_public_checks(monkeypatch):
         assert verify_axioms(ring) == []
 
 
-def oracle_cocycle_orbits(group):
-    """_cocycle_orbits by walking every cocycle of the nullspace basis, in sel order."""
+def all_cocycle_equations(group):
+    """(vidx, every nonzero cocycle equation E(g, h, k) for g, h, k != e, every d(1_x))."""
     m = group.order
     t = group.table
     pairs = [(g, h) for g in range(1, m) for h in range(1, m)]
@@ -714,11 +718,29 @@ def oracle_cocycle_orbits(group):
             mask ^= 1 << vidx[(g, t[h][k])]
         if mask:
             rows.append(mask)
-    basis = gr._gf2_nullspace(rows, len(pairs))
     coboundaries = []
     for x in range(1, m):
         coboundaries.append(sum(1 << v for (g, h), v in vidx.items()
                                 if (g == x) ^ (h == x) ^ (t[g][h] == x)))
+    return vidx, rows, coboundaries
+
+
+@pytest.mark.parametrize("group,variant", SMALL_TABLES)
+def test_cocycle_equations_on_the_generators_span_all_of_them(group, variant):
+    # _cocycle_orbits imposes E(g, h, k) only for the generators k, and
+    # builds each d(1_x) from its three terms; both span what all do
+    g = shuffled(group, variant) if variant else group
+    vidx, rows, coboundaries = gr._cocycle_equations(g)
+    all_vidx, all_rows, all_coboundaries = all_cocycle_equations(g)
+    assert vidx == all_vidx
+    assert gr._gf2_echelon(rows) == gr._gf2_echelon(all_rows)
+    assert gr._gf2_echelon(coboundaries) == gr._gf2_echelon(all_coboundaries)
+
+
+def oracle_cocycle_orbits(group):
+    """_cocycle_orbits by walking every cocycle of the nullspace basis, in sel order."""
+    vidx, rows, coboundaries = all_cocycle_equations(group)
+    basis = gr._gf2_nullspace(rows, len(vidx))
     echelon = gr._gf2_echelon(coboundaries)
     classes = {}
     for sel in range(1 << len(basis)):
