@@ -140,7 +140,7 @@ def classify(ring: FusionRing) -> Classification:
 
 @per_object_cache
 def find_ising_subring_unchecked(ring: FusionRing) -> IsingDetection:
-    """The three Ising detectors, with no precondition check and no cross-assert."""
+    """The three Ising detectors, with no precondition check."""
     noninv = [i for i in range(ring.rank) if not ring.invertible[i]]
     self_dual = any(ring.dual[i] == i for i in noninv)
 
@@ -163,17 +163,13 @@ def find_ising_subring_unchecked(ring: FusionRing) -> IsingDetection:
 def find_ising_subring(ring: FusionRing) -> IsingDetection:
     """Ising subring detection for rings with dimensions {1, sqrt(2)}.
 
-    The cheap self-duality test, the grading test and the closure test must
-    agree; a disagreement would mean the ring is not actually valid.
+    The cheap self-duality test, the grading test and the closure test agree
+    on every such ring; the claim ising-detectors-agree reports that for
+    each generalized Tambara-Yamagami ring.
     """
-    cls = classify(ring)
-    if not cls.rank2_pointed_extension:
+    if not classify(ring).rank2_pointed_extension:
         raise ValueError("ring does not have dimension set {1, sqrt(2)}")
-    det = find_ising_subring_unchecked(ring)
-    if not (det.closure_is_ising == det.rank1_component_at_involution
-            == det.self_dual_noninvertible):
-        raise AssertionError("Ising detectors disagree on a supposedly valid ring")
-    return det
+    return find_ising_subring_unchecked(ring)
 
 
 # ------------------------------------------------------------------ claims

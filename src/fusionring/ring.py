@@ -246,35 +246,26 @@ def _violations(ring: FusionRing) -> tuple[AxiomViolation, ...]:
     mism |= n != n[:, d, :].transpose(2, 1, 0)
     out += _listed(AXIOM_FROBENIUS, mism)
 
-    # (i*j)*k against i*(j*k) as float matrix products, a block of left
-    # factors i at a time so that memory stays near rank**3. Every sum is an
-    # integer of at most bound = r * max(n)**2, and so is every partial sum,
-    # whatever the summation order. Under 2**24 float32 holds each exactly,
-    # under 2**53 float64 does. Above, the products run in float64 on n mod p
-    # for primes p with r * p**2 < 2**53, whose product exceeds the bound: two
-    # sums are equal when they agree modulo every such prime (Chinese
-    # remainder theorem). The single modulus 0 stands for no reduction.
-    top = int(n.max())
-    bound = r * top * top
-    primes = _residue_primes(r, bound) if bound >= 2 ** 53 else [0]
-    dtype = np.float32 if bound < 2 ** 24 else np.float64
-    residues = [(n % p if p else n).astype(dtype) for p in primes]
-    step = max(1, 2 ** 16 // r ** 3)
+    # (i*j)*k against i*(j*k) as float64 products on the lanes of
+    # _associator_lanes, a block of left factors i at a time so that the
+    # lane products stay within 2**16 elements and memory near rank**3.
+    lanes = _associator_lanes(n)
+    step = max(1, 2 ** 16 // lanes.packed[0].size)
     # With every other axiom in place, associativity of the left factors in
     # _generating_set proves it for all of them: those factors lie in the left
     # nucleus, a subspace that holds 1 and is closed under products, and
-    # peeling the product table forces every basis element into it. Only
-    # when the full check needs more than one block is that worth its cost;
-    # a failing generator falls through to the full check, which lists every
-    # violation.
-    if not out and step < r:
+    # peeling the product table forces every basis element into it. From
+    # rank 17 up that is worth its cost; a failing generator falls through
+    # to the full check, which lists every violation.
+    if not out and r > 16:
         gens = _generating_set(ring)
-        if not any(_associators_differ(primes, residues, gens[t:t + step]).any()
-                   for t in range(0, len(gens), step)):
+        if all(_associators_differ(lanes, gens[t:t + step]) is None
+               for t in range(0, len(gens), step)):
             return ()
     for start in range(0, r, step):
-        differ = _associators_differ(primes, residues, slice(start, start + step))
-        out += _listed(AXIOM_ASSOCIATIVITY, differ, start)
+        at = _associators_differ(lanes, slice(start, start + step))
+        if at is not None:
+            out += _listed_at(AXIOM_ASSOCIATIVITY, at, start)
     return tuple(out)
 
 
@@ -283,22 +274,79 @@ def _listed(axiom: str, mask: np.ndarray, start: int = 0) -> list[AxiomViolation
 
     Flat indices, not argwhere: numpy's nonzero is far slower on an array of several axes.
     """
-    first, *rest = np.unravel_index(np.flatnonzero(mask), mask.shape)
-    return [AxiomViolation(axiom, at)
-            for at in zip((first + start).tolist(), *(x.tolist() for x in rest))]
+    if not mask.any():
+        return []
+    return _listed_at(axiom, np.unravel_index(np.flatnonzero(mask), mask.shape), start)
 
 
-def _associators_differ(primes: list[int], residues: list[np.ndarray], rows) -> np.ndarray:
-    """differ[a, j, k, l]: (i*j)*k and i*(j*k) differ in basis element l, i = rows[a].
+def _listed_at(axiom: str, at: Sequence[np.ndarray], start: int = 0) -> list[AxiomViolation]:
+    """One violation per index tuple of the arrays at, in their order, first index + start."""
+    first, *rest = at
+    return [AxiomViolation(axiom, x)
+            for x in zip((first + start).tolist(), *(y.tolist() for y in rest))]
 
-    residues[t] is the tensor modulo primes[t] as floats (0: unreduced).
+
+@dataclass(frozen=True)
+class _Lanes:
+    """The tensor packed for the associator products; see _associator_lanes."""
+
+    moduli: list[int]           # 0 stands for no reduction
+    factors: list[np.ndarray]   # n modulo each modulus, as float64
+    packed: list[np.ndarray]    # each factor times W, of shape (r, r, lanes)
+    base: int                   # beta
+    powers: np.ndarray          # beta**t for t < b, as int64
+
+
+def _associator_lanes(n: np.ndarray) -> _Lanes:
+    """Lanes that hold b basis elements each, exactly, as base-beta digits.
+
+    With M the largest entry and S the largest multiplicity sum of a product,
+    sum_k n[i,j,k], beta = S*M + 1 and b is the largest count with
+    beta**b <= 2**53, capped at the rank. W puts basis element l in lane
+    l // b with weight beta**(l % b), and both sides of (i*j)*k = i*(j*k)
+    are multiplied by it (Kronecker substitution). This is exact:
+    - every count on either side is at most S*M < beta: sum_m n[i,j,m] *
+      n[m,k,l] <= M * sum_m n[i,j,m] <= M*S, and likewise for i*(j*k);
+    - so a lane is a sum of non-negative integers whose total is below
+      beta**b <= 2**53, as is every product and partial sum in it; float64
+      holds each exactly, in any summation order, fused or not;
+    - two lanes are equal exactly when all their base-beta digits are.
+
+    When r * M**2 >= 2**53 the products instead run with b = 1 (W the
+    identity) on n mod p, for the largest primes p with r * p**2 < 2**53
+    until their product exceeds r * M**2: two sums are then equal when they
+    agree modulo every such prime (Chinese remainder theorem).
+    """
+    r = len(n)
+    top = int(n.max())
+    base, width = 0, 1
+    if r * top * top >= 2 ** 53:
+        moduli = _residue_primes(r, r * top * top)
+    else:
+        moduli = [0]
+        base = int(n.sum(axis=2).max()) * top + 1
+        while width < r and base ** (width + 1) <= 2 ** 53:
+            width += 1
+    powers = np.array([base ** t for t in range(width)], dtype=np.int64)
+    at = np.arange(r)
+    weights = np.zeros((r, -(-r // width)))
+    weights[at, at // width] = powers[at % width]
+    factors = [(n % p if p else n).astype(np.float64) for p in moduli]
+    packed = [(a.reshape(r * r, r) @ weights).reshape(r, r, -1) for a in factors]
+    return _Lanes(moduli, factors, packed, base, powers)
+
+
+def _associators_differ(lanes: _Lanes, rows) -> tuple[np.ndarray, ...] | None:
+    """Index arrays a, j, k, l, in C order, of the differing counts of (i*j)*k and i*(j*k).
+
+    Here i = rows[a]. None when the two agree everywhere, which the packed
+    lanes show; only differing lanes are decoded into their base-beta digits.
     """
     differ = None
-    for p, a in zip(primes, residues):
-        r = len(a)
-        block = a[rows]
-        left = (block @ a.reshape(r, r * r)).reshape(-1, r, r, r)
-        right = (a.reshape(r * r, r) @ block).reshape(-1, r, r, r)
+    for p, a, w in zip(lanes.moduli, lanes.factors, lanes.packed):
+        r, count = w.shape[1:]
+        left = (a[rows] @ w.reshape(r, r * count)).reshape(-1, r, r, count)
+        right = (a.reshape(r * r, r) @ w[rows]).reshape(-1, r, r, count)
         if p:
             np.fmod(left, p, out=left)
             np.fmod(right, p, out=right)
@@ -306,7 +354,20 @@ def _associators_differ(primes: list[int], residues: list[np.ndarray], rows) -> 
             differ = left != right
         else:
             differ |= left != right
-    return differ
+    if not differ.any():
+        return None
+    at = np.flatnonzero(differ)
+    width = len(lanes.powers)
+    if width == 1:
+        return np.unravel_index(at, differ.shape)
+    # b > 1 only with the single modulus 0, so left and right hold its lanes.
+    # Lanes come in C order and digits t in increasing order within each, so
+    # the basis elements l = lane * b + t do too.
+    digits = [x.ravel()[at].astype(np.int64)[:, None] // lanes.powers % lanes.base
+              for x in (left, right)]
+    lane, t = np.nonzero(digits[0] != digits[1])
+    cell, q = np.divmod(at[lane], count)
+    return (*np.unravel_index(cell, differ.shape[:3]), q * width + t)
 
 
 def _generating_set(ring: FusionRing) -> list[int]:

@@ -27,9 +27,6 @@ PACKAGE = ROOT / "src" / "fusionring"
 
 #: (file, function, line text) of each line no test reaches, and why
 ALLOWED = {
-    ("classify.py", "find_ising_subring",
-     'raise AssertionError("Ising detectors disagree on a supposedly valid ring")'):
-        "an internal invariant: the three Ising detectors are proved to agree",
     ("numerics.py", "fp_dimensions", 'raise ConvergenceError("power iteration did not converge")'):
         "an internal invariant: the iteration stops at the rounding floor well inside its cap",
 }

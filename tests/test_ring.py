@@ -220,6 +220,22 @@ def associativity_reference(ring):
     return [tuple(int(x) for x in idx) for idx in np.argwhere(left != right)]
 
 
+@pytest.mark.parametrize("n,at", [
+    # S = M = 2, so beta = 5. At (0,0,1) the left side has the counts (4, 0)
+    # and the right side (0, 1); in base S*M = 4 both lanes would read 4.
+    ([[[0, 2], [0, 1]], [[1, 0], [2, 0]]], (0, 0, 1)),
+    # beta = 16386 * 8193 + 1 = 134250499, so b = 1. Lanes of two constituents
+    # would pass 2**53 and round [0, 67125249] and [1, 67125249] at (1,0,0),
+    # that is 67125249 * beta and one more, to one float.
+    ([[[8193, 1], [8193, 8193]], [[0, 8193], [1, 0]]], (1, 0, 0)),
+], ids=["carry", "rounding"])
+def test_associativity_lanes_are_exact(n, at):
+    ring = FusionRing(2, (0, 1), np.array(n, dtype=np.int64))
+    found = [x.at for x in fr.verify_axioms(ring) if x.axiom == AXIOM_ASSOCIATIVITY]
+    assert found == associativity_reference(ring)
+    assert at in {x[:3] for x in found}
+
+
 def perturbed(data, ring, values):
     r = ring.rank
     i, j, k = (data.draw(st.integers(0, r - 1)) for _ in range(3))
@@ -502,15 +518,32 @@ def test_verify_matches_reference_on_corrupted_rings(data):
     assert found == verify_reference(ring)
 
 
-@settings(deadline=None, max_examples=40)
+def lane_bound(k):
+    """The largest b with (b*b + b + 1)**k <= 2**53."""
+    def beta(b):
+        return b * b + b + 1
+
+    b = math.isqrt(round(2 ** (53 / k)))
+    while beta(b) ** k > 2 ** 53:
+        b -= 1
+    while beta(b + 1) ** k <= 2 ** 53:
+        b += 1
+    return b
+
+
+@settings(deadline=None, max_examples=80)
 @given(data=st.data())
 def test_verify_matches_reference_across_the_float_bounds(data):
-    # x*x = 1 + b*x times pointed(G) has max(N) = b, so b picks the tier:
-    # float32 while r*b*b < 2**24, float64 while it is < 2**53, primes above
+    # x*x = 1 + b*x times pointed(G) has M = max(N) = b and S = b + 1, so
+    # beta = b*b + b + 1: lanes of the largest k with beta**k <= 2**53 while
+    # r*b*b < 2**53, residue primes above. b53 straddles that bound, b24 the
+    # bound r*b*b = 2**24, and the lane draws put beta just under and just
+    # over 2**(53/k) for k = 1, 2, 3.
     right = cat.pointed(data.draw(st.sampled_from(["Z2", "Z4", "S3", "D4"])))
     r = 2 * right.rank
     b24, b53 = math.isqrt((2 ** 24 - 1) // r), math.isqrt((2 ** 53 - 1) // r)
-    b = data.draw(st.sampled_from([b24, b24 + 1, b53, b53 + 1, 2 ** 40, 2 ** 62]))
+    lanes = [lane_bound(k) + over for k in (1, 2, 3) for over in (0, 1)]
+    b = data.draw(st.sampled_from([b24, b24 + 1, b53, b53 + 1, 2 ** 40, 2 ** 62, *lanes]))
     ring = cat.deligne_product(x_squared_is_1_plus_bx(b), right)
     assert found_pairs(ring) == []
     if data.draw(st.booleans()):
