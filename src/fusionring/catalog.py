@@ -212,7 +212,8 @@ def _near_group_rings(u: FiniteGroup) -> list[FusionRing]:
     order, which lies in the earliest block holding one, as blocks come in
     loop order. The specs of one block share G and the coset
     U - U0 = U - set(q), and generalized_ty's labels depend on nothing else,
-    so specs of that block whose tensors tie in bytes build identical rings. Only the order of orbits among the returned rings may change, and
+    so specs of that block whose tensors tie in bytes build identical rings.
+    Only the order of orbits among the returned rings may change, and
     enumerate_extensions sorts them by _ring_sort_key, which tells apart any
     two of them. Each generator of Aut(U) or Aut(G) acts as one permutation
     of the spec indices, built once; the walk reads it by index.

@@ -295,9 +295,26 @@ def quotient_group(group: FiniteGroup, kernel) -> tuple[FiniteGroup, tuple[int, 
 
 @per_object_cache
 def _generating_sequence(group: FiniteGroup) -> tuple[int, ...]:
+    """Generators picked greedily, by descending element order, then by index.
+
+    Each element outside the subgroup the picks so far generate is picked,
+    so the picks generate the group. Up to order 8 their number is d(G),
+    the least size of a generating set, whatever the labelling: such a
+    group is cyclic, elementary abelian, or has an element of order |G|/2.
+    A cyclic group is generated by its first pick, of order |G|. In an
+    elementary abelian group every pick doubles the subgroup, so the picks
+    are a basis. Otherwise the first pick generates a subgroup of index 2,
+    and the second, outside it, a subgroup of more than |G|/2 elements,
+    which is the group. Above order 8 the sequence need not be least (6 of
+    the 21 groups of order 16 that central_extensions_by_z2 builds from the
+    catalogued groups get one generator too many); its length only sets
+    the depth of the isomorphism search, not its result, and a search over
+    subsets for a least one costs more than it saves (see the README).
+    """
+    orders = group.element_orders
     gens: list[int] = []
     closed = frozenset({0})
-    for g in range(group.order):
+    for g in sorted(range(group.order), key=lambda a: (-orders[a], a)):
         if g not in closed:
             gens.append(g)
             closed = generated_subgroup(group, gens)
@@ -410,7 +427,12 @@ def are_isomorphic(g1: FiniteGroup, g2: FiniteGroup) -> bool:
 
 @per_object_cache
 def identify_group(group: FiniteGroup) -> str:
-    """A display name for the isomorphism class, best effort for order > 16.
+    """A display name for the isomorphism class, exact only up to order 8.
+
+    Above order 8, only cyclic, abelian and dihedral groups get exact
+    names. Any other group is named grp{m}c{|Z|} by its order and the
+    order of its centre, which non-isomorphic groups can share: Z2xD4 and
+    Z2xQ8 are both grp16c4.
 
     A non-abelian group of order m = 2k > 8 is named D_k, without building
     D_k, exactly when it has an element r of order k and k + [k even]

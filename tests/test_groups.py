@@ -474,6 +474,33 @@ def span(gens, order):
     return seen
 
 
+def least_generating_size(group):
+    """d(group): the size of the smallest subsets that generate the group."""
+    everything = frozenset(range(group.order))
+    return next(k for k in range(group.order + 1)
+                for seed in itertools.combinations(range(group.order), k)
+                if gr.generated_subgroup(group, seed) == everything)
+
+
+@pytest.mark.parametrize("group", [g for m in range(1, 9) for g in gr.groups_of_order(m)],
+                         ids=lambda g: g.name)
+def test_generating_sequence_is_least_up_to_order_8(group):
+    # the catalogued table (a walk in index order gives Q8 three generators
+    # there) and the relabellings seeded name/1 .. name/5
+    for g in [group] + [shuffled(group, s) for s in range(1, 6)]:
+        gens = gr._generating_sequence(g)
+        assert gr.generated_subgroup(g, gens) == frozenset(range(g.order))
+        assert len(gens) == least_generating_size(g)
+
+
+def test_generating_sequence_generates_the_order_16_extensions():
+    # above order 8 the sequence need not be least, only generate
+    exts = [h for g in gr.groups_of_order(8) for h in gr.central_extensions_by_z2(g)]
+    assert len(exts) == 21
+    for h in exts:
+        assert gr.generated_subgroup(h, gr._generating_sequence(h)) == frozenset(range(16))
+
+
 @pytest.mark.parametrize("group,variant", SMALL_TABLES)
 def test_automorphism_generators_span_aut(group, variant):
     g = shuffled(group, variant) if variant else gr.FiniteGroup(group.order, group.table)
@@ -666,7 +693,7 @@ def test_central_extensions_of_z2xd4_cut_failing_prefixes(extend_calls):
     # generator images that does not extend, not try its every completion
     exts = gr.central_extensions_by_z2(gr.product_group(gr.cyclic(2), gr.dihedral(4)))
     assert len(exts) == 17
-    assert len(extend_calls) <= 10_000
+    assert len(extend_calls) <= 6_000
     assert tries_only_prefixes_that_can_fail(extend_calls)
 
 
