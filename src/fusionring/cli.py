@@ -3,15 +3,15 @@
 Commands: verify, analyze, classify, subrings, iso, catalog, enumerate,
 solve-cos. Report-producing commands take --json for machine output; JSON
 reports use sorted keys and floats rounded to 12 significant digits so that
-byte-identical output is reproducible. Exit status: 0 success, 1 domain
-error or failed verdict (axiom violations, refuted claims, not isomorphic),
-2 command-line usage errors.
+byte-identical output is reproducible, and _emit writes them with
+ringfile.json_text, the package's one JSON writer. Exit status: 0 success,
+1 domain error or failed verdict (axiom violations, refuted claims, not
+isomorphic), 2 command-line usage errors.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from functools import cache
@@ -23,7 +23,7 @@ from .classify import classify, verify_claims
 from .numerics import (COS_TARGET, ConvergenceError, _fmt, fp_dimensions, solve_cos_equation,
                        type_signature)
 from .ring import StructuralError, _require_valid, find_isomorphism, verify_axioms
-from .ringfile import RingFormatError, parse_ring, ring_to_document, serialize_ring
+from .ringfile import RingFormatError, json_text, parse_ring, ring_to_document, serialize_ring
 
 
 class CliError(Exception):
@@ -35,7 +35,7 @@ def _yesno(flag: bool) -> str:
 
 
 def _emit(report: dict) -> None:
-    print(json.dumps(report, indent=2, sort_keys=True))
+    print(json_text(report))
 
 
 def _read_text(path: str) -> str:

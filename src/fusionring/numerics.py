@@ -92,7 +92,8 @@ def fp_dimensions(ring: FusionRing) -> FPData:
         raise ConvergenceError("power iteration did not converge")
     vals = tuple(float(d) for d in v[np.minimum(np.arange(ring.rank), ring.dual)])
     total = float(sum(d * d for d in vals))
-    return FPData(vals, total, tuple(recognize(d) for d in vals))
+    tags = {d: recognize(d) for d in set(vals)}  # recognize is a function of the float
+    return FPData(vals, total, tuple(tags[d] for d in vals))
 
 
 #: The (value, tag) candidates of recognize, in preference order.

@@ -242,9 +242,17 @@ def _violations(ring: FusionRing) -> tuple[AxiomViolation, ...]:
            + _listed(AXIOM_UNIT, (n[0] != eye)[None])
            + _listed(AXIOM_UNIT, (n[1:, 0] != eye[1:])[:, None], start=1)
            + _listed(AXIOM_DUALITY, (n[:, :, 0] != eye[d])[:, :, None]))
-    mism = n != n[d].transpose(0, 2, 1)
-    mism |= n != n[:, d, :].transpose(2, 1, 0)
-    out += _listed(AXIOM_FROBENIUS, mism)
+    # Reciprocity: n[i,j,k] = n[i*,k,j] = n[k,j*,i]. Each of the two index maps
+    # is a bijection of [r]^3, so when it keeps every nonzero entry it maps the
+    # support onto itself, and with it the zeros onto zeros: checking the
+    # nonzeros decides the whole tensor. The dense masks only list violations.
+    i, j, k, m = _nonzeros(ring)
+    flat = n.ravel()
+    if not ((flat[(d[i] * r + k) * r + j] == m).all()
+            and (flat[(k * r + d[j]) * r + i] == m).all()):
+        mism = n != n[d].transpose(0, 2, 1)
+        mism |= n != n[:, d, :].transpose(2, 1, 0)
+        out += _listed(AXIOM_FROBENIUS, mism)
 
     # (i*j)*k against i*(j*k) as float64 products on the lanes of
     # _associator_lanes, a block of left factors i at a time so that the
@@ -292,7 +300,7 @@ class _Lanes:
 
     moduli: list[int]           # 0 stands for no reduction
     factors: list[np.ndarray]   # n modulo each modulus, as float64
-    packed: list[np.ndarray]    # each factor times W, of shape (r, r, lanes)
+    packed: list[np.ndarray]    # each factor times W, as (i, lane, j): shape (r, lanes, r)
     base: int                   # beta
     powers: np.ndarray          # beta**t for t < b, as int64
 
@@ -332,7 +340,7 @@ def _associator_lanes(n: np.ndarray) -> _Lanes:
     weights = np.zeros((r, -(-r // width)))
     weights[at, at // width] = powers[at % width]
     factors = [(n % p if p else n).astype(np.float64) for p in moduli]
-    packed = [(a.reshape(r * r, r) @ weights).reshape(r, r, -1) for a in factors]
+    packed = [weights.T @ a.transpose(0, 2, 1) for a in factors]
     return _Lanes(moduli, factors, packed, base, powers)
 
 
@@ -343,10 +351,14 @@ def _associators_differ(lanes: _Lanes, rows) -> tuple[np.ndarray, ...] | None:
     lanes show; only differing lanes are decoded into their base-beta digits.
     """
     differ = None
-    for p, a, w in zip(lanes.moduli, lanes.factors, lanes.packed):
-        r, count = w.shape[1:]
-        left = (a[rows] @ w.reshape(r, r * count)).reshape(-1, r, r, count)
-        right = (a.reshape(r * r, r) @ w[rows]).reshape(-1, r, r, count)
+    for p, f, w in zip(lanes.moduli, lanes.factors, lanes.packed):
+        r, count = w.shape[:2]
+        # (i*j)*k one product per i, as (a, j, lane, k); i*(j*k) one product for
+        # the whole block, (i, lane) rows against (j, k) columns, viewed in the
+        # same order. Both keep k innermost, so they compare in long runs.
+        left = (f[rows] @ w.reshape(r, -1)).reshape(-1, r, count, r)
+        right = (w[rows].reshape(-1, r) @ f.reshape(r * r, r).T).reshape(-1, count, r, r)
+        right = right.transpose(0, 2, 1, 3)
         if p:
             np.fmod(left, p, out=left)
             np.fmod(right, p, out=right)
@@ -356,18 +368,20 @@ def _associators_differ(lanes: _Lanes, rows) -> tuple[np.ndarray, ...] | None:
             differ |= left != right
     if not differ.any():
         return None
-    at = np.flatnonzero(differ)
+    a, j, lane, k = np.unravel_index(np.flatnonzero(differ), differ.shape)
+    if count > 1:  # listed in C order of (a, j, k, lane), not differ's (a, j, lane, k)
+        order = np.sort(((a * r + j) * r + k) * count + lane)
+        a, j, k, lane = np.unravel_index(order, (len(differ), r, r, count))
     width = len(lanes.powers)
     if width == 1:
-        return np.unravel_index(at, differ.shape)
+        return a, j, k, lane
     # b > 1 only with the single modulus 0, so left and right hold its lanes.
-    # Lanes come in C order and digits t in increasing order within each, so
-    # the basis elements l = lane * b + t do too.
-    digits = [x.ravel()[at].astype(np.int64)[:, None] // lanes.powers % lanes.base
+    # Digits t come in increasing order within each lane, so the basis
+    # elements l = lane * b + t do too.
+    digits = [x[a, j, lane, k].astype(np.int64)[:, None] // lanes.powers % lanes.base
               for x in (left, right)]
-    lane, t = np.nonzero(digits[0] != digits[1])
-    cell, q = np.divmod(at[lane], count)
-    return (*np.unravel_index(cell, differ.shape[:3]), q * width + t)
+    hit, t = np.nonzero(digits[0] != digits[1])
+    return a[hit], j[hit], k[hit], lane[hit] * width + t
 
 
 def _generating_set(ring: FusionRing) -> list[int]:
@@ -429,7 +443,9 @@ def _residue_primes(r: int, bound: int) -> list[int]:
 @per_object_cache
 def _nonzeros(ring: FusionRing) -> tuple[np.ndarray, ...]:
     """Arrays i, j, k and n[i,j,k] over the nonzero entries in C order; do not mutate."""
-    flat = np.flatnonzero(ring.n)  # flat indices, as in _listed
+    # flat indices, as in _listed, of a bool mask: numpy finds the nonzeros of
+    # an int64 array several times slower
+    flat = np.flatnonzero(ring.n != 0)
     return (*np.unravel_index(flat, ring.n.shape), ring.n.ravel()[flat])
 
 

@@ -23,12 +23,18 @@ size rank**3 is built for a rank the text cannot fill. Any other text,
 among them every file with an entry of 10 or more, takes json.loads and
 _walk_table, which give every error message. Both paths give the same ring
 for every text the scanner accepts.
+
+json_text is the one JSON writer: serialize_ring and the CLI's reports go
+through it. Its text is json.dumps(value, indent=2, sort_keys=True), byte
+for byte, without json's pure-Python indenting encoder.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import re
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
 import numpy as np
@@ -200,4 +206,58 @@ def ring_to_document(ring: FusionRing) -> dict:
 
 
 def serialize_ring(ring: FusionRing) -> str:
-    return json.dumps(ring_to_document(ring), indent=2, sort_keys=True) + "\n"
+    return json_text(ring_to_document(ring)) + "\n"
+
+
+def json_text(value: Any) -> str:
+    """json.dumps(value, indent=2, sort_keys=True), byte for byte: the one JSON writer.
+
+    value is built from dicts with str keys, lists, tuples, str, int, float,
+    bool and None; anything else raises TypeError, as json does. json writes
+    an indented text with its pure-Python encoder, one generator step per
+    token; here each container is one str.join and a list of ints one join
+    over int.__repr__.
+    """
+    return _json_text(value, "\n")
+
+
+_INT = {int}
+
+
+def _json_text(value: Any, newline: str) -> str:
+    """value's text, each line it adds opened by newline: a line break and the indent."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value == math.inf:
+            return "Infinity"
+        if value == -math.inf:
+            return "-Infinity"
+        return float.__repr__(value)
+    inner = newline + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if {*map(type, value)} == _INT:  # exact ints only: a bool would print as 1
+            items = map(int.__repr__, value)
+        else:
+            items = [_json_text(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        # encode_basestring_ascii raises TypeError on a key that is not a str
+        return "{" + inner + ("," + inner).join([
+            encode_basestring_ascii(key) + ": " + _json_text(item, inner)
+            for key, item in sorted(value.items())]) + newline + "}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")

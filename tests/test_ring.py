@@ -303,6 +303,51 @@ def reciprocity_orbit(ring, i, j, k):
     return orbit
 
 
+def reciprocity_mask_reference(ring):
+    """(i, j, k) off reciprocity by the two dense r**3 masks, in C order."""
+    n, d = ring.n, np.array(ring.dual)
+    mism = (n != n[d].transpose(0, 2, 1)) | (n != n[:, d, :].transpose(2, 1, 0))
+    return [tuple(at) for at in np.argwhere(mism).tolist()]
+
+
+@settings(deadline=None, max_examples=60)
+@given(data=st.data(), involutive=st.booleans(), at_zero=st.booleans())
+def test_one_reciprocity_defect_is_listed_as_the_dense_masks_list_it(data, involutive, at_zero):
+    """One entry changed on a tensor with reciprocity, at a zero or a nonzero.
+
+    verify_axioms decides reciprocity on the nonzero entries alone, which is
+    sound only because both index maps are bijections; a defect at a zero,
+    or under a dual that is no involution, must be listed all the same.
+    """
+    r = data.draw(st.integers(2 if involutive else 3, 5))
+    perm = data.draw(st.permutations(range(r)))
+    if involutive:
+        dual = list(range(r))
+        for a, b in zip(perm[::2], perm[1::2]):
+            if data.draw(st.booleans()):
+                dual[a], dual[b] = b, a
+    else:
+        dual = perm
+        assume(any(dual[dual[x]] != x for x in range(r)))
+    ring = FusionRing(r, tuple(dual), np.zeros((r, r, r), dtype=np.int64))
+    n, done = writable(ring), set()
+    for at in itertools.product(range(r), repeat=3):
+        if at not in done:  # one value per reciprocity orbit, 0 for most
+            orbit = reciprocity_orbit(ring, *at)
+            n[tuple(zip(*orbit))] = data.draw(st.sampled_from([0, 0, 0, 1, 2]))
+            done |= orbit
+    assert reciprocity_mask_reference(FusionRing(r, ring.dual, n.copy())) == []
+    spots = [tuple(x) for x in np.argwhere((n == 0) if at_zero else (n != 0)).tolist()]
+    assume(spots)
+    at = data.draw(st.sampled_from(spots))
+    n[at] = data.draw(st.sampled_from([v for v in range(4) if v != n[at]]))
+    broken = FusionRing(r, ring.dual, n)
+    expected = reciprocity_mask_reference(broken)
+    assume(expected)  # an orbit of one position ties n[at] to nothing else
+    assert [x.at for x in fr.verify_axioms(broken) if x.axiom == AXIOM_FROBENIUS] == expected
+    assert expected == reciprocity_reference(broken)
+
+
 def orbit_perturbed(data, ring, change):
     """ring with change(entry) applied to one whole reciprocity orbit off the unit.
 

@@ -1,5 +1,6 @@
 import contextlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,13 +8,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fusionring as fr
 from fusionring import catalog as cat
 from fusionring import ringfile
-from fusionring.ringfile import (RingFormatError, parse_ring, ring_from_document,
+from fusionring.ringfile import (RingFormatError, json_text, parse_ring, ring_from_document,
                                  ring_to_document, serialize_ring)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -49,6 +50,39 @@ def test_labels_omitted_when_absent():
     ring = fr.FusionRing(1, (0,), np.ones((1, 1, 1), dtype=np.int64))
     assert "labels" not in ring_to_document(ring)
     assert parse_ring(serialize_ring(ring)).labels is None
+
+
+# Characters json escapes or writes as \uXXXX: quotes, backslashes, control
+# characters, U+2028, non-ASCII in and beyond the basic plane.
+SPECIAL_CHARS = ['"', "\\", "\x00", "\x1f", "\n", "\t", "\x7f", "\u2028", "é", "雪", "\U0001f600"]
+JSON_TEXT = st.text(st.sampled_from(SPECIAL_CHARS) | st.characters(), max_size=6)
+JSON_SCALARS = (st.none() | st.booleans() | JSON_TEXT
+                | st.sampled_from([0, 2 ** 63, -2 ** 63, 2 ** 70, -2 ** 70]) | st.integers()
+                | st.sampled_from([-0.0, 1e-320, 1e300, math.nan, math.inf, -math.inf])
+                | st.floats())
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda children: (st.lists(children, max_size=4) | st.lists(children, max_size=4).map(tuple)
+                      | st.dictionaries(JSON_TEXT, children, max_size=4)
+                      | st.lists(st.integers() | st.booleans(), max_size=5)),
+    max_leaves=30)
+
+
+@settings(deadline=None, max_examples=300)
+@example([[], (), {}, [[]], [()], {"": {}}, {"a": [[[]]]}])
+@example([1, True, 0, False, -1])
+@given(value=JSON_VALUES)
+def test_json_text_is_json_dumps(value):
+    assert json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("value", [np.int64(1), {1, 2}, [{"a": np.int64(1)}], ({1},)],
+                         ids=["int64", "set", "nested-int64", "nested-set"])
+def test_json_text_refuses_what_json_refuses(value):
+    with pytest.raises(TypeError):
+        json.dumps(value, indent=2, sort_keys=True)
+    with pytest.raises(TypeError, match="is not JSON serializable"):
+        json_text(value)
 
 
 def test_parse_rejects_bad_json_with_location():
