@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 
 from . import catalog, groups as gr, structure as st
 from .numerics import TypeSignature, type_signature
-from .ring import (FusionRing, Subring, _require_valid, closure, find_isomorphism,
-                   per_object_cache, product_support)
+from .ring import (FusionRing, Subring, _require_valid, carry_invariants, closure,
+                   find_isomorphism, per_object_cache, product_support)
 
 FLAG_ORDER = ("pointed", "yang-lee", "ising", "generalized-ty",
               "yl-extension", "rank2-pointed-extension")
@@ -92,9 +92,48 @@ def _has_dim_sqrt2(ring: FusionRing, x: int) -> bool:
     return sum(product.values()) == 2 and all(ring.invertible[k] for k in product)
 
 
+def _onto_yl_target(ring: FusionRing, target: FusionRing,
+                    names: list[int]) -> tuple[int, ...] | None:
+    """find_isomorphism(ring, target), target carrying ring's invariants along psi.
+
+    psi(x) = names[component of x] + |H|·[x not invertible], for the
+    preconditions and targets of classify, whose docstring proves psi an
+    isomorphism. The search still finds the least map, which need not be psi.
+    """
+    component_of, half = st.universal_grading(ring).component_of, ring.rank // 2
+    carry_invariants(ring, target, [names[component_of[x]] + half * (not ring.invertible[x])
+                                    for x in range(ring.rank)])
+    return find_isomorphism(ring, target)
+
+
 @per_object_cache
 def classify(ring: FusionRing) -> Classification:
-    """Family membership flags plus supporting evidence; StructuralError on an invalid ring."""
+    """Family membership flags plus supporting evidence; StructuralError on an invalid ring.
+
+    The yl-extension flag and its claims need 2|H| = rank, H the group of
+    invertibles, and an adjoint subring {1, Y} with Y·Y = 1 + Y and Y* = Y.
+    These force the ring to be yang_lee ⊠ pointed(H), by explicit maps:
+    - For g in H, Y·g is one basis element, not invertible, as Y = (Y·g)·g*.
+      Y·g = Y·h gives Y·k = Y for k = h·g*, so n[Y,k,Y] = n[Y,Y,k] = 1 by
+      reciprocity and k = 1. So the basis is H and the |H| elements Y·g.
+    - The component of g, the walk from g over products with {1, Y}, is
+      {g, Y·g}, as Y·(Y·g) = g + Y·g: each component holds one invertible.
+    - Y is central: g·Y·g* is one non-invertible basis element in the
+      component of deg(g)·deg(g)^-1, the trivial one {1, Y}, so it is Y.
+    - So g·h is the group product, g·(Y·h) = (Y·g)·h = Y·gh,
+      (Y·g)·(Y·h) = gh + Y·gh and (Y·g)* = Y·g*: the rules of
+      yang_lee ⊠ pointed(H), where 1⊠a sits at a and Y⊠a at |H| + a.
+      psi2 maps each x in the component of emb[a] to a + |H|·[x not
+      invertible], an isomorphism onto it (emb lists H in the ring).
+    - The grading is multiplicative and each component holds one
+      invertible, so g -> component_of[g] is an isomorphism from H onto the
+      universal grading group Γ, and psi1(x) = component_of[x] +
+      |H|·[x not invertible] is one onto yl_extension(Γ).
+    So under the preconditions the search for canonical_map cannot fail,
+    and the flag is decided by them on the valid ring. Each target gets the
+    ring's colour classes and square profiles along its psi
+    (_onto_yl_target), instead of computing them.
+    """
     _require_valid(ring)
     sig = type_signature(ring)
     group = st.invertibles(ring)[0]
@@ -118,7 +157,8 @@ def classify(ring: FusionRing) -> Classification:
     if (2 * group.order == ring.rank
             and adjoint.rank == 2
             and _is_yang_lee_pair(ring, adjoint.members[0], adjoint.members[1])):
-        canonical_map = find_isomorphism(ring, catalog.yl_extension(grading.group))
+        canonical_map = _onto_yl_target(ring, catalog.yl_extension(grading.group),
+                                        list(range(group.order)))
         yl_ext = canonical_map is not None
 
     evidence: dict = {
@@ -281,9 +321,13 @@ def _claim_ylext_commutative(ring):
 
 
 def _claim_ylext_splits(ring):
-    group = st.invertibles(ring)[0]
+    group, emb = st.invertibles(ring)
+    component_of = st.universal_grading(ring).component_of
+    names = [0] * group.order  # the component of emb[a] -> a
+    for a, g in enumerate(emb):
+        names[component_of[g]] = a
     target = catalog.deligne_product(catalog.yang_lee(), catalog.pointed(group))
-    perm = find_isomorphism(ring, target)
+    perm = _onto_yl_target(ring, target, names)
     return perm is not None, {"map": list(perm) if perm else None}
 
 

@@ -49,6 +49,11 @@ def _checked_int(x, what: str, error: type[ValueError] = StructuralError) -> int
     return int(x)
 
 
+def _cache_key(fn: Callable) -> str:
+    """The key of fn's values in obj.__dict__; a per_object_cache wrapper has fn's."""
+    return f"{fn.__module__}.{fn.__qualname__}"
+
+
 def per_object_cache(fn: Callable[[Any], _T]) -> Callable[[Any], _T]:
     """Cache fn(obj) in obj.__dict__, the storage cached_property uses.
 
@@ -56,7 +61,7 @@ def per_object_cache(fn: Callable[[Any], _T]) -> Callable[[Any], _T]:
     nothing global holds on to the object. Every caller gets the same
     result object, so callers must not mutate it.
     """
-    key = f"{fn.__module__}.{fn.__qualname__}"
+    key = _cache_key(fn)
 
     @wraps(fn)
     def cached(obj):
@@ -66,6 +71,31 @@ def per_object_cache(fn: Callable[[Any], _T]) -> Callable[[Any], _T]:
         return store[key]
 
     return cached
+
+
+def carry_invariants(r1: FusionRing, r2: FusionRing, sigma: Sequence[int]) -> bool:
+    """Give r2 the colour classes and square profiles of r1, moved along sigma.
+
+    sigma must be a permutation of range(r1.rank), and r2 of that rank.
+    When sigma is an isomorphism r1 -> r2 (_maps_tensor) that commutes with
+    the duals, the values go into r2's per_object_cache store, where
+    colour_classes(r2) and square_profiles(r2) then find them, and the
+    result is True. Otherwise r2 is left untouched and the result is False.
+    The stored values are exactly those r2 would compute: every step of
+    both functions reads only the tensor, the duals and invertibility, and
+    hashes int tuples built from them, colours and class indices included,
+    and sigma carries each of these over; so the colour of sigma(i) in r2
+    is that of i in r1, its value and not only its class.
+    """
+    if not (_maps_tensor(r1, r2, sigma)
+            and all(sigma[d] == r2.dual[p] for d, p in zip(r1.dual, sigma))):
+        return False
+    for fn in (colour_classes, square_profiles):
+        moved = [0] * r1.rank
+        for p, value in zip(sigma, fn(r1)):
+            moved[p] = value
+        r2.__dict__[_cache_key(fn)] = tuple(moved)
+    return True
 
 
 @dataclass(frozen=True, eq=False)
@@ -449,6 +479,20 @@ def _nonzeros(ring: FusionRing) -> tuple[np.ndarray, ...]:
     return (*np.unravel_index(flat, ring.n.shape), ring.n.ravel()[flat])
 
 
+def _maps_tensor(r1: FusionRing, r2: FusionRing, sigma: Sequence[int]) -> bool:
+    """Whether n1[i,j,k] = n2[s(i),s(j),s(k)] everywhere, s = sigma a permutation of the basis.
+
+    Read at the nonzeros of n1 only, with one np.array_equal. s x s x s
+    permutes [r]^3, so when it keeps every nonzero entry it maps the support
+    of n1 into that of n2, and with as many nonzeros in n2, onto it; then
+    the zeros of n1 go to zeros too. The ranks must be equal.
+    """
+    i, j, k, m = _nonzeros(r1)
+    s, r = np.asarray(sigma), r1.rank
+    return (len(m) == len(_nonzeros(r2)[3])
+            and np.array_equal(r2.n.ravel()[(s[i] * r + s[j]) * r + s[k]], m))
+
+
 @per_object_cache
 def product_support(ring: FusionRing) -> tuple[tuple[dict[int, int], ...], ...]:
     """The sparse product table: support[i][j] = {k: n[i,j,k]} over n[i,j,k] > 0.
@@ -633,6 +677,7 @@ def colour_classes(ring: FusionRing) -> tuple[int, ...]:
     # int64 sums could wrap past 2**63, so the counts are Python ints.
     exact = r * r * int(values.max(initial=0)) < 2 ** 53
     weights = v if exact else v.astype(object)
+    duals, at = np.array(dual), np.arange(r)
     while True:
         index = {c: t for t, c in enumerate(sorted(set(colours)))}
         size = len(index)
@@ -645,13 +690,23 @@ def colour_classes(ring: FusionRing) -> tuple[int, ...]:
         else:
             counts = np.zeros(3 * r * size * size, dtype=object)
             np.add.at(counts, key, weights)
-        counts = counts.reshape(3 * r, -1).tolist()
-        refined = [hash((colours[e], colours[dual[e]],
-                         tuple(counts[e]), tuple(counts[r + e]), tuple(counts[2 * r + e])))
-                   for e in range(r)]
-        if len(set(refined)) <= size:
-            return tuple(colours)
-        colours = refined
+        counts = counts.reshape(3, r, -1)
+        # The refinement ends on a round whose hashes take no more values
+        # than there are classes. When every element's three count rows and
+        # dual class are those of one member of its class, they take one
+        # value per class, or fewer on a collision: that needs no hashes.
+        member = np.empty(size, dtype=np.intp)
+        member[cls] = at  # with repeated classes, one of their members
+        lead, dual_cls = member[cls], cls[duals]
+        if not ((counts == counts[:, lead]).all() and (dual_cls == dual_cls[lead]).all()):
+            counts = counts.reshape(3 * r, -1).tolist()
+            refined = [hash((colours[e], colours[dual[e]],
+                             tuple(counts[e]), tuple(counts[r + e]), tuple(counts[2 * r + e])))
+                       for e in range(r)]
+            if len(set(refined)) > size:
+                colours = refined
+                continue
+        return tuple(colours)
 
 
 @per_object_cache
@@ -702,8 +757,8 @@ def find_isomorphism(r1: FusionRing, r2: FusionRing) -> tuple[int, ...] | None:
     images on backtrack. No float is read: every decision is on integer
     structure. On two rings with Frobenius reciprocity and an involutive
     dual, every complete map is an isomorphism (proof at the final
-    comparison); on other tensors that comparison is what rejects the maps
-    that are not.
+    comparison, _maps_tensor on the nonzeros of r1); on other tensors that
+    comparison is what rejects the maps that are not.
     """
     if r1.rank != r2.rank:
         return None
@@ -714,7 +769,10 @@ def find_isomorphism(r1: FusionRing, r2: FusionRing) -> tuple[int, ...] | None:
     q1, q2 = square_profiles(r1), square_profiles(r2)
     if sorted(q1) != sorted(q2):
         return None
-    cands = [[p for p in range(rank) if c2[p] == c1[i]] for i in range(rank)]
+    of_colour: dict[int, list[int]] = {}
+    for p in range(rank):
+        of_colour.setdefault(c2[p], []).append(p)
+    cands = [of_colour[c] for c in c1]
     s1, s2 = product_support(r1), product_support(r2)
     sigma, inverse = [-1] * rank, [-1] * rank
     trail: list[int] = []  # assigned elements, in assignment order
@@ -802,8 +860,7 @@ def find_isomorphism(r1: FusionRing, r2: FusionRing) -> tuple[int, ...] | None:
         # tensors the comparison is the only guard
         # (test_iso_final_comparison_guards_rings_without_reciprocity).
         if len(trail) == rank:
-            perm = np.array(sigma)
-            return np.array_equal(r1.n, r2.n[np.ix_(perm, perm, perm)])
+            return _maps_tensor(r1, r2, sigma)
         i = order[depth]
         if sigma[i] >= 0:
             return search(depth + 1)

@@ -14,8 +14,9 @@ from fusionring import catalog as cat
 from fusionring import groups as gr
 from fusionring import structure
 from fusionring.classify import _has_dim_sqrt2, find_ising_subring_unchecked
-from fusionring.ring import FusionRing
-from oracles import relabelled
+from fusionring.ring import (FusionRing, _cache_key, carry_invariants, colour_classes,
+                             square_profiles)
+from oracles import relabelled, unit_fixing_shuffle
 
 classify_module = importlib.import_module("fusionring.classify")
 
@@ -247,6 +248,55 @@ def test_classify_and_claims_search_once(monkeypatch, build, searches):
     fr.classify(ring)
     assert all(rep.status != "refuted" for rep in fr.verify_claims(ring))
     assert len(calls) == searches
+
+
+# the yl-extension rings of the benchmark's cli-corpus
+CORPUS_YL_RINGS = [cat.yang_lee()] + [
+    cat.yl_extension(g) for g in [g for m in range(1, 9) for g in gr.groups_of_order(m)]
+    + [gr.product_of_cyclics([4, 4]), gr.product_group(gr.cyclic(2), gr.dihedral(4)),
+       gr.dihedral(8)]] + [cat.deligne_product(cat.yl_extension("S3"), cat.pointed("Z4"))]
+CARRIED = (colour_classes, square_profiles)
+
+
+def test_targets_carry_the_invariants_they_would_compute(monkeypatch):
+    # Both searches of classify and its claims find the target's colour
+    # classes and square profiles stored, equal to those of a fresh copy.
+    stores = []
+
+    def searching(r1, r2):
+        stores.append((r2, dict(r2.__dict__)))
+        return fr.find_isomorphism(r1, r2)
+
+    monkeypatch.setattr(classify_module, "find_isomorphism", searching)
+    for index, ring in enumerate(CORPUS_YL_RINGS):
+        for other in [ring] + [relabelled(ring, unit_fixing_shuffle(ring.rank, f"{index}/{s}"))
+                               for s in range(2)]:
+            stores.clear()
+            assert fr.classify(other).yl_extension
+            assert all(rep.status != "refuted" for rep in fr.verify_claims(other))
+            assert len(stores) == 2
+            for target, store in stores:
+                fresh = FusionRing(target.rank, target.dual, target.n)
+                assert all(store[_cache_key(fn)] == fn(fresh) for fn in CARRIED)
+
+
+def test_a_wrong_map_carries_nothing():
+    for ring in CORPUS_YL_RINGS[2:]:  # past the two of rank 2
+        target = cat.yl_extension(fr.universal_grading(ring).group)
+        right = fr.classify(ring).evidence["canonical_map"]
+        # the images of a non-unit invertible and a non-invertible swapped
+        x = ring.invertible.index(True, 1)
+        y = ring.invertible.index(False)
+        wrong = list(right)
+        wrong[x], wrong[y] = right[y], right[x]
+        assert not carry_invariants(ring, target, wrong)
+        assert not any(_cache_key(fn) in target.__dict__ for fn in CARRIED)
+        assert carry_invariants(ring, target, right)
+    # the identity on the tensor of pointed(Z3) with every element self-dual
+    # maps it onto pointed(Z3), but does not commute with the duals
+    target = cat.pointed("Z3")
+    assert not carry_invariants(FusionRing(3, (0, 1, 2), target.n), target, [0, 1, 2])
+    assert not any(_cache_key(fn) in target.__dict__ for fn in CARRIED)
 
 
 RELABEL_RINGS = [cat.ising(), cat.yl_extension("S3"), cat.yl_extension("Z2xZ2"),

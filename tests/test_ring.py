@@ -10,7 +10,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import fusionring as fr
@@ -25,6 +25,7 @@ from fusionring.ring import (
     FusionRing,
     StructuralError,
     _generating_set,
+    _maps_tensor,
     _orbits,
     _residue_primes,
     colour_classes,
@@ -950,6 +951,37 @@ def test_iso_final_comparison_guards_rings_without_reciprocity(monkeypatch):
         assert compared and not any(compared)
 
 
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_tensor_check_at_the_nonzeros_matches_the_dense_comparison(data):
+    # on arbitrary tensors: r2 the image of r1 under sigma, that image with
+    # one entry changed or one nonzero added, or the image under another map
+    r = data.draw(st.integers(1, 5))
+    dual = [0] + data.draw(st.permutations(list(range(1, r))))
+    n = np.array(data.draw(st.lists(st.sampled_from([0, 0, 0, 1, 2]), min_size=r ** 3,
+                                    max_size=r ** 3)), dtype=np.int64).reshape(r, r, r)
+    r1 = FusionRing(r, tuple(dual), n)
+    sigma = [0] + data.draw(st.permutations(list(range(1, r))))
+    other = data.draw(st.sampled_from(["image", "changed", "added", "another map"]))
+    if other == "another map":
+        r2 = relabelled(r1, [0] + data.draw(st.permutations(list(range(1, r)))))
+    else:
+        r2 = relabelled(r1, sigma)
+    if other in ("changed", "added"):
+        zeros = np.argwhere(r2.n == 0) if other == "added" else np.argwhere(r2.n >= 0)
+        assume(len(zeros))
+        at = tuple(zeros[data.draw(st.integers(0, len(zeros) - 1))])
+        n2 = r2.n.copy()
+        n2[at] = (n2[at] + 1) % 3
+        r2 = FusionRing(r, r2.dual, n2)
+    s = np.array(sigma)
+    dense = np.array_equal(r1.n, r2.n[np.ix_(s, s, s)])
+    assert _maps_tensor(r1, r2, sigma) == dense
+    if other == "added":  # only the count of nonzeros tells: each nonzero of r1 maps onto its value
+        i, j, k = np.nonzero(r1.n)
+        assert not dense and np.array_equal(r2.n[s[i], s[j], s[k]], r1.n[i, j, k])
+
+
 @pytest.fixture(scope="module")
 def enumerated_le8():
     return [r for m in range(1, 9) for g in gr.groups_of_order(m)
@@ -1170,6 +1202,45 @@ def test_colour_values_are_exact_counts_at_the_float_bound(data):
         p = [s[x] for x in p]
     ring = FusionRing(r, tuple(range(r)), n)
     assert (r * r * int(n.max()) >= 2 ** 53) == above
+    assert colour_classes(ring) == exact_colours(ring)
+
+
+def one_dual_split():
+    """Rank 4, duals 1 -> 2 -> 3 -> 1, and n[3,3,3] = 1 its only nonzero.
+
+    1 and 2 share their seed colour and every count; only the classes of
+    their duals, 2 and 3, tell them apart.
+    """
+    n = np.zeros((4, 4, 4), dtype=np.int64)
+    n[3, 3, 3] = 1
+    return FusionRing(4, (0, 2, 3, 1), n)
+
+
+@st.composite
+def rings_with_non_involutive_duals(draw):
+    """A sparse tensor of rank 3-7, symmetric under a permutation s fixing 0, and duals with x** != x.
+
+    The entrywise maximum over the powers of s keeps s as a symmetry, so the
+    colour classes are not all singletons, while the duals need not commute
+    with s: elements of one class can have duals in different classes.
+    """
+    r = draw(st.integers(3, 7))
+    dual = [0] + draw(st.permutations(list(range(1, r))))
+    assume(any(dual[dual[x]] != x for x in range(r)))
+    s = [0] + draw(st.permutations(list(range(1, r))))
+    base = np.array(draw(st.lists(st.sampled_from([0] * 6 + [1, 2]), min_size=r ** 3,
+                                  max_size=r ** 3)), dtype=np.int64).reshape(r, r, r)
+    n, p = base.copy(), s
+    while p != list(range(r)):
+        n[np.ix_(p, p, p)] = np.maximum(n[np.ix_(p, p, p)], base)
+        p = [s[x] for x in p]
+    return FusionRing(r, tuple(dual), n)
+
+
+@settings(deadline=None, max_examples=60)
+@given(ring=rings_with_non_involutive_duals())
+@example(ring=one_dual_split())
+def test_colour_values_are_exact_counts_with_non_involutive_duals(ring):
     assert colour_classes(ring) == exact_colours(ring)
 
 
