@@ -55,13 +55,16 @@ def _load_ring(path: str):
         raise CliError(f"{path}: {exc}") from None
 
 
-def _load_valid_ring(path: str):
-    ring = _load_ring(path)
+def _gated(ring, path: str):
     try:
         _require_valid(ring)
     except StructuralError as exc:
         raise CliError(f"{path}: {exc}") from None
     return ring
+
+
+def _load_valid_ring(path: str):
+    return _gated(_load_ring(path), path)
 
 
 # ----------------------------------------------------------------- commands
@@ -198,8 +201,14 @@ def _cmd_subrings(args) -> int:
 
 def _cmd_iso(args) -> int:
     first = _load_valid_ring(args.ringfile)
-    second = _load_valid_ring(args.other)
+    second = _load_ring(args.other)
     perm = find_isomorphism(first, second)
+    # A found map s fixes the unit, commutes with the duals (each search step
+    # assigns a dual pair) and passes _maps_tensor: second is first moved by
+    # s, entry for entry, so it passes every axiom first passed. Only without
+    # a map can second be invalid, and then the gate gives its error line.
+    if perm is None:
+        _gated(second, args.other)
     if args.json:
         _emit({
             "report": "iso",

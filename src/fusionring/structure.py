@@ -184,11 +184,22 @@ def even_rank_pairing(ring: FusionRing, delta: int) -> PairingReport:
 
 
 def faithful_simples(ring: FusionRing) -> tuple[tuple[int, ...], bool]:
-    """Indices whose closure is the whole ring, and whether the grading is cyclic."""
+    """Indices whose closure is the whole ring, and whether the grading is cyclic.
+
+    Only an i whose degree g (its universal grading component) has order |G|
+    is walked. The closure of i is made of constituents of words in i and
+    i*; the grading is multiplicative and i* has degree g^-1, so each lies
+    in a component of <g>. When <g> is not all of G, some component is
+    missed and i is not faithful (Gelaki & Nikshych, Nilpotent fusion
+    categories, 2008).
+    """
+    grading = universal_grading(ring)
+    group, orders = grading.group, grading.group.element_orders
     whole = tuple(range(ring.rank))
     faithful = tuple(i for i in range(ring.rank)
-                     if closure(ring, (i,)).members == whole)
-    return faithful, universal_grading(ring).group.is_cyclic()
+                     if orders[grading.component_of[i]] == group.order
+                     and closure(ring, (i,)).members == whole)
+    return faithful, group.is_cyclic()
 
 
 def nilpotency(ring: FusionRing) -> int | None:

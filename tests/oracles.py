@@ -4,8 +4,10 @@ Plain functions and data, no fixtures: every test module imports what it
 needs from here.
 """
 
+import importlib.util
 import json
 import random
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -42,6 +44,16 @@ def relabelled_group(group, p):
         for b in range(m):
             table[p[a]][p[b]] = p[group.table[a][b]]
     return FiniteGroup(m, tuple(tuple(row) for row in table))
+
+
+def load_bench_workloads():
+    """The benchmark's bench/workloads.py, imported from the checkout."""
+    path = HERE.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module   # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
 
 
 #: (argv, file under tests/golden/) of each CLI run whose output is frozen

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import importlib
 import json
@@ -14,6 +15,7 @@ import pytest
 import fusionring as fr
 from fusionring import catalog as cat
 from fusionring import cli as cli_module
+from fusionring import ring as rg
 from fusionring.cli import run
 from fusionring.ringfile import parse_ring, ring_from_document, serialize_ring
 from oracles import GOLDEN_CASES, check_schema, relabelled, unit_fixing_shuffle
@@ -186,6 +188,48 @@ def test_iso_negative(capsys):
     assert code == 1
     check_schema(out)
     assert json.loads(out) == {"report": "iso", "isomorphic": False, "map": None}
+
+
+def test_iso_gates_the_second_ring_when_no_map_exists(capsys, tmp_path):
+    # The 2x2-switched ring of test_iso_final_comparison_guards_rings_without_reciprocity
+    # has the colour and square multisets of the ring it came from, but no
+    # reciprocity: the search runs to its final comparisons, finds no map,
+    # and the gate then names the second file with its own error line.
+    ring = cat.enumerate_extensions("pointed-z2", "Z2xZ2xZ2")[2]
+    n = ring.n.copy()
+    n[9, 11, 6], n[9, 11, 4], n[9, 8, 6], n[9, 8, 4] = 1, 0, 0, 1
+    switched = fr.FusionRing(12, ring.dual, n)
+    violations = fr.verify_axioms(switched)
+    head = "; ".join(str(v) for v in violations[:3])
+    first, second = tmp_path / "ring.json", tmp_path / "switched.json"
+    first.write_text(serialize_ring(ring))
+    second.write_text(serialize_ring(switched))
+    for extra in ((), ("--json",)):
+        code, out, err = cli(capsys, "iso", first, second, *extra)
+        assert (code, out) == (1, "")
+        assert err == (f"error: {second}: not a fusion ring "
+                       f"({len(violations)} axiom violation(s): {head})\n")
+
+
+def test_iso_computes_the_second_gate_only_without_a_map(capsys, monkeypatch, tmp_path):
+    computed = []
+    raw = rg._violations.__wrapped__
+
+    @rg.per_object_cache
+    @functools.wraps(raw)
+    def counted(ring):
+        computed.append(ring.rank)
+        return raw(ring)
+
+    monkeypatch.setattr(rg, "_violations", counted)
+    ring = cat.yl_extension("Z3")
+    paths = {name: tmp_path / f"{name}.json" for name in ("relabelled", "pointed")}
+    paths["relabelled"].write_text(serialize_ring(relabelled(ring, unit_fixing_shuffle(6, "iso"))))
+    paths["pointed"].write_text(serialize_ring(cat.pointed("Z6")))
+    for name, code, gates in (("relabelled", 0, 1), ("pointed", 1, 2)):
+        computed.clear()
+        assert cli(capsys, "iso", DATA / "ylext_z3.json", paths[name])[0] == code
+        assert computed == [6] * gates, name
 
 
 # ----------------------------------------------------------------- subrings

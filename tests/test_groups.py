@@ -1,7 +1,4 @@
-import importlib.util
 import itertools
-import pathlib
-import sys
 
 import numpy as np
 import pytest
@@ -12,7 +9,7 @@ from fusionring import catalog as cat
 from fusionring import groups as gr
 from fusionring.numerics import solve_cos_equation
 from fusionring.ring import FusionRing, verify_axioms
-from oracles import relabelled_group, unit_fixing_shuffle
+from oracles import load_bench_workloads, relabelled_group, unit_fixing_shuffle
 
 
 def dihedral_rule_groups():
@@ -43,15 +40,6 @@ def test_identify_group_names_dihedral_groups_as_the_isomorphism_search_does():
         # the reference: a search for an isomorphism onto a built D_k
         k = group.order // 2
         assert (name == f"D{k}") == gr.are_isomorphic(group, gr.dihedral(k))
-
-
-def load_bench_workloads():
-    path = pathlib.Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module   # dataclasses look their module up there
-    spec.loader.exec_module(module)
-    return module
 
 
 def test_identify_group_builds_no_group_over_the_cli_corpus(monkeypatch, tmp_path):

@@ -14,7 +14,7 @@ from fusionring import ring as rg
 from fusionring import structure as st
 from fusionring.cli import run
 from fusionring.ringfile import parse_ring, serialize_ring
-from oracles import relabelled, unit_fixing_shuffle
+from oracles import load_bench_workloads, relabelled, unit_fixing_shuffle
 
 
 def brute_force_subrings(ring):
@@ -331,6 +331,43 @@ def test_faithful_simples_matches_cyclicity_on_gty_rings():
                 continue
             faithful, cyclic = st.faithful_simples(ring)
             assert (len(faithful) > 0) == cyclic, name
+
+
+def faithful_by_closure(ring):
+    """The reference: every i whose closure is the whole ring, each one walked."""
+    whole = tuple(range(ring.rank))
+    return tuple(i for i in range(ring.rank) if fr.closure(ring, (i,)).members == whole)
+
+
+def test_faithful_simples_match_a_walk_from_every_element():
+    # faithful_simples walks only the elements whose degree has the order of
+    # the grading group; the ones it skips must be ones no walk would keep
+    corpus = {name: ring for name, ring, _, _ in load_bench_workloads()._corpus()}
+    groups = [g for m in range(1, 9) for g in gr.groups_of_order(m)]
+    enumerated = [r for g in groups for r in cat.enumerate_extensions("pointed-z2", g)]
+    assert len(enumerated) == 68
+    with_faithful = set()
+    for index, ring in enumerate([*corpus.values(), *enumerated]):
+        for other in [ring] + [relabelled(ring, unit_fixing_shuffle(ring.rank, f"{index}/{s}"))
+                               for s in range(2)]:
+            faithful, _ = st.faithful_simples(other)
+            assert faithful == faithful_by_closure(other), index
+            if faithful:
+                with_faithful.add(index)
+    # cyclic gradings, where some elements are walked and kept
+    names = list(corpus)
+    assert {names.index(name) for name in ("ising", "yl-Z8", "pointed-Z6")} <= with_faithful
+
+
+def test_faithful_simples_walk_nothing_without_a_generating_degree(monkeypatch):
+    walks = []
+    closure = st.closure
+    monkeypatch.setattr(st, "closure", lambda ring, seed: walks.append(seed) or closure(ring, seed))
+    for ring in (cat.pointed("Q8"), cat.yl_extension("Z2xZ2")):
+        st.universal_grading(ring)   # its adjoint subring is a closure too
+        walks.clear()
+        assert st.faithful_simples(ring) == ((), False)
+        assert walks == []
 
 
 def test_nilpotency():
